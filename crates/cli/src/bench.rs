@@ -283,17 +283,15 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
 
 /// Micro-benchmarks the spiking conv kernels: the word-parallel
 /// event-driven scatter and the register-tiled dense kernel (the two
-/// production paths) against the scalar scatter, the scalar dense gather
-/// and the byte-wise reference, asserting bit-exactness of every kernel
-/// at every density before timing anything.
+/// production paths) against the byte-wise reference
+/// ([`sia_snn::conv_psums_int`], the one integer oracle), asserting
+/// bit-exactness of every kernel at every density before timing anything.
 ///
 /// Timing is **interleaved**: every round times each (case, kernel) pair
 /// once, so no kernel enjoys a privately warmed cache or branch-predictor
-/// state — the methodology fix for the old dense-timing anomaly, where
-/// the gather's data-dependent branch was timed predictable-first. The
-/// tracked `min_ns` is the production kernel the resolved
-/// [`sia_snn::KernelPolicy`] picks for that case's density; slower
-/// reference kernels run fewer rounds. Non-smoke runs add a fine density
+/// state. The tracked `min_ns` is the production kernel the resolved
+/// [`sia_snn::KernelPolicy`] picks for that case's density; the slower
+/// reference runs fewer rounds. Non-smoke runs add a fine density
 /// grid around the calibrated scatter↔dense crossover (marked
 /// `fine: 1`); smoke keeps the fixed case list so the committed
 /// `conv-smoke` baseline stays comparable run to run.
@@ -301,9 +299,8 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     use sia_fixed::{QuantScale, Q8_8};
     use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
     use sia_snn::{
-        conv_psums_int, conv_psums_int_gather_ref, conv_psums_int_plane, conv_psums_int_scatter,
-        conv_psums_int_scatter_scalar, conv_psums_int_tiled, Calibration, ConvScratch,
-        KernelPolicy, SpikePlane,
+        conv_psums_int, conv_psums_int_plane, conv_psums_int_scatter, conv_psums_int_tiled,
+        Calibration, ConvScratch, KernelPolicy, SpikePlane,
     };
     use sia_tensor::Conv2dGeom;
 
@@ -421,22 +418,14 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     let mut scr = ConvScratch::new();
     for c in &cases_in {
         let reference = conv_psums_int(&conv, &c.bytes);
-        let checks: [(&str, Vec<i16>); 5] = [
+        let checks: [(&str, Vec<i16>); 3] = [
             (
                 "scatter",
                 conv_psums_int_scatter(&conv, &c.plane, &mut scr, 0).to_vec(),
             ),
             (
-                "scalar scatter",
-                conv_psums_int_scatter_scalar(&conv, &c.plane, &mut scr, 0).to_vec(),
-            ),
-            (
                 "tiled",
                 conv_psums_int_tiled(&conv, &c.plane, &mut scr, 0).to_vec(),
-            ),
-            (
-                "gather",
-                conv_psums_int_gather_ref(&conv, &c.plane, &mut scr).to_vec(),
             ),
             (
                 "policy",
@@ -463,8 +452,6 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     let ncases = cases_in.len();
     let mut scatter_s: Vec<Vec<u64>> = vec![Vec::with_capacity(iters as usize); ncases];
     let mut tiled_s: Vec<Vec<u64>> = vec![Vec::with_capacity(iters as usize); ncases];
-    let mut scalar_min = vec![u64::MAX; ncases];
-    let mut gather_min = vec![u64::MAX; ncases];
     let mut byte_min = vec![u64::MAX; ncases];
     let time_ns = |f: &mut dyn FnMut()| -> u64 {
         let t0 = Instant::now();
@@ -480,17 +467,6 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
                 black_box(conv_psums_int_tiled(&conv, black_box(&c.plane), &mut scr, 0).len());
             }));
             if round < ref_iters {
-                scalar_min[i] = scalar_min[i].min(time_ns(&mut || {
-                    black_box(
-                        conv_psums_int_scatter_scalar(&conv, black_box(&c.plane), &mut scr, 0)
-                            .len(),
-                    );
-                }));
-                gather_min[i] = gather_min[i].min(time_ns(&mut || {
-                    black_box(
-                        conv_psums_int_gather_ref(&conv, black_box(&c.plane), &mut scr).len(),
-                    );
-                }));
                 byte_min[i] = byte_min[i].min(time_ns(&mut || {
                     black_box(conv_psums_int(&conv, black_box(&c.bytes)).len());
                 }));
@@ -506,17 +482,8 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     }
 
     println!(
-        "{:>8} {:>9} {:>7} {:>10} {:>10} {:>10} {:>10} {:>11} {:>8} {:>8}",
-        "density",
-        "measured",
-        "kernel",
-        "prod ns",
-        "scatter",
-        "tiled",
-        "scalar",
-        "gather",
-        "x scal",
-        "x dense"
+        "{:>8} {:>9} {:>7} {:>10} {:>10} {:>10} {:>11} {:>8}",
+        "density", "measured", "kernel", "prod ns", "scatter", "tiled", "byte ref", "x byte"
     );
     let mut cases = Vec::new();
     for (i, c) in cases_in.iter().enumerate() {
@@ -528,16 +495,13 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         } else {
             (tiled_min, tiled_median, tiled_mad, "tiled")
         };
-        let speedup_vs_scalar = scalar_min[i] as f64 / prod_min.max(1) as f64;
-        let speedup_vs_dense = gather_min[i] as f64 / prod_min.max(1) as f64;
+        let speedup_vs_byte = byte_min[i] as f64 / prod_min.max(1) as f64;
         println!(
-            "{:>7}% {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>10} {:>11} {:>7.2}x {:>7.1}x",
+            "{:>7}% {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>11} {:>7.1}x",
             c.pct,
             100.0 * c.measured_density,
-            scalar_min[i],
-            gather_min[i],
-            speedup_vs_scalar,
-            speedup_vs_dense,
+            byte_min[i],
+            speedup_vs_byte,
         );
         cases.push(BenchCase {
             name: format!("d{:03}", c.pct),
@@ -556,11 +520,8 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
                 ),
                 ("scatter_min_ns".to_string(), scatter_min as f64),
                 ("tiled_min_ns".to_string(), tiled_min as f64),
-                ("scalar_min_ns".to_string(), scalar_min[i] as f64),
-                ("gather_min_ns".to_string(), gather_min[i] as f64),
                 ("byte_min_ns".to_string(), byte_min[i] as f64),
-                ("speedup_vs_scalar".to_string(), speedup_vs_scalar),
-                ("speedup_vs_dense".to_string(), speedup_vs_dense),
+                ("speedup_vs_byte".to_string(), speedup_vs_byte),
             ],
         });
     }
@@ -878,9 +839,7 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
                     threads: 1,
                     timesteps: served_timesteps,
                     burn_in: served_burn_in,
-                    max_batch: images.len().max(1),
-                    max_delay_us: 0,
-                    queue_capacity: images.len().max(1) * 2,
+                    queue_capacity: 1,
                     kernel_policy: sia_snn::KernelPolicy::Auto,
                     exit: gate_exit,
                 },
@@ -1083,8 +1042,6 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
     // --- hosted mode ---
     let backend: Backend = args.str_or("backend", "int").parse()?;
     let burn_in = args.usize_or("burn-in", 0).map_err(err)?;
-    let max_batch = args.usize_or("max-batch", 16).map_err(err)?;
-    let max_delay_us = args.usize_or("max-delay-us", 500).map_err(err)? as u64;
     let queue_capacity = args.usize_or("queue", 256).map_err(err)?;
     let host_one = |exit: sia_snn::ExitPolicy| -> Result<HostedServer, String> {
         let config = ServeConfig {
@@ -1092,8 +1049,6 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
             threads,
             timesteps,
             burn_in,
-            max_batch,
-            max_delay_us,
             queue_capacity,
             kernel_policy,
             exit,

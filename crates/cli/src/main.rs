@@ -7,7 +7,7 @@
 //! sia run     model.sia [--timesteps 16] [--burn-in 4] [--images 20] [--events]
 //! sia eval    model.sia [--backend float|int|accel] [--threads 4] [--timesteps 8]
 //! sia serve   model.sia [--port 8080] [--backend float|int|accel] [--threads 0]
-//!             [--max-batch 16] [--max-delay-us 2000] [--queue 256]
+//!             [--queue 256]
 //! sia explore [--clock-mhz 100]
 //! sia calibrate [--smoke] [--out cal.json] [--check cal.json]
 //! sia bench   [conv|gemm|eval|serve] [--out BENCH_conv.json] [--smoke] [--threads 4]
@@ -26,10 +26,11 @@
 //! (results are bit-identical for every thread count).
 //!
 //! `serve` keeps the same engines resident behind an HTTP front end
-//! (`/predict`, `/healthz`, `/metrics`, `/models`; see [`sia_serve`]) with
-//! dynamic request batching and bounded-queue backpressure; served
-//! predictions are bit-identical to `sia eval` on the same model, backend
-//! and timesteps. `bench serve` is its load generator.
+//! (`/predict`, `/healthz`, `/metrics`, `/models`; see [`sia_serve`]): each
+//! request goes straight to the resident engine pool, and a bounded
+//! in-flight count answers the excess with HTTP 503; served predictions are
+//! bit-identical to `sia eval` on the same model, backend and timesteps.
+//! `bench serve` is its load generator.
 //!
 //! `check` statically verifies a model against the SIA — the
 //! interval-analysis overflow pass plus the hardware-budget lints from
@@ -137,8 +138,8 @@ USAGE:
               [--policy-sweep] [--min-accuracy X] [--max-acc-drop X]
               [--calibration FILE] [--metrics [out.jsonl]] [--trace out.json]
   sia serve   <model.sia> [--host H] [--port N] [--backend float|int|accel]
-              [--threads N] [--timesteps N] [--burn-in N] [--max-batch N]
-              [--max-delay-us N] [--queue N] [--port-file FILE]
+              [--threads N] [--timesteps N] [--burn-in N] [--queue N]
+              [--port-file FILE]
               [--kernel-policy auto|sparse|dense|calibrated] [--calibration FILE]
               [--policy fixed|margin|entropy|calibrated] [--exit-margin X]
               [--exit-entropy X] [--exit-window N] [--exit-calibration FILE]
@@ -161,9 +162,9 @@ USAGE:
                        (open in chrome://tracing or ui.perfetto.dev)
 
   `serve` answers POST /predict with predictions bit-identical to
-  `sia eval` on the same model/backend/timesteps; batching coalesces
-  requests for up to --max-delay-us or --max-batch items, and a full
-  --queue rejects with HTTP 503 instead of growing without bound.
+  `sia eval` on the same model/backend/timesteps; each request runs on
+  the resident engine pool, and once --queue requests are in flight
+  further ones get HTTP 503 instead of waiting without bound.
   GET /metrics exposes the telemetry snapshot (p50/p95/p99 of
   snn.eval.image_us included); POST /models with a path field hot-swaps
   after static verification passes; POST /shutdown drains and exits.
@@ -415,8 +416,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         threads: args.usize_or("threads", 0).map_err(err)?,
         timesteps: args.usize_or("timesteps", 8).map_err(err)?,
         burn_in: args.usize_or("burn-in", 0).map_err(err)?,
-        max_batch: args.usize_or("max-batch", 16).map_err(err)?,
-        max_delay_us: args.usize_or("max-delay-us", 2000).map_err(err)? as u64,
         queue_capacity: args.usize_or("queue", 256).map_err(err)?,
         kernel_policy: calibrate::resolve_policy(args)?,
         exit: calibrate::resolve_exit_policy(args)?,
@@ -437,13 +436,11 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     println!(
         "serving {path} on http://{host}:{} — {} backend, {} worker(s), T={}{exit_label}, \
-         batch ≤{} / ≤{}µs, queue {} (POST /shutdown to stop)",
+         queue {} (POST /shutdown to stop)",
         server.port(),
         config.backend,
         unit.workers(),
         config.timesteps,
-        config.max_batch,
-        config.max_delay_us,
         config.queue_capacity
     );
     server.run()

@@ -3,10 +3,10 @@
 //! extended from the datapath to the scheduler.
 //!
 //! The repo's headline guarantee — bit-exact, thread-count-independent
-//! inference — rests on four hand-rolled concurrency protocols: the
+//! inference — rests on three hand-rolled concurrency protocols: the
 //! `sia_tensor::pool` work-stealing cursor, the `EnginePool` submission
-//! queue, the `DynamicBatcher` deadline/size coalescing loop, and the
-//! `ModelRegistry` hot-swap path. "Threads 1 vs 4 agree on the schedule
+//! queue (which serving's connection threads submit to concurrently), and
+//! the `ModelRegistry` hot-swap path. "Threads 1 vs 4 agree on the schedule
 //! the OS happened to pick" is not verification; this crate makes the
 //! *space of schedules* the thing under test.
 //!

@@ -2,9 +2,9 @@
 //! implementation, [`StdSync`].
 //!
 //! Every concurrency protocol in the workspace (`sia_tensor::pool`,
-//! `sia_snn::EnginePool`, `sia_serve::DynamicBatcher`,
-//! `sia_serve::ModelRegistry`) is generic over `S: SyncOps` with
-//! [`StdSync`] as the default type parameter. [`StdSync`] is a
+//! `sia_snn::EnginePool` — which `sia_serve`'s connection threads submit
+//! to directly — and `sia_serve::ModelRegistry`) is generic over
+//! `S: SyncOps` with [`StdSync`] as the default type parameter. [`StdSync`] is a
 //! passthrough: its mutex *is* `std::sync::Mutex`, its condvar *is*
 //! `std::sync::Condvar`, its atomics are `std`'s — monomorphisation
 //! compiles the shim away entirely. The one semantic it adds is uniform

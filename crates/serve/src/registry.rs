@@ -345,14 +345,15 @@ impl<S: SyncOps> ModelRegistry<S> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sia_accel::write_image;
     use sia_nn::{ActSpec, ConvSpec, LinearSpec, NetworkSpec, SpecItem};
     use sia_snn::{convert, ConvertOptions};
     use sia_tensor::{Conv2dGeom, Tensor};
 
-    fn tiny_image() -> Vec<u8> {
+    /// A verified 3×8×8 conv → pool → linear deployment image.
+    pub(crate) fn tiny_image() -> Vec<u8> {
         let geom = Conv2dGeom {
             in_channels: 3,
             out_channels: 4,

@@ -1,14 +1,19 @@
 //! The serving front end: persistent engines behind an HTTP/1.1 listener.
 //!
 //! A [`Server`] owns a [`ModelRegistry`] and one *serving unit* — the
-//! currently-served model plus its long-lived [`EnginePool`] and
-//! [`DynamicBatcher`]. Connection threads parse `/predict` bodies, submit
-//! them to the batcher and block for their replies; a single dispatcher
-//! thread drains the batcher and feeds coalesced batches to the pool, so
-//! engines stay resident across requests and the per-request cost is the
-//! inference itself, not setup.
+//! currently-served model plus its long-lived [`EnginePool`]. Connection
+//! threads parse `/predict` bodies and submit them straight to the pool, so
+//! engines stay resident across requests, the pool's submission queue is
+//! the only queue between a request and an engine, and the per-request
+//! cost is the inference itself, not setup.
 //!
-//! Determinism: a predict batch flows through the exact pipeline
+//! Admission: a request is refused with [`Overloaded`] (HTTP 503) when
+//! `queue_capacity` requests are already in flight — running or waiting
+//! for an engine — or once the unit has been shut down. The in-flight
+//! count is an RAII claim, so a request that leaves by any path, unwinding
+//! included, frees its slot.
+//!
+//! Determinism: a predict request flows through the exact pipeline
 //! `sia eval` uses — [`EnginePool::submit`] with the same per-image
 //! independent runs and index-order reduction — so served predictions are
 //! bit-identical to offline evaluation on the same model, backend and
@@ -27,20 +32,19 @@
 //!   failing `sia_check` is refused and the old unit keeps serving.
 //! * `POST /shutdown` — clean drain-and-exit (the CI gate's stop signal).
 
-use crate::batcher::{BatcherConfig, DynamicBatcher, Overloaded};
 use crate::http::{read_request, write_response, ReadOutcome, Request};
 use crate::registry::{Backend, LoadedModel, ModelRegistry};
 use sia_accel::{compile_for, SiaEngineFactory};
 use sia_snn::{
     EnginePool, EvalBatch, EvalEncoding, ExitPolicy, FloatEngineFactory, IntEngineFactory,
-    SnnOutput,
 };
 use sia_telemetry::json::{self, Json};
 use sia_tensor::Tensor;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// How long a connection thread blocks in `read` before polling the
@@ -58,11 +62,8 @@ pub struct ServeConfig {
     pub timesteps: usize,
     /// Readout burn-in.
     pub burn_in: usize,
-    /// Batching window: flush at this many queued requests.
-    pub max_batch: usize,
-    /// Batching window: flush this many µs after the first queued request.
-    pub max_delay_us: u64,
-    /// Bounded queue depth; beyond it `/predict` returns 503.
+    /// Requests admitted at once (running or waiting for an engine);
+    /// beyond it `/predict` returns 503.
     pub queue_capacity: usize,
     /// Psum kernel policy every pooled engine starts with (measured
     /// calibration or a forced kernel; `Auto` = built-in heuristic).
@@ -79,8 +80,6 @@ impl Default for ServeConfig {
             threads: 0,
             timesteps: 8,
             burn_in: 0,
-            max_batch: 16,
-            max_delay_us: 2000,
             queue_capacity: 256,
             kernel_policy: sia_snn::KernelPolicy::Auto,
             exit: ExitPolicy::Fixed,
@@ -97,12 +96,32 @@ pub struct Prediction {
     pub logits: Vec<f32>,
 }
 
+/// Backpressure rejection: `capacity` requests were already in flight, or
+/// the serving unit was shutting down.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Overloaded {
+    /// The in-flight bound (`ServeConfig::queue_capacity`).
+    pub capacity: usize,
+}
+
+impl std::fmt::Display for Overloaded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "serving unit full ({} requests in flight) or shutting down",
+            self.capacity
+        )
+    }
+}
+
+impl std::error::Error for Overloaded {}
+
 /// Why a predict call failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PredictError {
-    /// Backpressure: the bounded request queue was full.
+    /// Backpressure: the in-flight bound was reached or the unit is closed.
     Overloaded(Overloaded),
-    /// The dispatcher or an engine failed.
+    /// An engine failed.
     Internal(String),
 }
 
@@ -117,28 +136,58 @@ impl std::fmt::Display for PredictError {
 
 impl std::error::Error for PredictError {}
 
-/// One queued request: its images and the channel its reply goes back on.
-struct Pending {
-    images: Vec<Tensor>,
-    reply: mpsc::Sender<Result<Vec<Prediction>, String>>,
-    enqueued: Instant,
+/// The admission gate: an in-flight count bounded by `capacity`, plus the
+/// closed flag [`ServingUnit::shutdown`] sets.
+struct Admission {
+    in_flight: AtomicUsize,
+    closed: AtomicBool,
+    capacity: usize,
+}
+
+/// One admitted request's claim on the in-flight count, released on drop.
+struct Slot<'a>(&'a AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl Admission {
+    fn admit(&self) -> Result<Slot<'_>, Overloaded> {
+        let admitted = !self.closed.load(Ordering::SeqCst)
+            && self
+                .in_flight
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                    (n < self.capacity).then_some(n + 1)
+                })
+                .is_ok();
+        if admitted {
+            Ok(Slot(&self.in_flight))
+        } else {
+            sia_telemetry::counter!("serve.rejected.overloaded", 1);
+            Err(Overloaded {
+                capacity: self.capacity,
+            })
+        }
+    }
 }
 
 /// A model bound to live engines: the hot-swappable half of a [`Server`].
 ///
-/// Owns the request batcher; the dispatcher thread owns the engine pool
-/// and exits when the batcher closes. Dropping the unit drains and joins.
+/// Requests run on their caller's thread through the resident pool;
+/// dropping the last handle joins the pool's workers.
 pub struct ServingUnit {
     /// The model this unit serves.
     pub model: Arc<LoadedModel>,
-    batcher: Arc<DynamicBatcher<Pending>>,
-    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
-    workers: usize,
+    pool: EnginePool,
+    params: EvalBatch,
+    admission: Admission,
     config: ServeConfig,
 }
 
 impl ServingUnit {
-    /// Builds the engine pool for `model` and starts the dispatcher.
+    /// Builds the engine pool for `model`.
     ///
     /// # Errors
     ///
@@ -165,6 +214,10 @@ impl ServingUnit {
                 )
             }
         };
+        Ok(ServingUnit::with_pool(model, config, pool))
+    }
+
+    fn with_pool(model: Arc<LoadedModel>, config: ServeConfig, pool: EnginePool) -> Arc<Self> {
         let params = EvalBatch {
             timesteps: config.timesteps,
             burn_in: config.burn_in,
@@ -177,29 +230,23 @@ impl ServingUnit {
             },
             exit: config.exit,
         };
-        let batcher = Arc::new(DynamicBatcher::new(BatcherConfig {
-            max_batch: config.max_batch,
-            max_delay: Duration::from_micros(config.max_delay_us),
-            capacity: config.queue_capacity,
-        }));
-        let workers = pool.workers();
-        let dispatcher = {
-            let batcher = Arc::clone(&batcher);
-            std::thread::spawn(move || dispatch_loop(&pool, &batcher, params)) // concurrency-allow: server lifecycle thread (accept-loop tier)
-        };
-        Ok(Arc::new(ServingUnit {
+        Arc::new(ServingUnit {
             model,
-            batcher,
-            dispatcher: Mutex::new(Some(dispatcher)), // concurrency-allow: join-handle holder, never contended
-            workers,
+            pool,
+            params,
+            admission: Admission {
+                in_flight: AtomicUsize::new(0),
+                closed: AtomicBool::new(false),
+                capacity: config.queue_capacity,
+            },
             config,
-        }))
+        })
     }
 
     /// Engine-pool workers behind this unit.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers()
     }
 
     /// The serving parameters.
@@ -208,98 +255,58 @@ impl ServingUnit {
         self.config
     }
 
-    /// Runs `images` through the batched serving path and returns one
-    /// [`Prediction`] per image, in request order. Blocks until the batch
-    /// window containing this request completes.
+    /// Runs `images` on the resident engine pool and returns one
+    /// [`Prediction`] per image, in request order. Blocks the calling
+    /// thread until every image has run.
     ///
     /// # Errors
     ///
-    /// [`PredictError::Overloaded`] under backpressure,
+    /// [`PredictError::Overloaded`] when `queue_capacity` requests are
+    /// already in flight or the unit is shut down (nothing runs),
     /// [`PredictError::Internal`] when an engine fails.
     pub fn predict(&self, images: Vec<Tensor>) -> Result<Vec<Prediction>, PredictError> {
-        let n = images.len() as u64;
-        let (reply, rx) = mpsc::channel();
-        let enqueued = Instant::now();
-        self.batcher
-            .submit(Pending {
-                images,
-                reply,
-                enqueued,
-            })
-            .map_err(PredictError::Overloaded)?;
-        let result = match rx.recv() {
-            Ok(Ok(predictions)) => Ok(predictions),
-            Ok(Err(msg)) => Err(PredictError::Internal(msg)),
-            Err(_) => Err(PredictError::Internal(
-                "serving unit shut down mid-request".to_string(),
-            )),
+        let arrived = Instant::now();
+        let _slot = self.admission.admit().map_err(PredictError::Overloaded)?;
+        // a one-worker pool runs on this thread and propagates engine
+        // panics; pooled workers report them as a `PoolError` instead
+        let run = catch_unwind(AssertUnwindSafe(|| self.pool.submit(images, self.params)));
+        let results = match run {
+            Ok(Ok(results)) => results,
+            Ok(Err(e)) => return Err(internal(e.to_string())),
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("opaque panic payload");
+                return Err(internal(format!("engine panicked: {msg}")));
+            }
         };
-        if result.is_ok() {
-            sia_telemetry::counter!("serve.requests", 1);
-            sia_telemetry::counter!("serve.images", n);
-            sia_telemetry::histogram!("serve.request_us", enqueued.elapsed().as_micros() as u64);
-        } else {
-            sia_telemetry::counter!("serve.errors", 1);
-        }
-        result
+        let request_us = arrived.elapsed().as_micros() as u64;
+        let engine_us = results.iter().map(|&(_, us)| us).max().unwrap_or(0);
+        sia_telemetry::histogram!("serve.queue_wait_us", request_us.saturating_sub(engine_us));
+        sia_telemetry::histogram!("serve.request_us", request_us);
+        sia_telemetry::counter!("serve.requests", 1);
+        sia_telemetry::counter!("serve.images", results.len() as u64);
+        Ok(results
+            .into_iter()
+            .map(|(out, _us)| Prediction {
+                class: out.predicted(),
+                logits: out.logits().to_vec(),
+            })
+            .collect())
     }
 
-    /// Drains the batcher and joins the dispatcher (idempotent).
+    /// Refuses every later request; requests already admitted still
+    /// complete (idempotent, never blocks).
     pub fn shutdown(&self) {
-        self.batcher.close();
-        if let Some(handle) = self
-            .dispatcher
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take()
-        {
-            let _ = handle.join();
-        }
+        self.admission.closed.store(true, Ordering::SeqCst);
     }
 }
 
-impl Drop for ServingUnit {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The dispatcher: drains the batcher, coalesces request images into one
-/// pool batch, splits pool results back per request. Exits when the
-/// batcher closes.
-fn dispatch_loop(pool: &EnginePool, batcher: &DynamicBatcher<Pending>, params: EvalBatch) {
-    while let Some(mut batch) = batcher.next_batch() {
-        for pending in &batch {
-            sia_telemetry::histogram!(
-                "serve.queue_wait_us",
-                pending.enqueued.elapsed().as_micros() as u64
-            );
-        }
-        let counts: Vec<usize> = batch.iter().map(|p| p.images.len()).collect();
-        let images: Vec<Tensor> = batch.iter_mut().flat_map(|p| p.images.drain(..)).collect();
-        match pool.submit(images, params) {
-            Ok(results) => {
-                let mut cursor = 0;
-                for (pending, count) in batch.iter().zip(&counts) {
-                    let predictions = results[cursor..cursor + count]
-                        .iter()
-                        .map(|(out, _us): &(SnnOutput, u64)| Prediction {
-                            class: out.predicted(),
-                            logits: out.logits().to_vec(),
-                        })
-                        .collect();
-                    cursor += count;
-                    let _ = pending.reply.send(Ok(predictions));
-                }
-            }
-            Err(e) => {
-                // the whole batch shared the failing submit; report to all
-                for pending in &batch {
-                    let _ = pending.reply.send(Err(e.to_string()));
-                }
-            }
-        }
-    }
+fn internal(msg: String) -> PredictError {
+    sia_telemetry::counter!("serve.errors", 1);
+    PredictError::Internal(msg)
 }
 
 /// The HTTP front end: a bound listener plus the hot-swappable serving
@@ -367,7 +374,7 @@ impl Server {
     }
 
     /// Serves until [`Server::request_shutdown`] (or `POST /shutdown`),
-    /// then drains: joins connection threads and the serving unit.
+    /// then drains: joins connection threads and closes the serving unit.
     ///
     /// # Errors
     ///
@@ -521,8 +528,8 @@ impl Server {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             std::mem::replace(&mut *serving, unit)
         };
-        // drain the displaced unit after the swap so in-flight requests
-        // on it still complete
+        // close the displaced unit after the swap; requests it already
+        // admitted hold their own handle and still complete
         old.shutdown();
         sia_telemetry::counter!("serve.models.swapped", 1);
         (
@@ -555,15 +562,12 @@ impl Server {
             &mut out,
             format_args!(
                 ",\"timesteps\":{},\"burn_in\":{},\"input\":[{c},{h},{w}],\
-                 \"events\":{},\"classes\":{},\"workers\":{},\"max_batch\":{},\
-                 \"max_delay_us\":{},\"queue_capacity\":{}}}",
+                 \"events\":{},\"classes\":{},\"workers\":{},\"queue_capacity\":{}}}",
                 cfg.timesteps,
                 cfg.burn_in,
                 model.event_input,
                 model.network.num_classes,
                 unit.workers(),
-                cfg.max_batch,
-                cfg.max_delay_us,
                 cfg.queue_capacity
             ),
         );
@@ -794,6 +798,120 @@ fn error_json(msg: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sia_snn::{EngineFactory, IntRunner};
+    use std::sync::Barrier;
+
+    /// Int engines whose builds are counted. A one-worker pool builds one
+    /// engine per admitted request, so the count is the number of requests
+    /// that reached an engine. With `gate`, the first build waits at both
+    /// barriers, holding its request in flight until the test releases it.
+    struct ProbeFactory {
+        inner: IntEngineFactory,
+        builds: Arc<AtomicUsize>,
+        gate: Option<Arc<(Barrier, Barrier)>>,
+    }
+
+    impl EngineFactory for ProbeFactory {
+        type Engine<'a> = IntRunner<'a>;
+
+        fn build(&self) -> IntRunner<'_> {
+            if self.builds.fetch_add(1, Ordering::SeqCst) == 0 {
+                if let Some(gate) = &self.gate {
+                    gate.0.wait();
+                    gate.1.wait();
+                }
+            }
+            self.inner.build()
+        }
+    }
+
+    /// A one-worker unit admitting `capacity` requests, and its build count.
+    fn probe_unit(
+        capacity: usize,
+        gate: Option<Arc<(Barrier, Barrier)>>,
+    ) -> (Arc<ServingUnit>, Arc<AtomicUsize>) {
+        let model = Arc::new(
+            crate::registry::load_bytes(&crate::registry::tests::tiny_image(), "mem", 4).unwrap(),
+        );
+        let builds = Arc::new(AtomicUsize::new(0));
+        let factory = ProbeFactory {
+            inner: IntEngineFactory::new(Arc::clone(&model.network)),
+            builds: Arc::clone(&builds),
+            gate,
+        };
+        let config = ServeConfig {
+            threads: 1,
+            timesteps: 4,
+            queue_capacity: capacity,
+            ..ServeConfig::default()
+        };
+        let unit = ServingUnit::with_pool(model, config, EnginePool::new(factory, 1));
+        (unit, builds)
+    }
+
+    fn image() -> Vec<Tensor> {
+        vec![Tensor::from_vec(vec![3, 8, 8], vec![0.5; 3 * 8 * 8])]
+    }
+
+    #[test]
+    fn predict_at_capacity_is_refused_and_runs_nothing() {
+        let (unit, builds) = probe_unit(2, None);
+        let held = [
+            unit.admission.admit().unwrap(),
+            unit.admission.admit().unwrap(),
+        ];
+        assert_eq!(
+            unit.predict(image()),
+            Err(PredictError::Overloaded(Overloaded { capacity: 2 }))
+        );
+        assert_eq!(builds.load(Ordering::SeqCst), 0, "a refused request ran");
+        drop(held);
+        assert_eq!(unit.predict(image()).unwrap().len(), 1);
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!(
+            unit.admission.in_flight.load(Ordering::SeqCst),
+            0,
+            "a finished request keeps its slot"
+        );
+    }
+
+    #[test]
+    fn a_request_frees_its_slot_when_it_unwinds() {
+        let (unit, _builds) = probe_unit(1, None);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = unit.admission.admit().unwrap();
+            panic!("request died mid-flight");
+        }));
+        assert!(unwound.is_err());
+        // an engine panic (an image of the wrong shape) is a 500, and its
+        // slot is free again for the next request
+        let wrong_shape = vec![Tensor::from_vec(vec![1, 2, 2], vec![0.0; 4])];
+        assert!(matches!(
+            unit.predict(wrong_shape),
+            Err(PredictError::Internal(_))
+        ));
+        assert_eq!(unit.predict(image()).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn shutdown_refuses_new_requests_while_in_flight_ones_complete() {
+        let gate = Arc::new((Barrier::new(2), Barrier::new(2)));
+        let (unit, builds) = probe_unit(4, Some(Arc::clone(&gate)));
+        std::thread::scope(|scope| {
+            let in_flight = scope.spawn(|| unit.predict(image()));
+            gate.0.wait(); // the first request now holds the engine
+            unit.shutdown();
+            unit.shutdown(); // idempotent
+            assert_eq!(
+                unit.predict(image()),
+                Err(PredictError::Overloaded(Overloaded { capacity: 4 }))
+            );
+            gate.1.wait();
+            let answered = in_flight.join().unwrap();
+            assert_eq!(answered.unwrap().len(), 1, "admitted request completes");
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "the refused request ran");
+    }
 
     #[test]
     fn predictions_round_trip_bit_exactly() {

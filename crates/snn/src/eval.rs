@@ -322,6 +322,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         })
 }
 
+/// Zero-worker fast path: runs a job inline on the submitting thread.
+type InlineRunner<S> = Box<dyn Fn(&Job<S>) + Send + Sync>;
+
 /// A pool of long-lived per-worker engines fed by a submission queue.
 ///
 /// `workers >= 2` spawns that many threads, each owning one engine built
@@ -329,16 +332,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// batch — the persistent-serving configuration. `workers <= 1` spawns
 /// nothing: batches run inline on the submitting thread (one engine per
 /// [`EnginePool::submit`] call), preserving the zero-spawn single-thread
-/// path the scoped evaluator always had.
+/// path the scoped evaluator always had. Inline runs hold one pool-wide
+/// lock, so concurrent submitters still run at most one engine at a time.
 ///
 /// Batches are *broadcast*: every worker receives the job and steals item
 /// indices from its shared cursor, so an uneven batch load-balances and a
 /// worker that arrives late (still finishing the previous job) finds the
 /// cursor drained and moves on. Concurrent `submit`s from different
 /// threads are safe and pipeline naturally.
-/// Zero-worker fast path: runs a job inline on the submitting thread.
-type InlineRunner<S> = Box<dyn Fn(&Job<S>) + Send + Sync>;
-
 pub struct EnginePool<S: SyncOps = StdSync> {
     senders: Vec<S::Sender<Arc<Job<S>>>>,
     handles: Vec<S::JoinHandle>,
@@ -363,7 +364,9 @@ impl<S: SyncOps> EnginePool<S> {
         let workers = pool::resolve_threads(threads);
         let factory = Arc::new(factory);
         if workers <= 1 {
+            let one_engine = S::mutex(());
             let inline = Box::new(move |job: &Job<S>| {
+                let _running = one_engine.lock();
                 let mut engine = factory.build();
                 let n = job.images.len();
                 loop {

@@ -65,9 +65,8 @@ pub use runner::{
 };
 pub use scratch::{scratch_growth, scratch_reserve_default, scratch_resize};
 pub use sparse::{
-    conv_psums_dense_f32_into, conv_psums_dense_into, conv_psums_f32_plane,
-    conv_psums_int_gather_ref, conv_psums_int_plane, conv_psums_int_scatter,
-    conv_psums_int_scatter_scalar, conv_psums_int_tiled, ConvScratch, CostModel, KernelPolicy,
+    conv_psums_dense_f32_into, conv_psums_dense_into, conv_psums_f32_plane, conv_psums_int_plane,
+    conv_psums_int_scatter, conv_psums_int_tiled, ConvScratch, CostModel, KernelPolicy,
 };
 pub use spikeplane::{or_pool_packed, SpikePlane};
 pub use stats::SpikeStats;

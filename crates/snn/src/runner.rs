@@ -460,8 +460,8 @@ enum ItemKind {
     Head,
 }
 
-/// Per-stage sparsity observability: `snn.taps.*` counters, a
-/// `snn.density.<stage>` gauge, and one `snn.stage` event — emitted for
+/// Per-stage sparsity observability: `snn.taps.*` counters and one
+/// `snn.stage` event (carrying the stage's spike density) — emitted for
 /// every backend per spiking stage after the traversal, with taps and
 /// spikes accumulated across all executed chunks.
 fn emit_stage_telemetry(
@@ -476,7 +476,6 @@ fn emit_stage_telemetry(
     let spikes = stats.spikes[stage];
     let neurons = stats.neurons[stage];
     let density = spikes as f64 / (neurons.max(1) * executed.max(1) as u64) as f64;
-    sia_telemetry::gauge_set(&format!("snn.density.{}", stats.names[stage]), density);
     sia_telemetry::emit(
         "snn.stage",
         &[

@@ -312,16 +312,10 @@ fn build_wt_f32(conv: &SnnConv, wt: &mut Vec<f32>) {
     }
 }
 
-/// Scatter core, generic over the accumulator: for every set spike bit,
-/// visit its valid `(ky, kx)` taps and fold the transposed weight row into
-/// the channels-last psum row (see the module docs for the order proof).
-fn scatter<W: Copy, A: Copy>(
-    g: &Conv2dGeom,
-    wt: &[W],
-    plane: &SpikePlane,
-    psum_cl: &mut [A],
-    acc: impl Fn(A, W) -> A,
-) {
+/// Float scatter: for every set spike bit, visit its valid `(ky, kx)` taps
+/// and add the transposed weight row into the channels-last psum row (see
+/// the module docs for the order proof).
+fn scatter_f32(g: &Conv2dGeom, wt: &[f32], plane: &SpikePlane, psum_cl: &mut [f32]) {
     let (oh, ow) = g.out_hw();
     let (k, cout) = (g.kernel, g.out_channels);
     let pad = g.padding as isize;
@@ -358,7 +352,7 @@ fn scatter<W: Copy, A: Copy>(
                         let wrow = &wt[((ci * k + ky) * k + kx) * cout..][..cout];
                         let prow = &mut psum_cl[(oy * ow + ox) * cout..][..cout];
                         for (p, &w) in prow.iter_mut().zip(wrow) {
-                            *p = acc(*p, w);
+                            *p += w;
                         }
                     }
                 }
@@ -397,7 +391,7 @@ fn add_weight_lanes(prow: &mut [i16], wrow: &[i8]) {
 }
 
 /// Word-parallel integer scatter: identical tap visit order to
-/// [`scatter`], with the innermost `co` sweep unrolled via
+/// [`scatter_f32`], with the innermost `co` sweep unrolled via
 /// [`add_weight_lanes`]. Stride-1 planes additionally take a branch-free
 /// tap-range fast path (no divisibility tests in the per-spike loop).
 fn scatter_int_wide(g: &Conv2dGeom, wt: &[i8], plane: &SpikePlane, psum_cl: &mut [i16]) {
@@ -424,7 +418,7 @@ fn scatter_int_wide(g: &Conv2dGeom, wt: &[i8], plane: &SpikePlane, psum_cl: &mut
             }
         }
     } else {
-        // General stride: same validity walk as the scalar core.
+        // General stride: same validity walk as [`scatter_f32`].
         let pad = g.padding as isize;
         let stride = g.stride as isize;
         for ci in 0..g.in_channels {
@@ -679,38 +673,6 @@ fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, per_ch: usize) {
     }
 }
 
-/// Dense gather replicating [`crate::runner::conv_psums_int`] exactly, but
-/// reading spikes from the packed plane and writing into scratch.
-fn gather_int(conv: &SnnConv, plane: &SpikePlane, out: &mut [i16]) {
-    let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    for co in 0..g.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0i16;
-                for ci in 0..g.in_channels {
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            if plane.bit(ci, iy as usize, ix as usize) {
-                                acc = acc_weight(acc, conv.weight(co, ci, ky, kx));
-                            }
-                        }
-                    }
-                }
-                out[(co * oh + oy) * ow + ox] = acc;
-            }
-        }
-    }
-}
-
 fn gather_f32(conv: &SnnConv, plane: &SpikePlane, out: &mut [f32]) {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
@@ -765,15 +727,13 @@ fn ensure_wt_wide(conv: &SnnConv, scr: &mut ConvScratch, key: usize) {
     }
 }
 
-/// Scatter pipeline shared by the word-parallel production kernel and the
-/// scalar reference: build/reuse transposed weights, scatter into the
-/// channels-last psums, transpose to canonical layout.
+/// Word-parallel scatter pipeline: build/reuse transposed weights, scatter
+/// into the channels-last psums, transpose to canonical layout.
 fn run_scatter_int<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     scr: &'a mut ConvScratch,
     key: usize,
-    wide: bool,
 ) -> &'a [i16] {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
@@ -786,11 +746,7 @@ fn run_scatter_int<'a>(
         ..
     } = scr;
     scratch_resize(psum_cl_i, n_out, 0);
-    if wide {
-        scatter_int_wide(g, wt_i, plane, psum_cl_i);
-    } else {
-        scatter(g, wt_i, plane, psum_cl_i, acc_weight);
-    }
+    scatter_int_wide(g, wt_i, plane, psum_cl_i);
     scratch_resize(psum_i, n_out, 0);
     transpose_cl(psum_cl_i, psum_i, g.out_channels, oh * ow);
     &scr.psum_i
@@ -833,23 +789,7 @@ pub fn conv_psums_int_scatter<'a>(
     key: usize,
 ) -> &'a [i16] {
     check_plane(&conv.geom, plane);
-    run_scatter_int(conv, plane, scr, key, true)
-}
-
-/// Direct entry to the scalar (pre-word-parallel) scatter, kept as the
-/// like-for-like speedup reference and iteration-order oracle.
-///
-/// # Panics
-///
-/// Panics if the plane shape mismatches the conv geometry.
-pub fn conv_psums_int_scatter_scalar<'a>(
-    conv: &SnnConv,
-    plane: &SpikePlane,
-    scr: &'a mut ConvScratch,
-    key: usize,
-) -> &'a [i16] {
-    check_plane(&conv.geom, plane);
-    run_scatter_int(conv, plane, scr, key, false)
+    run_scatter_int(conv, plane, scr, key)
 }
 
 /// Direct entry to the register-tiled dense kernel (the production
@@ -866,26 +806,6 @@ pub fn conv_psums_int_tiled<'a>(
 ) -> &'a [i16] {
     check_plane(&conv.geom, plane);
     run_tiled_int(conv, plane, scr, key)
-}
-
-/// Direct entry to the naive branchy dense gather — the bit-exactness
-/// oracle the tiled kernel is tested against, and the "before" timing
-/// reference in `sia bench conv`.
-///
-/// # Panics
-///
-/// Panics if the plane shape mismatches the conv geometry.
-pub fn conv_psums_int_gather_ref<'a>(
-    conv: &SnnConv,
-    plane: &SpikePlane,
-    scr: &'a mut ConvScratch,
-) -> &'a [i16] {
-    let g = &conv.geom;
-    check_plane(g, plane);
-    let (oh, ow) = g.out_hw();
-    scratch_resize(&mut scr.psum_i, g.out_channels * oh * ow, 0);
-    gather_int(conv, plane, &mut scr.psum_i);
-    &scr.psum_i
 }
 
 /// Integer partial sums from a packed spike plane: the word-parallel
@@ -912,7 +832,7 @@ pub fn conv_psums_int_plane<'a>(
     let sparse = policy.picks_sparse(g, spikes, n_out);
     account_taps(scr, g, spikes, sparse);
     if sparse {
-        run_scatter_int(conv, plane, scr, key, true)
+        run_scatter_int(conv, plane, scr, key)
     } else {
         run_tiled_int(conv, plane, scr, key)
     }
@@ -951,7 +871,7 @@ pub fn conv_psums_f32_plane<'a>(
             ..
         } = scr;
         scratch_resize(psum_cl_f, n_out, 0.0);
-        scatter(g, wt_f, plane, psum_cl_f, |a, w| a + w);
+        scatter_f32(g, wt_f, plane, psum_cl_f);
         scratch_resize(psum_f, n_out, 0.0);
         transpose_cl(psum_cl_f, psum_f, g.out_channels, oh * ow);
     } else {
@@ -1123,12 +1043,8 @@ mod tests {
                 assert_eq!(auto, reference, "auto case {i} rate {rate}");
                 let wide = conv_psums_int_scatter(&conv, &plane, &mut scr, i).to_vec();
                 assert_eq!(wide, reference, "wide scatter case {i} rate {rate}");
-                let scalar = conv_psums_int_scatter_scalar(&conv, &plane, &mut scr, i).to_vec();
-                assert_eq!(scalar, reference, "scalar scatter case {i} rate {rate}");
                 let tiled = conv_psums_int_tiled(&conv, &plane, &mut scr, i).to_vec();
                 assert_eq!(tiled, reference, "tiled case {i} rate {rate}");
-                let gather = conv_psums_int_gather_ref(&conv, &plane, &mut scr).to_vec();
-                assert_eq!(gather, reference, "gather case {i} rate {rate}");
                 let cal = KernelPolicy::Calibrated(CostModel {
                     scatter_ps_per_lane: 200,
                     scatter_ps_per_out: 500,

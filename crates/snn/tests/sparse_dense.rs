@@ -9,9 +9,8 @@ use sia_fixed::{QuantScale, Q8_8};
 use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
 use sia_snn::spikeplane::{or_pool_packed, SpikePlane};
 use sia_snn::{
-    conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_gather_ref,
-    conv_psums_int_plane, conv_psums_int_scatter, conv_psums_int_scatter_scalar,
-    conv_psums_int_tiled, or_pool, ConvScratch, CostModel, KernelPolicy,
+    conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_plane,
+    conv_psums_int_scatter, conv_psums_int_tiled, or_pool, ConvScratch, CostModel, KernelPolicy,
 };
 use sia_tensor::Conv2dGeom;
 
@@ -157,12 +156,8 @@ proptest! {
         let mut scr = ConvScratch::new();
         let got = conv_psums_int_scatter(&conv, &plane, &mut scr, 0).to_vec();
         prop_assert_eq!(&got, &reference, "scatter");
-        let got = conv_psums_int_scatter_scalar(&conv, &plane, &mut scr, 0).to_vec();
-        prop_assert_eq!(&got, &reference, "scalar scatter");
         let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
         prop_assert_eq!(&got, &reference, "tiled");
-        let got = conv_psums_int_gather_ref(&conv, &plane, &mut scr).to_vec();
-        prop_assert_eq!(&got, &reference, "gather");
     }
 
     #[test]
@@ -271,12 +266,8 @@ proptest! {
             let mut scr = ConvScratch::new();
             let got = conv_psums_int_scatter(&conv, &plane, &mut scr, 0).to_vec();
             prop_assert_eq!(&got, &reference, "scatter / {}", pattern);
-            let got = conv_psums_int_scatter_scalar(&conv, &plane, &mut scr, 0).to_vec();
-            prop_assert_eq!(&got, &reference, "scalar scatter / {}", pattern);
             let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
             prop_assert_eq!(&got, &reference, "tiled / {}", pattern);
-            let got = conv_psums_int_gather_ref(&conv, &plane, &mut scr).to_vec();
-            prop_assert_eq!(&got, &reference, "gather / {}", pattern);
         }
     }
 }

@@ -8,8 +8,8 @@
 //! Accelerator, itself an `Engine` backend), `sia-hwmodel` (FPGA
 //! resource/power models and prior-art baselines), `sia-check` (static
 //! verification: fixed-point interval analysis and hardware budget lints)
-//! and `sia-serve` (the persistent serving layer: model registry, dynamic
-//! batching and the `sia serve` HTTP front end).
+//! and `sia-serve` (the persistent serving layer: model registry, in-flight
+//! admission and the `sia serve` HTTP front end).
 
 #![forbid(unsafe_code)]
 

@@ -1,13 +1,15 @@
-//! Schedule exploration of the four production concurrency protocols —
-//! the `sia_tensor::pool` cursor, the `EnginePool` submission queue, the
-//! `DynamicBatcher` coalescing loop and the `ModelRegistry` hot-swap path
-//! — plus the mutant self-tests proving the checker actually catches the
-//! bug classes it claims to.
+//! Schedule exploration of the production concurrency protocols — the
+//! `sia_tensor::pool` cursor, the `EnginePool` submission queue (one batch,
+//! and two threads submitting concurrently, as `sia serve`'s connection
+//! threads do) and the `ModelRegistry` hot-swap path — plus the mutant
+//! self-tests proving the checker actually catches the bug classes it
+//! claims to.
 //!
 //! Every protocol test runs the *production* generic code instantiated at
 //! `ModelSync` under exhaustive DFS with bounded preemptions (small
 //! configurations: 2–3 virtual threads, 2–4 operations), then a seeded
-//! random-walk pass for depth. The mutants are small seeded bugs —
+//! random-walk pass for depth where the exhaustive space is too large
+//! (two submitters on a two-worker pool). The mutants are small seeded bugs —
 //! dropped notify, split read-modify-write, inverted lock order, missing
 //! re-check after wait, close-without-notify, double-complete — each
 //! proven caught with a non-empty, replayable schedule trace.
@@ -16,14 +18,13 @@ use sia_sched::{
     AtomicUsizeApi, CondvarApi, Exploration, Explorer, Failure, FailureReport, JoinHandleApi,
     ModelSync, MutexApi, RandomWalk, SyncOps,
 };
-use sia_serve::{BatcherConfig, DynamicBatcher, LoadedModel, ModelRegistry};
+use sia_serve::{LoadedModel, ModelRegistry};
 use sia_snn::{
     convert, ConvertOptions, EnginePool, EvalBatch, EvalEncoding, IntEngineFactory, SnnNetwork,
 };
 use sia_tensor::{pool, Conv2dGeom, Tensor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // helpers
@@ -189,60 +190,42 @@ fn engine_pool_explored_exhaustively() {
 }
 
 // ---------------------------------------------------------------------------
-// protocol 3: the DynamicBatcher coalescing loop
+// protocol 3: concurrent submitters on one EnginePool
 
-#[test]
-fn batcher_producers_consumer_explored_exhaustively() {
-    let result = Explorer::new().preemptions(2).explore(|| {
-        let b = Arc::new(DynamicBatcher::<u32, ModelSync>::new_in(BatcherConfig {
-            max_batch: 2,
-            max_delay: Duration::from_micros(50),
-            capacity: 4,
-        }));
-        let b2 = Arc::clone(&b);
-        let producer = ModelSync::spawn("producer", move || {
-            b2.submit(1)
-                .expect("capacity 4 cannot overflow with 2 items");
-            b2.submit(2)
-                .expect("capacity 4 cannot overflow with 2 items");
-        });
-        b.submit(3)
-            .expect("capacity 4 cannot overflow with 2 items");
-        producer.join();
-        b.close();
-        let mut seen = Vec::new();
-        while let Some(batch) = b.next_batch() {
-            assert!(batch.len() <= 2, "batch must respect max_batch");
-            seen.extend(batch);
-        }
-        seen.sort_unstable();
-        // no item lost, none duplicated, close drains fully
-        assert_eq!(seen, vec![1, 2, 3]);
+/// Two threads each submit one image to the same pool — `sia serve`'s
+/// connection threads calling `EnginePool::submit` directly. Each must get
+/// its own image's result, bit-identical to the sequential run, and the
+/// last handle's drop must still close and join cleanly.
+fn submitters_body(workers: usize) {
+    let pool = Arc::new(EnginePool::<ModelSync>::new_in(
+        IntEngineFactory::new(tiny_net()),
+        workers,
+    ));
+    let mut first = tiny_images(2);
+    let second = first.pop().expect("two images");
+    let pool2 = Arc::clone(&pool);
+    let submitter = ModelSync::spawn("submitter", move || {
+        let results = pool2
+            .submit(vec![second], eval_params())
+            .expect("second submit");
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].0.logits_per_t, expected_engine_logits()[1]);
     });
-    result.assert_pass("DynamicBatcher submit/flush/close");
-    assert!(result.schedules > 1, "batcher contention must branch");
+    let results = pool.submit(first, eval_params()).expect("first submit");
+    assert_eq!(results.len(), 1);
+    assert_eq!(results[0].0.logits_per_t, expected_engine_logits()[0]);
+    submitter.join();
 }
 
 #[test]
-fn batcher_deadline_flush_and_bounded_queue() {
-    Explorer::new()
-        .preemptions(2)
-        .explore(|| {
-            let b = DynamicBatcher::<u32, ModelSync>::new_in(BatcherConfig {
-                max_batch: 16, // never reached: only the deadline can flush
-                max_delay: Duration::from_micros(100),
-                capacity: 1,
-            });
-            b.submit(7).expect("empty queue accepts");
-            // Overloaded only when genuinely full
-            assert!(b.submit(8).is_err(), "capacity 1 must reject the second");
-            // the frozen clock fires the wait_timeout at quiescence — a
-            // short batch flushes on the deadline, not via max_batch
-            assert_eq!(b.next_batch(), Some(vec![7]));
-            b.close();
-            assert_eq!(b.next_batch(), None);
-        })
-        .assert_pass("DynamicBatcher deadline flush + backpressure");
+fn concurrent_submitters_explored_exhaustively_on_the_inline_pool() {
+    // one worker: both submits run inline, serialised by the pool's lock
+    expected_engine_logits(); // prime the reference outside exploration
+    let result = Explorer::new()
+        .preemptions(1)
+        .explore(|| submitters_body(1));
+    result.assert_pass("EnginePool inline submitters");
+    assert!(result.schedules > 1, "the inline lock must branch");
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +279,7 @@ fn registry_hot_swap_explored_exhaustively() {
 // seeded random-walk pass (fixed seed, deterministic)
 
 #[test]
-fn random_walk_over_pool_and_batcher() {
+fn random_walk_over_pool_and_submitters() {
     RandomWalk::new(0x51A_C0DE)
         .schedules(64)
         .explore(|| {
@@ -305,29 +288,13 @@ fn random_walk_over_pool_and_batcher() {
             assert_eq!(out, vec![1, 2, 3, 4]);
         })
         .assert_pass("random walk: pool");
-    RandomWalk::new(0xBA7C_4E12)
-        .schedules(64)
-        .explore(|| {
-            let b = Arc::new(DynamicBatcher::<u32, ModelSync>::new_in(BatcherConfig {
-                max_batch: 3,
-                max_delay: Duration::from_micros(10),
-                capacity: 8,
-            }));
-            let b2 = Arc::clone(&b);
-            let p = ModelSync::spawn("producer", move || {
-                for i in 0..3 {
-                    b2.submit(i).expect("capacity 8");
-                }
-            });
-            p.join();
-            b.close();
-            let mut seen = Vec::new();
-            while let Some(batch) = b.next_batch() {
-                seen.extend(batch);
-            }
-            assert_eq!(seen, vec![0, 1, 2]);
-        })
-        .assert_pass("random walk: batcher");
+    // two workers: the exhaustive space at one preemption is 21 504
+    // schedules (~40 s), so the two-worker submitters get a seeded walk
+    expected_engine_logits();
+    RandomWalk::new(0x5B_317E2)
+        .schedules(128)
+        .explore(|| submitters_body(2))
+        .assert_pass("random walk: two-worker submitters");
 }
 
 // ---------------------------------------------------------------------------
@@ -403,8 +370,8 @@ fn mutant_split_read_modify_write_is_caught() {
     assert_replayable(body, &report, "split fetch_add");
 }
 
-/// Mutant 3 — inverted lock order (ABBA) between the batcher-style state
-/// lock and a secondary lock: classic deadlock, found with the minimal
+/// Mutant 3 — inverted lock order (ABBA) between a queue's state lock and
+/// a secondary lock: classic deadlock, found with the minimal
 /// single-preemption schedule.
 #[test]
 fn mutant_swapped_lock_order_is_caught() {

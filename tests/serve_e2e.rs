@@ -117,8 +117,6 @@ fn serve_and_predict(
             threads,
             timesteps: TIMESTEPS,
             burn_in: BURN_IN,
-            max_batch: 4,
-            max_delay_us: 200,
             queue_capacity: 64,
             kernel_policy: sia_snn::KernelPolicy::Auto,
             exit: sia_snn::ExitPolicy::Fixed,
