@@ -136,6 +136,15 @@ echo "==> sia check gates on the shipped model configs"
 cargo run --release -p sia-cli -- check --model resnet18
 cargo run --release -p sia-cli -- check --model vgg11
 
+# The end-to-end benchmark's own tests (e2ebench/ is a workspace of its
+# own, so the workspace suite below does not reach it). Its reference-
+# fingerprint test hashes the integer logits on a fixed 512-image set: the
+# one check a fast but wrong kernel cannot pass. It also breaks as soon as
+# the Engine or engine-factory API drifts from what the benchmark builds
+# against.
+echo "==> e2ebench tests (release)"
+cargo test --release -q --manifest-path e2ebench/Cargo.toml
+
 echo "==> telemetry compiled out still passes"
 cargo test -q --no-default-features
 

@@ -287,14 +287,24 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
 /// ([`sia_snn::conv_psums_int`], the one integer oracle), asserting
 /// bit-exactness of every kernel at every density before timing anything.
 ///
+/// Two case families share one timing loop:
+///
+/// * `dNNN` — a density ladder on a synthetic square layer (32 channels at
+///   16×16; 8 at 8×8 in smoke mode). `min_ns` tracks the kernel the
+///   resolved [`sia_snn::KernelPolicy`] picks. Non-smoke runs add a fine
+///   density grid around the calibrated scatter↔dense crossover (marked
+///   `fine: 1`); smoke keeps the fixed ladder so the committed
+///   `conv-smoke` baseline stays comparable run to run.
+/// * `<cin>to<cout>k<K>s<S>_<HW>_dNNN` — the deployed ResNet's conv
+///   geometries (every stage and both downsample forms) at 10 % density,
+///   plus a short ladder on the 8→8 @16² stage, the one whose layers weigh
+///   both kernels. `min_ns` tracks [`sia_snn::KernelPolicy::Auto`]'s pick,
+///   the policy e2ebench and an uncalibrated `sia serve` run, recorded as
+///   `sparse_selected`.
+///
 /// Timing is **interleaved**: every round times each (case, kernel) pair
 /// once, so no kernel enjoys a privately warmed cache or branch-predictor
-/// state. The tracked `min_ns` is the production kernel the resolved
-/// [`sia_snn::KernelPolicy`] picks for that case's density; the slower
-/// reference runs fewer rounds. Non-smoke runs add a fine density
-/// grid around the calibrated scatter↔dense crossover (marked
-/// `fine: 1`); smoke keeps the fixed case list so the committed
-/// `conv-smoke` baseline stays comparable run to run.
+/// state; the slower byte reference runs fewer rounds.
 fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, String> {
     use sia_fixed::{QuantScale, Q8_8};
     use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
@@ -304,44 +314,64 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     };
     use sia_tensor::Conv2dGeom;
 
+    let conv_of = |cin: usize, cout: usize, hw: usize, kernel: usize, stride: usize| {
+        let geom = Conv2dGeom {
+            in_channels: cin,
+            out_channels: cout,
+            in_h: hw,
+            in_w: hw,
+            kernel,
+            stride,
+            padding: kernel / 2,
+        };
+        SnnConv {
+            geom,
+            weights: (0..geom.weight_count())
+                .map(|i| (((i * 31) % 255) as i32 - 127) as i8)
+                .collect(),
+            q_w: QuantScale::new(7),
+            input: ConvInput::Spikes { value: 1.0 },
+            g: vec![Q8_8::ONE; cout],
+            h: vec![0; cout],
+            theta: 128,
+            nu: 1.0 / 128.0,
+            gf: vec![1.0; cout],
+            hf: vec![0.0; cout],
+            step: 1.0,
+            levels: 8,
+            mode: NeuronMode::If,
+        }
+    };
+
     // Representative mid-network residual-stage geometry (scaled down in
-    // smoke mode, where only the equivalence asserts matter).
+    // smoke mode, where only the equivalence asserts matter) first, then
+    // the deployed ResNet's geometries: `(cin, cout, hw, kernel, stride)`
+    // with each one's densities (percent).
     let (ch, hw, iters, ref_iters) = if smoke {
         (8, 8, 7u32, 7u32)
     } else {
         (32, 16, 200, 20)
     };
-    let geom = Conv2dGeom {
-        in_channels: ch,
-        out_channels: ch,
-        in_h: hw,
-        in_w: hw,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-    };
-    let conv = SnnConv {
-        geom,
-        weights: (0..geom.weight_count())
-            .map(|i| (((i * 31) % 255) as i32 - 127) as i8)
-            .collect(),
-        q_w: QuantScale::new(7),
-        input: ConvInput::Spikes { value: 1.0 },
-        g: vec![Q8_8::ONE; ch],
-        h: vec![0; ch],
-        theta: 128,
-        nu: 1.0 / 128.0,
-        gf: vec![1.0; ch],
-        hf: vec![0.0; ch],
-        step: 1.0,
-        levels: 8,
-        mode: NeuronMode::If,
-    };
-    let n_out = geom.out_neurons();
+    let deployed = [
+        ((8, 8, 16, 3, 1), &[2u32, 5, 10, 20][..]),
+        ((8, 16, 16, 3, 2), &[10]),
+        ((8, 16, 16, 1, 2), &[10]),
+        ((16, 16, 8, 3, 1), &[10]),
+        ((32, 32, 4, 3, 1), &[10]),
+        ((64, 64, 2, 3, 1), &[10]),
+    ];
+    let mut convs = vec![conv_of(ch, ch, hw, 3, 1)];
+    convs.extend(
+        deployed
+            .iter()
+            .map(|&((cin, cout, hw, k, s), _)| conv_of(cin, cout, hw, k, s)),
+    );
+    let geom = convs[0].geom;
 
-    // The policy whose choices `min_ns` tracks: explicit flags win;
-    // otherwise a loaded host calibration; otherwise a fresh in-process
-    // measurement — so the bench always reports a *measured* crossover.
+    // The policy whose choices the ladder's `min_ns` tracks: explicit flags
+    // win; otherwise a loaded host calibration; otherwise a fresh
+    // in-process measurement — so the bench always reports a *measured*
+    // crossover.
     let resolved = crate::calibrate::resolve_policy(args)?;
     let (policy, model) = match resolved {
         KernelPolicy::Calibrated(m) => (resolved, m),
@@ -379,71 +409,86 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     }
 
     struct Case {
-        pct: u32,
+        name: String,
+        /// Index into `convs`, which is also the conv's layer slot.
+        conv: usize,
+        policy: KernelPolicy,
         fine: bool,
         bytes: Vec<u8>,
         plane: SpikePlane,
         measured_density: f64,
         spikes: u64,
     }
-    let cases_in: Vec<Case> = densities
+    let make_case = |conv: usize, policy: KernelPolicy, pct: u32, fine: bool, name: String| {
+        let g = convs[conv].geom;
+        let n = g.in_channels * g.in_h * g.in_w;
+        let mut state = u64::from(pct) << 17 | 1;
+        let bytes: Vec<u8> = (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                u8::from((state >> 33) % 100 < u64::from(pct))
+            })
+            .collect();
+        let set = bytes.iter().map(|&b| u32::from(b)).sum::<u32>();
+        let mut plane = SpikePlane::default();
+        plane.pack_from_bytes(g.in_channels, g.in_h, g.in_w, &bytes);
+        Case {
+            name,
+            conv,
+            policy,
+            fine,
+            measured_density: f64::from(set) / n as f64,
+            spikes: plane.count_ones(),
+            bytes,
+            plane,
+        }
+    };
+    let mut cases_in: Vec<Case> = densities
         .iter()
-        .map(|&(pct, fine)| {
-            let n = ch * hw * hw;
-            let mut state = u64::from(pct) << 17 | 1;
-            let bytes: Vec<u8> = (0..n)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    u8::from((state >> 33) % 100 < u64::from(pct))
-                })
-                .collect();
-            let set = bytes.iter().map(|&b| u32::from(b)).sum::<u32>();
-            let mut plane = SpikePlane::default();
-            plane.pack_from_bytes(ch, hw, hw, &bytes);
-            Case {
-                pct,
-                fine,
-                measured_density: f64::from(set) / n as f64,
-                spikes: plane.count_ones(),
-                bytes,
-                plane,
-            }
-        })
+        .map(|&(pct, fine)| make_case(0, policy, pct, fine, format!("d{pct:03}")))
         .collect();
+    for (i, &((cin, cout, hw, k, s), pcts)) in deployed.iter().enumerate() {
+        for &pct in pcts {
+            let name = format!("{cin}to{cout}k{k}s{s}_{hw}_d{pct:03}");
+            cases_in.push(make_case(i + 1, KernelPolicy::Auto, pct, false, name));
+        }
+    }
 
     // Bit-exactness gate: never time a kernel that disagrees with the
     // byte-wise reference.
     let mut scr = ConvScratch::new();
     for c in &cases_in {
-        let reference = conv_psums_int(&conv, &c.bytes);
+        let conv = &convs[c.conv];
+        let reference = conv_psums_int(conv, &c.bytes);
         let checks: [(&str, Vec<i16>); 3] = [
             (
                 "scatter",
-                conv_psums_int_scatter(&conv, &c.plane, &mut scr, 0).to_vec(),
+                conv_psums_int_scatter(conv, &c.plane, &mut scr, c.conv).to_vec(),
             ),
             (
                 "tiled",
-                conv_psums_int_tiled(&conv, &c.plane, &mut scr, 0).to_vec(),
+                conv_psums_int_tiled(conv, &c.plane, &mut scr, c.conv).to_vec(),
             ),
             (
                 "policy",
-                conv_psums_int_plane(&conv, &c.plane, policy, &mut scr, 0).to_vec(),
+                conv_psums_int_plane(conv, &c.plane, c.policy, &mut scr, c.conv).to_vec(),
             ),
         ];
         for (kernel, got) in checks {
             if got != reference {
                 return Err(format!(
-                    "{kernel} kernel diverges from the byte reference at {}% density",
-                    c.pct
+                    "{kernel} kernel diverges from the byte reference in case {}",
+                    c.name
                 ));
             }
         }
     }
 
     println!(
-        "conv {ch}x{hw}x{hw} k3 s1 p1, {iters} iters/kernel, crossover {:.1}%{}",
+        "conv {ch}x{hw}x{hw} k3 s1 p1 and the deployed geometries, {iters} iters/kernel, \
+         crossover {:.1}%{}",
         crossover * 100.0,
         if smoke { " (smoke)" } else { "" }
     );
@@ -460,15 +505,18 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     };
     for round in 0..iters {
         for (i, c) in cases_in.iter().enumerate() {
+            let conv = &convs[c.conv];
             scatter_s[i].push(time_ns(&mut || {
-                black_box(conv_psums_int_scatter(&conv, black_box(&c.plane), &mut scr, 0).len());
+                black_box(
+                    conv_psums_int_scatter(conv, black_box(&c.plane), &mut scr, c.conv).len(),
+                );
             }));
             tiled_s[i].push(time_ns(&mut || {
-                black_box(conv_psums_int_tiled(&conv, black_box(&c.plane), &mut scr, 0).len());
+                black_box(conv_psums_int_tiled(conv, black_box(&c.plane), &mut scr, c.conv).len());
             }));
             if round < ref_iters {
                 byte_min[i] = byte_min[i].min(time_ns(&mut || {
-                    black_box(conv_psums_int(&conv, black_box(&c.bytes)).len());
+                    black_box(conv_psums_int(conv, black_box(&c.bytes)).len());
                 }));
             }
         }
@@ -482,14 +530,15 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     }
 
     println!(
-        "{:>8} {:>9} {:>7} {:>10} {:>10} {:>10} {:>11} {:>8}",
-        "density", "measured", "kernel", "prod ns", "scatter", "tiled", "byte ref", "x byte"
+        "{:<22} {:>9} {:>7} {:>10} {:>10} {:>10} {:>11} {:>8}",
+        "case", "measured", "kernel", "prod ns", "scatter", "tiled", "byte ref", "x byte"
     );
     let mut cases = Vec::new();
     for (i, c) in cases_in.iter().enumerate() {
         let (scatter_min, scatter_median, scatter_mad) = summarize_ns(&scatter_s[i]);
         let (tiled_min, tiled_median, tiled_mad) = summarize_ns(&tiled_s[i]);
-        let sparse_selected = policy.picks_sparse(&geom, c.spikes, n_out);
+        let g = convs[c.conv].geom;
+        let sparse_selected = c.spikes < c.policy.scatter_limit(&g);
         let (prod_min, prod_median, prod_mad, kernel) = if sparse_selected {
             (scatter_min, scatter_median, scatter_mad, "scatter")
         } else {
@@ -497,32 +546,37 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         };
         let speedup_vs_byte = byte_min[i] as f64 / prod_min.max(1) as f64;
         println!(
-            "{:>7}% {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>11} {:>7.1}x",
-            c.pct,
+            "{:<22} {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>11} {:>7.1}x",
+            c.name,
             100.0 * c.measured_density,
             byte_min[i],
             speedup_vs_byte,
         );
+        let mut metrics = vec![
+            ("measured_density".to_string(), c.measured_density),
+            ("fine".to_string(), f64::from(u8::from(c.fine))),
+        ];
+        if c.conv == 0 {
+            metrics.push(("crossover_density".to_string(), crossover));
+        }
+        metrics.extend([
+            (
+                "sparse_selected".to_string(),
+                f64::from(u8::from(sparse_selected)),
+            ),
+            ("scatter_min_ns".to_string(), scatter_min as f64),
+            ("tiled_min_ns".to_string(), tiled_min as f64),
+            ("byte_min_ns".to_string(), byte_min[i] as f64),
+            ("speedup_vs_byte".to_string(), speedup_vs_byte),
+        ]);
         cases.push(BenchCase {
-            name: format!("d{:03}", c.pct),
+            name: c.name.clone(),
             iters: u64::from(iters - 1),
             warmup: 1,
             min_ns: prod_min,
             median_ns: prod_median,
             mad_ns: prod_mad,
-            metrics: vec![
-                ("measured_density".to_string(), c.measured_density),
-                ("fine".to_string(), f64::from(u8::from(c.fine))),
-                ("crossover_density".to_string(), crossover),
-                (
-                    "sparse_selected".to_string(),
-                    f64::from(u8::from(sparse_selected)),
-                ),
-                ("scatter_min_ns".to_string(), scatter_min as f64),
-                ("tiled_min_ns".to_string(), tiled_min as f64),
-                ("byte_min_ns".to_string(), byte_min[i] as f64),
-                ("speedup_vs_byte".to_string(), speedup_vs_byte),
-            ],
+            metrics,
         });
     }
     Ok(BenchReport {

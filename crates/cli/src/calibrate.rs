@@ -234,8 +234,8 @@ pub(crate) fn resolve_exit_policy(args: &Args) -> Result<ExitPolicy, String> {
 ///
 /// With no flags, a calibration measured on this host is auto-loaded from
 /// `results/calibration/<host_key>.json` when present (falling back to
-/// the built-in heuristic); `--kernel-policy auto` skips the auto-load;
-/// `calibrated` makes a loadable file mandatory.
+/// the cost model's default coefficients); `--kernel-policy auto` skips
+/// the auto-load; `calibrated` makes a loadable file mandatory.
 ///
 /// # Errors
 ///
@@ -277,7 +277,8 @@ pub(crate) fn resolve_policy(args: &Args) -> Result<KernelPolicy, String> {
                 return Ok(load_explicit(path)?.policy());
             }
             // Opportunistic: use a previously measured calibration for
-            // this host when one exists, the heuristic otherwise.
+            // this host when one exists, the default coefficients
+            // otherwise.
             let path = default_path(Path::new(CALIBRATION_DIR));
             match Calibration::load(&path) {
                 Ok(cal) if cal.matches_host() => Ok(cal.policy()),

@@ -208,7 +208,7 @@ USAGE:
   (register-tiled) conv kernels on this host, fits an integer cost model
   and writes results/calibration/<host_key>.json. `eval`/`serve`/`bench`
   auto-load a matching calibration; --kernel-policy picks a kernel
-  explicitly (sparse|dense), `auto` reverts to the built-in heuristic and
+  explicitly (sparse|dense), `auto` reverts to the built-in coefficients and
   `calibrated` makes the file mandatory (--calibration overrides the
   path). --check validates a file without measuring (the CI gate).
 
@@ -231,6 +231,9 @@ fn with_metrics(args: &Args, cmd: fn(&Args) -> Result<(), String>) -> Result<(),
     if let Some(v) = &metrics {
         let path = if v == "true" { None } else { Some(v.as_str()) };
         sia_telemetry::install_jsonl(path).map_err(|e| format!("opening metrics sink: {e}"))?;
+    }
+    if args.options.contains_key("trace") {
+        sia_telemetry::capture_trace(true);
     }
     let result = cmd(args);
     if let Some(v) = &metrics {

@@ -66,7 +66,8 @@ pub struct ServeConfig {
     /// beyond it `/predict` returns 503.
     pub queue_capacity: usize,
     /// Psum kernel policy every pooled engine starts with (measured
-    /// calibration or a forced kernel; `Auto` = built-in heuristic).
+    /// calibration or a forced kernel; `Auto` = the cost model with its
+    /// default coefficients).
     pub kernel_policy: sia_snn::KernelPolicy,
     /// Confidence-gated early-exit policy applied per served image
     /// ([`ExitPolicy::Fixed`] = run every timestep, the classic behaviour).

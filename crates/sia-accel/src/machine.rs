@@ -663,7 +663,7 @@ impl Engine for SiaMachine {
         scratch_resize(residual, n, 0);
         match &a.down {
             Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, *policy, conv, idx * 2 + 1);
+                let psums = conv_psums_int_plane(d, skip, *policy, conv, idx);
                 assert_eq!(
                     *pending_len,
                     psums.len(),

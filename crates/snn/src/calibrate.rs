@@ -1,13 +1,18 @@
 //! Measured-per-host kernel auto-tuning for the spiking conv kernels.
 //!
 //! The scatter-vs-dense crossover depends on how well the host's SIMD
-//! units run each kernel, so a hard-coded operation-count threshold (the
-//! [`KernelPolicy::Auto`] heuristic) is at best approximately right. This
-//! module runs a short one-time micro-benchmark of the two production
-//! kernels ([`Calibration::measure`]), fits the three [`CostModel`]
-//! coefficients, and persists them to a **host-keyed, versioned** JSON
-//! file. `sia eval` / `sia serve` load that file on start-up and run
+//! units run each kernel, so the coefficients [`KernelPolicy::Auto`]
+//! decides with ([`CostModel::DEFAULT`], fitted on one reference host) are
+//! at best approximately right elsewhere. This module runs a short one-time
+//! micro-benchmark of the two production kernels
+//! ([`Calibration::measure`]), fits the three [`CostModel`] coefficients,
+//! and persists them to a **host-keyed, versioned** JSON file. `sia eval` /
+//! `sia serve` load that file on start-up and run
 //! [`KernelPolicy::Calibrated`]; `--kernel-policy` overrides it.
+//!
+//! Either way the model only decides layers where the tiled kernel's fast
+//! path runs ([`crate::sparse::tiled_is_candidate`]); each such layer's
+//! engine entry fixes the decision once, as a crossover spike count.
 //!
 //! Determinism contract: the policy derived from a calibration *file* is a
 //! pure function of the file's coefficients (integer picoseconds — no
@@ -92,11 +97,14 @@ impl Calibration {
     }
 
     /// Runs the micro-benchmark and fits the cost model. `quick` shrinks
-    /// the geometry and iteration count (the CI smoke configuration);
-    /// either way this takes well under a second.
+    /// the channel count and iteration count (the CI smoke configuration:
+    /// the deployed 8-channel 16×16 stage); either way this takes well
+    /// under a second. Both geometries are 16 columns wide at stride 1, so
+    /// the dense timing is the tiled kernel's fast path — the only path
+    /// the fitted model ever weighs against the scatter.
     #[must_use]
     pub fn measure(quick: bool) -> Calibration {
-        let (ch, hw, iters) = if quick { (8, 8, 5) } else { (32, 16, 40) };
+        let (ch, hw, iters) = if quick { (8, 16, 5) } else { (32, 16, 40) };
         let conv = calib_conv(ch, hw);
         let g = conv.geom;
         let geom_label = format!("c{ch}s{hw}k{}", g.kernel);
@@ -408,11 +416,48 @@ mod tests {
         assert!(c.matches_host());
         assert!(c.model.scatter_ps_per_lane >= 1);
         assert!(c.model.dense_ps_per_lane >= 1);
-        assert_eq!(c.samples.len(), 3);
-        // An all-silent plane must always pick the scatter; the model must
-        // produce a valid crossover for the measured geometry.
-        let g = calib_conv(8, 8).geom;
-        assert!(c.model.sparse_wins(&g, 0, g.out_neurons()));
+        let [lo, hi, dense] = c.samples.as_slice() else {
+            panic!("expected three samples, got {:?}", c.samples);
+        };
+        // The model must price what was measured: its scatter rises between
+        // the two timed densities by what the timings rose, and its dense
+        // call costs what the tiled kernel took, each to the fit's rounding
+        // (half a picosecond per priced lane). An inverted slope, a swapped
+        // coefficient or a lane count that differs from the one the model
+        // prices (the padded 16-lane block) fails here.
+        let g = calib_conv(8, 16).geom;
+        let full = (8 * 16 * 16) as u64;
+        let spikes = |s: &CalSample| (s.density_pct * full as f64 / 100.0).round() as u64;
+        let k2 = (g.kernel * g.kernel) as u64;
+        let close = |modelled_ps: u128, measured_ns: u64, lanes: u64| {
+            let tol_ns = lanes as f64 * 0.5e-3 + 1.0;
+            (modelled_ps as f64 / 1000.0 - measured_ns as f64).abs() <= tol_ns
+        };
+        let rise_lanes = (spikes(hi) - spikes(lo)) * k2 * scatter_lane_span(8) as u64;
+        let modelled_rise =
+            c.model.scatter_cost_ps(&g, spikes(hi)) - c.model.scatter_cost_ps(&g, spikes(lo));
+        assert!(
+            close(modelled_rise, hi.min_ns - lo.min_ns, rise_lanes),
+            "fit {:?} vs samples {:?}",
+            c.model,
+            c.samples
+        );
+        let dense_lanes = dense_padded_outs(&g) as u64 * 8 * k2;
+        assert!(
+            close(c.model.dense_cost_ps(&g), dense.min_ns, dense_lanes),
+            "fit {:?} vs samples {:?}",
+            c.model,
+            c.samples
+        );
+        // And the fit must send a full plane of the measured geometry to
+        // the tiled kernel: the scatter already runs about 4× slower than
+        // the tiled kernel there at 20 % density (`BENCH_conv.json`,
+        // `8to8k3s1_16_d020`). The crossover must also be a valid density.
+        assert!(
+            c.policy().scatter_limit(&g) <= full,
+            "fit {:?} scatters a full plane",
+            c.model
+        );
         let cross = c.model.crossover_density(&g);
         assert!((0.0..=1.0).contains(&cross));
     }

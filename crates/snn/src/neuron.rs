@@ -7,6 +7,7 @@
 //! aggregation core in `sia-accel` call them.
 
 use crate::network::NeuronMode;
+use crate::spikeplane::SpikePlane;
 use sia_fixed::sat::{add16, asr16, sub16};
 
 /// One integer-membrane timestep: leak (LIF only), integrate `current`,
@@ -33,6 +34,59 @@ pub fn step_int(u: &mut i16, current: i16, theta: i16, mode: NeuronMode) -> bool
         true
     } else {
         false
+    }
+}
+
+/// One timestep of a whole stage of integer neurons: neuron `i` (flat
+/// `[C, H, W]` index) integrates `current[i]` exactly as [`step_int`]
+/// would, and its spike lands in `out` (already reset to the stage's
+/// shape).
+///
+/// The walk goes row by row and packs each row's spikes straight into its
+/// `u64` words, with no index division and no data-dependent branch: the
+/// spike test becomes a mask, and reset-by-subtraction subtracts `θ & mask`
+/// (`sub16(u, 0) == u`, so a silent neuron is untouched). The cycle-level
+/// machine keeps stepping neuron by neuron through [`step_int`], so the
+/// two stay independent oracles of each other.
+pub fn fire_int(
+    mem: &mut [i16],
+    current: &[i16],
+    theta: i16,
+    mode: NeuronMode,
+    out: &mut SpikePlane,
+) {
+    match mode {
+        NeuronMode::If => fire_rows(mem, current, theta, out, |u| u),
+        NeuronMode::Lif { leak_shift } => {
+            fire_rows(mem, current, theta, out, |u| sub16(u, asr16(u, leak_shift)));
+        }
+    }
+}
+
+#[inline(always)]
+fn fire_rows(
+    mem: &mut [i16],
+    current: &[i16],
+    theta: i16,
+    out: &mut SpikePlane,
+    leak: impl Fn(i16) -> i16,
+) {
+    let w = out.width().max(1);
+    for ((mrow, crow), words) in mem
+        .chunks_exact_mut(w)
+        .zip(current.chunks_exact(w))
+        .zip(out.rows_mut())
+    {
+        for ((m, c), word) in mrow.chunks_mut(64).zip(crow.chunks(64)).zip(words) {
+            let mut bits = 0u64;
+            for (j, (u, &i)) in m.iter_mut().zip(c).enumerate() {
+                let v = add16(leak(*u), i);
+                let fire = v >= theta;
+                *u = sub16(v, theta & -i16::from(fire));
+                bits |= u64::from(fire) << j;
+            }
+            *word = bits;
+        }
     }
 }
 
@@ -149,6 +203,36 @@ mod tests {
                 constant_current_count(current, theta, t),
                 "I={current} θ={theta} T={t}"
             );
+        }
+    }
+
+    #[test]
+    fn fire_int_matches_step_int_neuron_by_neuron() {
+        // Rows wider than one word, currents and membranes spanning both
+        // rails, θ at the top rail, and both neuron modes.
+        let (c, h, w) = (2, 3, 70);
+        let n = c * h * w;
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 48) as u16 as i16
+        };
+        for mode in [NeuronMode::If, NeuronMode::Lif { leak_shift: 3 }] {
+            for theta in [1i16, 128, 3000, i16::MAX] {
+                let mem0: Vec<i16> = (0..n).map(|_| next()).collect();
+                let cur: Vec<i16> = (0..n).map(|_| next()).collect();
+                let mut mem = mem0.clone();
+                let mut out = SpikePlane::new(c, h, w);
+                fire_int(&mut mem, &cur, theta, mode, &mut out);
+                let mut expect = mem0.clone();
+                for i in 0..n {
+                    let fired = step_int(&mut expect[i], cur[i], theta, mode);
+                    assert_eq!(out.bit_linear(i), fired, "{mode:?} θ={theta} i={i}");
+                }
+                assert_eq!(mem, expect, "{mode:?} θ={theta}");
+            }
         }
     }
 

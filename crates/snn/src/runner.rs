@@ -33,9 +33,13 @@
 //! per-engine [`DriveScratch`] arenas, so the steady-state timestep loop
 //! performs **zero heap allocations**: psums, membranes, pending residual
 //! currents and the spike planes themselves are all reusable scratch
-//! (tracked by [`crate::scratch::scratch_growth`]). Convolutions choose
-//! between the dense reference gather and the event-driven scatter of
-//! [`crate::sparse`] from the measured spike density.
+//! (tracked by [`crate::scratch::scratch_growth`]). Each conv layer runs the
+//! event-driven scatter or the register-tiled dense kernel of
+//! [`crate::sparse`], a choice each engine fixes once per layer from the
+//! layer's geometry (and, where both kernels are candidates, a crossover
+//! spike count); the integer runner's neuron epilogue then walks each
+//! stage channel by channel and row by row, firing without divisions or
+//! data-dependent branches ([`crate::neuron::fire_int`]).
 //!
 //! One run at `T` yields the entire accuracy-vs-timesteps curve up to `T`
 //! (Figs. 7 and 9) and per-stage spike counts (Figs. 6 and 8).
@@ -43,7 +47,7 @@
 use crate::encode::{encode_image, EventStream};
 use crate::exit::{should_exit, ExitPolicy};
 use crate::network::{ConvInput, SnnConv, SnnItem, SnnLinear, SnnNetwork};
-use crate::neuron::{step_f32, step_int};
+use crate::neuron::{fire_int, step_f32};
 use crate::scratch::{scratch_reserve_default, scratch_resize};
 use crate::sparse::{
     conv_psums_dense_f32_into, conv_psums_dense_into, conv_psums_f32_plane, conv_psums_int_plane,
@@ -52,7 +56,7 @@ use crate::sparse::{
 use crate::spikeplane::{or_pool_packed, SpikePlane};
 use crate::stats::SpikeStats;
 use sia_fixed::sat::{acc_weight, add16};
-use sia_fixed::QuantScale;
+use sia_fixed::{QuantScale, Q8_8};
 use sia_telemetry::Value;
 use sia_tensor::Tensor;
 
@@ -720,6 +724,49 @@ pub fn drive_policy<E: Engine>(
 // Integer backend
 // ---------------------------------------------------------------------------
 
+/// The aggregation core's batch-norm epilogue (paper Eq. 2) over one
+/// stage: `dst[i] = add16(mul(G, psums[i]), H)`, channel by channel over
+/// contiguous slices with each channel's `G` and `H` hoisted. `mul` is
+/// [`Q8_8::mul_int`] for 16-bit psums, [`Q8_8::mul_int_wide`] for the
+/// dense input layer's 32-bit ones.
+fn bn_currents<P: Copy>(
+    dst: &mut [i16],
+    psums: &[P],
+    g: &[Q8_8],
+    h: &[i16],
+    mul: impl Fn(Q8_8, P) -> i16,
+) {
+    let per_ch = psums.len() / g.len();
+    for (((dst, p), &g), &h) in dst
+        .chunks_exact_mut(per_ch)
+        .zip(psums.chunks_exact(per_ch))
+        .zip(g)
+        .zip(h)
+    {
+        for (d, &p) in dst.iter_mut().zip(p) {
+            *d = add16(mul(g, p), h);
+        }
+    }
+}
+
+/// The identity branch of a residual add: `dst[i] = add16(pending[i],
+/// skip_add)` where skip spike `i` is set and `pending[i]` elsewhere
+/// (`add16(x, 0) == x`), reading the skip plane a word at a time.
+fn skip_currents(dst: &mut [i16], pending: &[i16], skip: &SpikePlane, skip_add: i16) {
+    let w = skip.width().max(1);
+    for ((drow, prow), words) in dst
+        .chunks_exact_mut(w)
+        .zip(pending.chunks_exact(w))
+        .zip(skip.rows())
+    {
+        for ((d, p), &word) in drow.chunks_mut(64).zip(prow.chunks(64)).zip(words) {
+            for (j, (d, &p)) in d.iter_mut().zip(p).enumerate() {
+                *d = add16(p, skip_add & -i16::from((word >> j) & 1 == 1));
+            }
+        }
+    }
+}
+
 /// Integer-datapath runner (the accelerator semantics).
 #[derive(Debug)]
 pub struct IntRunner<'a> {
@@ -734,6 +781,9 @@ pub struct IntRunner<'a> {
     pending: Vec<i16>,
     pending_len: usize,
     run_timesteps: usize,
+    /// One stage's neuron currents, staged between the BN epilogue and
+    /// the neuron step.
+    currents: Vec<i16>,
     conv: ConvScratch,
     policy: KernelPolicy,
     arenas: DriveScratch,
@@ -760,6 +810,7 @@ impl<'a> IntRunner<'a> {
             pending: Vec::new(),
             pending_len: 0,
             run_timesteps: 0,
+            currents: Vec::new(),
             conv: ConvScratch::new(),
             policy: KernelPolicy::Auto,
             arenas: DriveScratch::default(),
@@ -876,20 +927,24 @@ impl Engine for IntRunner<'_> {
         };
         if t == 0 {
             let psums = conv_psums_dense_into(c, codes, &mut self.conv);
-            let per_ch = psums.len() / c.geom.out_channels;
             scratch_resize(&mut self.input_currents, psums.len(), 0);
-            for (i, &p) in psums.iter().enumerate() {
-                self.input_currents[i] = add16(c.g[i / per_ch].mul_int_wide(p), c.h[i / per_ch]);
-            }
+            bn_currents(
+                &mut self.input_currents,
+                psums,
+                &c.g,
+                &c.h,
+                Q8_8::mul_int_wide,
+            );
         }
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
-        let mem = &mut self.membranes[idx];
-        for (i, &cur) in self.input_currents.iter().enumerate() {
-            if step_int(&mut mem[i], cur, c.theta, c.mode) {
-                out.set_linear(i);
-            }
-        }
+        fire_int(
+            &mut self.membranes[idx],
+            &self.input_currents,
+            c.theta,
+            c.mode,
+            out,
+        );
     }
 
     fn step_conv(&mut self, idx: usize, spikes: &SpikePlane, _t: usize, out: &mut SpikePlane) {
@@ -897,17 +952,18 @@ impl Engine for IntRunner<'_> {
         let SnnItem::Conv(c) = &net.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
-        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
-        let per_ch = psums.len() / c.geom.out_channels;
+        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx);
+        scratch_resize(&mut self.currents, psums.len(), 0);
+        bn_currents(&mut self.currents, psums, &c.g, &c.h, Q8_8::mul_int);
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
-        let mem = &mut self.membranes[idx];
-        for (i, &p) in psums.iter().enumerate() {
-            let cur = add16(c.g[i / per_ch].mul_int(p), c.h[i / per_ch]);
-            if step_int(&mut mem[i], cur, c.theta, c.mode) {
-                out.set_linear(i);
-            }
-        }
+        fire_int(
+            &mut self.membranes[idx],
+            &self.currents,
+            c.theta,
+            c.mode,
+            out,
+        );
     }
 
     fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
@@ -915,8 +971,7 @@ impl Engine for IntRunner<'_> {
         let SnnItem::ConvPsum(c) = &net.items[idx] else {
             unreachable!("step_conv_psum on a non-psum item")
         };
-        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
-        let per_ch = psums.len() / c.geom.out_channels;
+        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx);
         // Differently-sized psum stages share this buffer; under the
         // chunked driver each stage revisits it every chunk (not only at
         // t == 0), so re-shape whenever the frame geometry changes. Earlier
@@ -927,9 +982,7 @@ impl Engine for IntRunner<'_> {
             scratch_resize(&mut self.pending, needed, 0);
         }
         let dst = &mut self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-        for (i, &p) in psums.iter().enumerate() {
-            dst[i] = add16(c.g[i / per_ch].mul_int(p), c.h[i / per_ch]);
-        }
+        bn_currents(dst, psums, &c.g, &c.h, Q8_8::mul_int);
     }
 
     fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
@@ -937,47 +990,35 @@ impl Engine for IntRunner<'_> {
         let SnnItem::BlockAdd(a) = &net.items[idx] else {
             unreachable!("step_block_add on a non-add item")
         };
-        out.reset(a.channels, a.h, a.w);
+        let skip_len = match &a.down {
+            Some(d) => d.out_neurons(),
+            None => skip.len(),
+        };
+        assert_eq!(
+            self.pending_len, skip_len,
+            "residual shape mismatch (pending {}, skip {})",
+            self.pending_len, skip_len
+        );
+        let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
+        scratch_resize(&mut self.currents, self.pending_len, 0);
         match &a.down {
             Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, self.policy, &mut self.conv, idx * 2 + 1);
-                assert_eq!(
-                    self.pending_len,
-                    psums.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    self.pending_len,
-                    psums.len()
-                );
-                let per_ch = psums.len() / d.geom.out_channels;
-                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-                let mem = &mut self.membranes[idx];
-                for (i, &p) in psums.iter().enumerate() {
-                    let skip_cur = add16(d.g[i / per_ch].mul_int(p), d.h[i / per_ch]);
-                    let cur = add16(pending[i], skip_cur);
-                    if step_int(&mut mem[i], cur, a.theta, a.mode) {
-                        out.set_linear(i);
-                    }
+                let psums = conv_psums_int_plane(d, skip, self.policy, &mut self.conv, idx);
+                bn_currents(&mut self.currents, psums, &d.g, &d.h, Q8_8::mul_int);
+                for (cur, &p) in self.currents.iter_mut().zip(pending) {
+                    *cur = add16(p, *cur);
                 }
             }
-            None => {
-                assert_eq!(
-                    self.pending_len,
-                    skip.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    self.pending_len,
-                    skip.len()
-                );
-                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-                let mem = &mut self.membranes[idx];
-                for (i, &pend) in pending.iter().enumerate() {
-                    let skip_cur = if skip.bit_linear(i) { a.skip_add } else { 0 };
-                    let cur = add16(pend, skip_cur);
-                    if step_int(&mut mem[i], cur, a.theta, a.mode) {
-                        out.set_linear(i);
-                    }
-                }
-            }
+            None => skip_currents(&mut self.currents, pending, skip, a.skip_add),
         }
+        out.reset(a.channels, a.h, a.w);
+        fire_int(
+            &mut self.membranes[idx],
+            &self.currents,
+            a.theta,
+            a.mode,
+            out,
+        );
     }
 
     fn head_accumulate(&mut self, idx: usize, spikes: &SpikePlane) {
@@ -1186,7 +1227,7 @@ impl Engine for FloatRunner<'_> {
         let SnnItem::Conv(c) = &net.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
-        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
+        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx);
         let per_ch = psums.len() / c.geom.out_channels;
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
@@ -1204,7 +1245,7 @@ impl Engine for FloatRunner<'_> {
         let SnnItem::ConvPsum(c) = &net.items[idx] else {
             unreachable!("step_conv_psum on a non-psum item")
         };
-        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx * 2);
+        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx);
         let per_ch = psums.len() / c.geom.out_channels;
         // Same chunk-revisit re-shape as the integer runner (see there).
         let needed = self.run_timesteps * psums.len();
@@ -1226,7 +1267,7 @@ impl Engine for FloatRunner<'_> {
         out.reset(a.channels, a.h, a.w);
         match &a.down {
             Some(d) => {
-                let psums = conv_psums_f32_plane(d, skip, self.policy, &mut self.conv, idx * 2 + 1);
+                let psums = conv_psums_f32_plane(d, skip, self.policy, &mut self.conv, idx);
                 assert_eq!(
                     self.pending_len,
                     psums.len(),

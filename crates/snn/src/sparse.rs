@@ -33,21 +33,47 @@
 //! Two further identities let the production kernels run `i16` lanes in
 //! parallel without perturbing a single accumulator:
 //!
-//! * **lane blocking** — the scatter's innermost `co` sweep is unrolled
-//!   into [`LANES`]-wide fixed blocks ([`add_weight_lanes`]); each lane is
-//!   a *different* accumulator, so blocking never reorders any one
+//! * **lane blocking** — the scatter's innermost `co` sweep runs in
+//!   [`LANES`]-wide fixed blocks ([`add_weight_lanes`]); each lane is a
+//!   *different* accumulator, so blocking never reorders any one
 //!   accumulator's additions, and the autovectorizer lifts the block into
 //!   saturating i16 SIMD adds (`PADDSW`-class instructions — the software
 //!   image of one PE-array row accumulating eight output channels per
-//!   clock);
+//!   clock). Weight rows and psum rows are padded with zero lanes to
+//!   [`scatter_lane_span`], so a layer with fewer than [`LANES`] output
+//!   channels still runs one full block per tap (the padding lanes add
+//!   zeros into slack accumulators nobody reads);
 //! * **masked identity** — `x.saturating_add(0) == x` exactly, so the
 //!   register-tiled dense kernel ([`dense_tiled_int`]) may visit *every*
 //!   tap branch-free and add `mask & weight`, where `mask` is `-1` for a
 //!   set spike bit and `0` otherwise. Silent taps contribute the saturating
 //!   identity, which is bit-equivalent to the reference's skip.
+//!
+//! ## One entry per conv layer
+//!
+//! Each engine's [`ConvScratch`] keeps one entry per conv layer, filled on
+//! that layer's first call and reused for every later image and timestep
+//! (the SIA streams a layer's weights in once per inference; the engines
+//! transpose them once per engine). An entry holds:
+//!
+//! * the layer's weights transposed to `[(ci, ky, kx), co]`, in the layout
+//!   of each kernel the layer can run — padded `i8` rows for the scatter,
+//!   widened `i16` rows for the tiled kernel, `f32` rows for the float
+//!   scatter;
+//! * the kernel decision, fixed once from the layer's geometry and the
+//!   engine's [`KernelPolicy`] as one scatter limit
+//!   ([`KernelPolicy::scatter_limit`]): a call scatters iff its plane has
+//!   fewer set spikes than the limit, so each call costs one compare. The
+//!   tiled kernel is a candidate only where its fast path covers every
+//!   tile ([`tiled_is_candidate`]); every other layer's limit is
+//!   `u64::MAX` (always scatter).
+//!
+//! A layer that only ever scatters (limit `u64::MAX`) or only ever tiles
+//! (limit 0) holds one layout; only a layer where both kernels are
+//! candidates holds two.
 
 use crate::network::SnnConv;
-use crate::scratch::scratch_resize;
+use crate::scratch::{scratch_reserve_default, scratch_resize};
 use crate::spikeplane::SpikePlane;
 use sia_fixed::sat::acc_weight;
 use sia_tensor::tile::{block, zip_blocks_mut};
@@ -68,39 +94,54 @@ const TILE_OX: usize = 16;
 /// Which psum kernel the engines use for spiking convolutions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Pick per call from the built-in operation-count heuristic (the
-    /// default when no calibration file is available).
+    /// Decide per layer from the [`CostModel`] with its default
+    /// coefficients ([`CostModel::DEFAULT`]; used when no calibration
+    /// file is available).
     #[default]
     Auto,
     /// Always the dense path (for verification and benching).
     ForceDense,
     /// Always the event-driven scatter (for verification and benching).
     ForceSparse,
-    /// Pick per call from a measured-per-host [`CostModel`] (produced by
-    /// `sia calibrate`, see [`crate::calibrate`]).
+    /// Decide per layer from a measured-per-host [`CostModel`] (produced
+    /// by `sia calibrate`, see [`crate::calibrate`]).
     Calibrated(CostModel),
 }
 
 impl KernelPolicy {
-    /// Whether this policy selects the event-driven scatter for one conv
-    /// call with `spikes` set bits and `n_out` output accumulators.
+    /// The kernel decision this policy fixes for a layer of geometry `g`:
+    /// a call whose plane has fewer set spikes than this runs the scatter,
+    /// any other the tiled kernel. `u64::MAX` always scatters, `0` always
+    /// tiles. Under the cost-model policies a layer whose geometry misses
+    /// the tiled kernel's fast path ([`tiled_is_candidate`]) always
+    /// scatters.
     #[must_use]
-    pub fn picks_sparse(self, g: &Conv2dGeom, spikes: u64, n_out: usize) -> bool {
+    pub fn scatter_limit(self, g: &Conv2dGeom) -> u64 {
         match self {
-            KernelPolicy::Auto => sparse_wins(g, spikes, n_out),
-            KernelPolicy::ForceDense => false,
-            KernelPolicy::ForceSparse => true,
-            KernelPolicy::Calibrated(m) => m.sparse_wins(g, spikes, n_out),
+            KernelPolicy::Auto => CostModel::DEFAULT.scatter_limit(g),
+            KernelPolicy::ForceDense => 0,
+            KernelPolicy::ForceSparse => u64::MAX,
+            KernelPolicy::Calibrated(m) => m.scatter_limit(g),
         }
     }
 }
 
+/// Whether the tiled kernel's fast path covers every tile of `g`: stride
+/// 1, whole [`TILE_CO`]-channel groups and whole [`TILE_OX`]-column tiles.
+/// Anywhere else it runs its dynamic-lane edge branch, which loses to the
+/// scatter at every measured density (see `BENCH_conv.json`'s deployed
+/// geometries), so only these layers ever weigh it.
+#[must_use]
+pub fn tiled_is_candidate(g: &Conv2dGeom) -> bool {
+    let (_, ow) = g.out_hw();
+    g.stride == 1 && g.out_channels.is_multiple_of(TILE_CO) && ow > 0 && ow.is_multiple_of(TILE_OX)
+}
+
 /// Output-channel lanes the scatter kernel actually sweeps per spike tap.
 ///
-/// The innermost `co` loop is unrolled into [`LANES`]-wide blocks
-/// ([`add_weight_lanes`]); a partial block still executes a full block of
-/// saturating adds (trailing lanes land in slack), so the cost model must
-/// price `ceil(C_out / LANES) · LANES` lanes, not `C_out`.
+/// The innermost `co` loop runs in [`LANES`]-wide blocks over rows padded
+/// to `ceil(C_out / LANES) · LANES` lanes ([`add_weight_lanes`]), so the
+/// cost model prices that many lanes, not `C_out`.
 #[must_use]
 pub fn scatter_lane_span(out_channels: usize) -> usize {
     out_channels.div_ceil(LANES) * LANES
@@ -118,9 +159,9 @@ pub fn dense_padded_outs(g: &Conv2dGeom) -> usize {
     g.out_channels.div_ceil(TILE_CO) * TILE_CO * oh * ow.div_ceil(TILE_OX) * TILE_OX
 }
 
-/// Measured per-host kernel cost coefficients, in integer **picoseconds**
-/// so the derived policy stays `Copy + Eq` and every decision is exactly
-/// reproducible from the calibration file that stored it.
+/// Kernel cost coefficients, in integer **picoseconds** so the derived
+/// policy stays `Copy + Eq` and every decision is exactly reproducible from
+/// the calibration file that stored it.
 ///
 /// The model prices one conv call against the lanes the kernels *execute*,
 /// not the elements they produce — both production kernels run in fixed
@@ -132,7 +173,10 @@ pub fn dense_padded_outs(g: &Conv2dGeom) -> usize {
 ///   rounds `C_out` up to [`TILE_CO`] and `OW` up to [`TILE_OX`]
 ///   ([`dense_padded_outs`]),
 ///
-/// and selects the scatter when its estimate is no larger.
+/// and selects the scatter when its estimate is no larger. The model is
+/// only consulted where the tiled kernel's fast path runs
+/// ([`tiled_is_candidate`]); [`CostModel::scatter_limit`] fixes the result
+/// per layer as a crossover spike count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CostModel {
     /// ps per scatter weight-accumulate lane
@@ -145,21 +189,30 @@ pub struct CostModel {
 }
 
 impl CostModel {
+    /// The coefficients [`KernelPolicy::Auto`] decides with: a rounded
+    /// fit to a full `sia bench conv` on a 2-vCPU x86-64 virtual machine
+    /// (`BENCH_conv.json`). They put the crossover of the 32-channel 16×16
+    /// bench layer near 11 % density and of the deployed 8-channel 16×16
+    /// layers near 2 %, where the measured kernels cross (cases `dNNN` and
+    /// `8to8k3s1_16_dNNN`).
+    pub const DEFAULT: CostModel = CostModel {
+        scatter_ps_per_lane: 250,
+        scatter_ps_per_out: 800,
+        dense_ps_per_lane: 32,
+    };
+
     /// Modelled scatter cost for one call, in picoseconds.
     #[must_use]
-    pub fn scatter_cost_ps(&self, g: &Conv2dGeom, spikes: u64, n_out: usize) -> u128 {
+    pub fn scatter_cost_ps(&self, g: &Conv2dGeom, spikes: u64) -> u128 {
         let k2 = (g.kernel * g.kernel) as u128;
         let lane_span = scatter_lane_span(g.out_channels) as u128;
         u128::from(self.scatter_ps_per_lane) * u128::from(spikes) * k2 * lane_span
-            + u128::from(self.scatter_ps_per_out) * 2 * n_out as u128
+            + u128::from(self.scatter_ps_per_out) * 2 * g.out_neurons() as u128
     }
 
-    /// Modelled dense cost for one call, in picoseconds. (`n_out` is
-    /// accepted for signature symmetry with the scatter estimate but the
-    /// tiled kernel's work depends only on the padded geometry.)
+    /// Modelled dense cost for one call, in picoseconds.
     #[must_use]
-    pub fn dense_cost_ps(&self, g: &Conv2dGeom, n_out: usize) -> u128 {
-        let _ = n_out;
+    pub fn dense_cost_ps(&self, g: &Conv2dGeom) -> u128 {
         let k2 = (g.kernel * g.kernel) as u128;
         u128::from(self.dense_ps_per_lane)
             * dense_padded_outs(g) as u128
@@ -167,36 +220,105 @@ impl CostModel {
             * k2
     }
 
-    /// Scatter wins when its modelled cost is no larger than dense's.
+    /// The kernel decision for a layer of geometry `g`, as the fewest set
+    /// spikes at which the layer runs the tiled kernel (calls below it
+    /// scatter): `u64::MAX` where the tiled kernel's fast path does not
+    /// run, otherwise the count at which the modelled scatter first costs
+    /// more than the dense kernel (zero when the scatter's fixed overhead
+    /// alone exceeds the dense cost).
     #[must_use]
-    pub fn sparse_wins(&self, g: &Conv2dGeom, spikes: u64, n_out: usize) -> bool {
-        self.scatter_cost_ps(g, spikes, n_out) <= self.dense_cost_ps(g, n_out)
+    pub fn scatter_limit(&self, g: &Conv2dGeom) -> u64 {
+        if !tiled_is_candidate(g) {
+            return u64::MAX;
+        }
+        let dense = self.dense_cost_ps(g);
+        let fixed = self.scatter_cost_ps(g, 0);
+        let per_spike = self.scatter_cost_ps(g, 1) - fixed;
+        if dense < fixed {
+            return 0;
+        }
+        (dense - fixed)
+            .checked_div(per_spike)
+            .and_then(|n| u64::try_from(n + 1).ok())
+            .unwrap_or(u64::MAX)
     }
 
-    /// The spike density (fraction of input neurons set) at which the two
-    /// modelled costs cross for geometry `g`, clamped to `[0, 1]`. Densities
-    /// below it run the scatter; auditable via the bench fine-density grid.
+    /// The spike density (fraction of input neurons set) at which the
+    /// layer switches from the scatter to the tiled kernel, in `[0, 1]`:
+    /// `1` for layers that always scatter. Auditable via the bench's fine
+    /// density grid.
     #[must_use]
     pub fn crossover_density(&self, g: &Conv2dGeom) -> f64 {
-        let (oh, ow) = g.out_hw();
-        let n_out = g.out_channels * oh * ow;
-        let neurons = (g.in_channels * g.in_h * g.in_w) as f64;
-        let k2 = (g.kernel * g.kernel) as f64;
-        let per_spike =
-            f64::from(self.scatter_ps_per_lane) * k2 * scatter_lane_span(g.out_channels) as f64;
-        if per_spike <= 0.0 || neurons <= 0.0 {
-            return 1.0;
+        let neurons = (g.in_channels * g.in_h * g.in_w).max(1) as f64;
+        (self.scatter_limit(g) as f64 / neurons).min(1.0)
+    }
+}
+
+/// One conv layer's entry: its transposed weights in the layouts its
+/// kernels read (each built on first need) and its kernel decision.
+#[derive(Clone, Debug, Default)]
+struct LayerEntry {
+    /// The policy `limit` was fixed under (`None` before the first call).
+    policy: Option<KernelPolicy>,
+    /// Calls with fewer set spikes than this scatter
+    /// ([`KernelPolicy::scatter_limit`]).
+    limit: u64,
+    /// `[(ci, ky, kx), co]` rows padded to `scatter_lane_span(C_out)`
+    /// lanes: the integer scatter's layout.
+    wt_i: Vec<i8>,
+    /// The same transposition widened to `i16`, unpadded: the tiled
+    /// kernel's layout (the micro-kernel broadcasts weights straight from
+    /// memory instead of sign-extending each one first).
+    wt_w: Vec<i16>,
+    /// The same transposition in `f32`, unpadded: the float scatter's.
+    wt_f: Vec<f32>,
+}
+
+impl LayerEntry {
+    fn scatter_wt(&mut self, conv: &SnnConv) -> &[i8] {
+        if self.wt_i.is_empty() {
+            let span = scatter_lane_span(conv.geom.out_channels);
+            build_wt(conv, span, &mut self.wt_i, |w| w);
         }
-        let fixed = f64::from(self.scatter_ps_per_out) * 2.0 * n_out as f64;
-        let dense = self.dense_cost_ps(g, n_out) as f64;
-        let spikes = (dense - fixed) / per_spike;
-        (spikes / neurons).clamp(0.0, 1.0)
+        &self.wt_i
+    }
+
+    fn tiled_wt(&mut self, conv: &SnnConv) -> &[i16] {
+        if self.wt_w.is_empty() {
+            build_wt(conv, conv.geom.out_channels, &mut self.wt_w, i16::from);
+        }
+        &self.wt_w
+    }
+
+    fn f32_wt(&mut self, conv: &SnnConv) -> &[f32] {
+        if self.wt_f.is_empty() {
+            build_wt(conv, conv.geom.out_channels, &mut self.wt_f, f32::from);
+        }
+        &self.wt_f
+    }
+
+    /// The layer's scatter limit under `policy`, fixed on the first call
+    /// (and again only if the policy changes). Every layout the decision
+    /// can use is built here, so steady-state calls never build one.
+    fn scatter_limit(&mut self, conv: &SnnConv, policy: KernelPolicy) -> u64 {
+        if self.policy != Some(policy) {
+            self.policy = Some(policy);
+            self.limit = policy.scatter_limit(&conv.geom);
+            if self.limit > 0 {
+                self.scatter_wt(conv);
+            }
+            if self.limit < u64::MAX {
+                self.tiled_wt(conv);
+            }
+        }
+        self.limit
     }
 }
 
 /// Reusable per-engine convolution scratch: psum buffers (canonical and
-/// channels-last), a transposed-weight cache keyed by layer, and the
-/// event-driven tap accounting surfaced through `Engine::stage_taps`.
+/// channels-last), one entry per conv layer (transposed weights and kernel
+/// decision, see the module docs), and the event-driven tap accounting
+/// surfaced through `Engine::stage_taps`.
 #[derive(Clone, Debug, Default)]
 pub struct ConvScratch {
     psum_i: Vec<i16>,
@@ -205,13 +327,8 @@ pub struct ConvScratch {
     psum_cl_f: Vec<f32>,
     psum_d32: Vec<i32>,
     psum_df: Vec<f32>,
-    wt_i: Vec<i8>,
-    wt_i_key: Option<usize>,
-    wt_w: Vec<i16>,
-    wt_w_key: Option<usize>,
-    wt_f: Vec<f32>,
-    wt_f_key: Option<usize>,
     mask_i: Vec<i16>,
+    layers: Vec<LayerEntry>,
     /// Weight taps the active kernel actually accumulated since the last
     /// [`ConvScratch::take_taps`] (input-centric: one spike touches `K²`
     /// taps).
@@ -237,16 +354,10 @@ impl ConvScratch {
     }
 }
 
-/// Cost-model choice between scatter and dense gather. The scatter pass
-/// costs ≈ `spikes·K²·C_out` accumulates plus two `n_out`-sized sweeps
-/// (clear + transpose); the dense gather costs `n_out·C_in·K²` tap visits.
-/// Sparse must win by 2× on the model before it is chosen, so borderline
-/// densities keep the well-vectorised dense loop.
-fn sparse_wins(g: &Conv2dGeom, spikes: u64, n_out: usize) -> bool {
-    let k2 = (g.kernel * g.kernel) as u64;
-    let sparse_cost = spikes * k2 * (g.out_channels as u64 + 1) + 2 * n_out as u64;
-    let dense_cost = n_out as u64 * g.in_channels as u64 * k2;
-    sparse_cost * 2 <= dense_cost
+/// Layer `layer`'s entry, growing the table on the layer's first call.
+fn entry_mut(layers: &mut Vec<LayerEntry>, layer: usize) -> &mut LayerEntry {
+    scratch_reserve_default(layers, layer + 1);
+    &mut layers[layer]
 }
 
 fn account_taps(scr: &mut ConvScratch, g: &Conv2dGeom, spikes: u64, sparse: bool) {
@@ -260,54 +371,18 @@ fn account_taps(scr: &mut ConvScratch, g: &Conv2dGeom, spikes: u64, sparse: bool
     }
 }
 
-/// Weights transposed to `[(ci, ky, kx), co]` so the scatter inner loop is
-/// contiguous, built into `wt` (scratch-tracked).
-fn build_wt_int(conv: &SnnConv, wt: &mut Vec<i8>) {
+/// Weights transposed to `[(ci, ky, kx), co]` so the kernels' `co` sweep
+/// is contiguous, each row `span ≥ C_out` lanes wide (lanes past `C_out`
+/// stay zero), converted by `f`, built into `wt` (scratch-tracked).
+fn build_wt<T: Copy + Default>(conv: &SnnConv, span: usize, wt: &mut Vec<T>, f: impl Fn(i8) -> T) {
     let g = &conv.geom;
-    let (cout, cin, k) = (g.out_channels, g.in_channels, g.kernel);
-    scratch_resize(wt, cout * cin * k * k, 0);
-    for co in 0..cout {
-        for ci in 0..cin {
-            for ky in 0..k {
-                for kx in 0..k {
-                    wt[((ci * k + ky) * k + kx) * cout + co] = conv.weight(co, ci, ky, kx);
-                }
-            }
-        }
-    }
-}
-
-/// Same transposition pre-widened to i16 for the tiled dense kernel: the
-/// micro-kernel then broadcasts weights straight from memory instead of
-/// sign-extending each one through a scalar register first.
-fn build_wt_wide(conv: &SnnConv, wt: &mut Vec<i16>) {
-    let g = &conv.geom;
-    let (cout, cin, k) = (g.out_channels, g.in_channels, g.kernel);
-    scratch_resize(wt, cout * cin * k * k, 0);
-    for co in 0..cout {
-        for ci in 0..cin {
-            for ky in 0..k {
-                for kx in 0..k {
-                    wt[((ci * k + ky) * k + kx) * cout + co] =
-                        i16::from(conv.weight(co, ci, ky, kx));
-                }
-            }
-        }
-    }
-}
-
-fn build_wt_f32(conv: &SnnConv, wt: &mut Vec<f32>) {
-    let g = &conv.geom;
-    let (cout, cin, k) = (g.out_channels, g.in_channels, g.kernel);
-    scratch_resize(wt, cout * cin * k * k, 0.0);
-    for co in 0..cout {
-        for ci in 0..cin {
-            for ky in 0..k {
-                for kx in 0..k {
-                    wt[((ci * k + ky) * k + kx) * cout + co] =
-                        f32::from(conv.weight(co, ci, ky, kx));
-                }
-            }
+    let taps = g.in_channels * g.kernel * g.kernel;
+    scratch_resize(wt, taps * span, T::default());
+    // `[C_out, C_in, K, K]` row-major: filter `co` lists its taps in
+    // `(ci, ky, kx)` order.
+    for (co, filter) in conv.weights.chunks_exact(taps).enumerate() {
+        for (tap, &w) in filter.iter().enumerate() {
+            wt[tap * span + co] = f(w);
         }
     }
 }
@@ -374,7 +449,8 @@ fn tap_range(ipad: usize, k: usize, o_len: usize) -> (usize, usize) {
 /// One spike tap, word-parallel: folds a transposed weight row into a
 /// channels-last psum row in [`LANES`]-wide blocks. Every lane is a
 /// distinct `co` accumulator, so blocking cannot reorder any single
-/// accumulator's additions; the scalar tail applies the identical
+/// accumulator's additions. Rows are padded to whole blocks
+/// ([`scatter_lane_span`]); the scalar tail applies the identical
 /// `acc_weight` op, so the lane count never changes values.
 #[inline]
 fn add_weight_lanes(prow: &mut [i16], wrow: &[i8]) {
@@ -392,11 +468,18 @@ fn add_weight_lanes(prow: &mut [i16], wrow: &[i8]) {
 
 /// Word-parallel integer scatter: identical tap visit order to
 /// [`scatter_f32`], with the innermost `co` sweep unrolled via
-/// [`add_weight_lanes`]. Stride-1 planes additionally take a branch-free
-/// tap-range fast path (no divisibility tests in the per-spike loop).
-fn scatter_int_wide(g: &Conv2dGeom, wt: &[i8], plane: &SpikePlane, psum_cl: &mut [i16]) {
+/// [`add_weight_lanes`] over rows of `span` lanes. Stride-1 planes
+/// additionally take a branch-free tap-range fast path (no divisibility
+/// tests in the per-spike loop).
+fn scatter_int_wide(
+    g: &Conv2dGeom,
+    wt: &[i8],
+    span: usize,
+    plane: &SpikePlane,
+    psum_cl: &mut [i16],
+) {
     let (oh, ow) = g.out_hw();
-    let (k, cout) = (g.kernel, g.out_channels);
+    let k = g.kernel;
     if g.stride == 1 {
         let pad = g.padding;
         for ci in 0..g.in_channels {
@@ -409,8 +492,8 @@ fn scatter_int_wide(g: &Conv2dGeom, wt: &[i8], plane: &SpikePlane, psum_cl: &mut
                         let trow = (ci * k + ky) * k;
                         for kx in kx_lo..kx_hi {
                             let ox = x + pad - kx;
-                            let wrow = &wt[(trow + kx) * cout..][..cout];
-                            let prow = &mut psum_cl[(oy * ow + ox) * cout..][..cout];
+                            let wrow = &wt[(trow + kx) * span..][..span];
+                            let prow = &mut psum_cl[(oy * ow + ox) * span..][..span];
                             add_weight_lanes(prow, wrow);
                         }
                     }
@@ -448,8 +531,8 @@ fn scatter_int_wide(g: &Conv2dGeom, wt: &[i8], plane: &SpikePlane, psum_cl: &mut
                             if ox >= ow {
                                 continue;
                             }
-                            let wrow = &wt[((ci * k + ky) * k + kx) * cout..][..cout];
-                            let prow = &mut psum_cl[(oy * ow + ox) * cout..][..cout];
+                            let wrow = &wt[((ci * k + ky) * k + kx) * span..][..span];
+                            let prow = &mut psum_cl[(oy * ow + ox) * span..][..span];
                             add_weight_lanes(prow, wrow);
                         }
                     }
@@ -664,11 +747,12 @@ fn tile_one_row(
     }
 }
 
-/// Channels-last → canonical `[C_out, OH, OW]` (value-preserving).
-fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, per_ch: usize) {
-    for p in 0..per_ch {
-        for co in 0..cout {
-            out[co * per_ch + p] = cl[p * cout + co];
+/// Channels-last rows of `span ≥ cout` lanes → canonical `[C_out, OH, OW]`
+/// (value-preserving; padding lanes are dropped).
+fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, span: usize, per_ch: usize) {
+    for (co, dst) in out.chunks_exact_mut(per_ch).take(cout).enumerate() {
+        for (p, d) in dst.iter_mut().enumerate() {
+            *d = cl[p * span + co];
         }
     }
 }
@@ -711,67 +795,52 @@ fn check_plane(g: &Conv2dGeom, plane: &SpikePlane) {
     );
 }
 
-/// Ensures the transposed integer weight cache holds layer `key`.
-fn ensure_wt_int(conv: &SnnConv, scr: &mut ConvScratch, key: usize) {
-    if scr.wt_i_key != Some(key) {
-        build_wt_int(conv, &mut scr.wt_i);
-        scr.wt_i_key = Some(key);
-    }
-}
-
-/// Ensures the widened transposed weight cache holds layer `key`.
-fn ensure_wt_wide(conv: &SnnConv, scr: &mut ConvScratch, key: usize) {
-    if scr.wt_w_key != Some(key) {
-        build_wt_wide(conv, &mut scr.wt_w);
-        scr.wt_w_key = Some(key);
-    }
-}
-
-/// Word-parallel scatter pipeline: build/reuse transposed weights, scatter
-/// into the channels-last psums, transpose to canonical layout.
+/// Word-parallel scatter pipeline: scatter into the padded channels-last
+/// psums with the layer's padded weight rows, transpose to canonical
+/// layout.
 fn run_scatter_int<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     scr: &'a mut ConvScratch,
-    key: usize,
+    layer: usize,
 ) -> &'a [i16] {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
-    let n_out = g.out_channels * oh * ow;
-    ensure_wt_int(conv, scr, key);
+    let span = scatter_lane_span(g.out_channels);
     let ConvScratch {
         psum_i,
         psum_cl_i,
-        wt_i,
+        layers,
         ..
     } = scr;
-    scratch_resize(psum_cl_i, n_out, 0);
-    scatter_int_wide(g, wt_i, plane, psum_cl_i);
-    scratch_resize(psum_i, n_out, 0);
-    transpose_cl(psum_cl_i, psum_i, g.out_channels, oh * ow);
+    let wt = entry_mut(layers, layer).scatter_wt(conv);
+    scratch_resize(psum_cl_i, oh * ow * span, 0);
+    scatter_int_wide(g, wt, span, plane, psum_cl_i);
+    scratch_resize(psum_i, g.out_channels * oh * ow, 0);
+    transpose_cl(psum_cl_i, psum_i, g.out_channels, span, oh * ow);
     &scr.psum_i
 }
 
-/// Tiled dense pipeline: build/reuse transposed weights, expand the mask
-/// plane, run the register-tiled kernel straight into canonical psums.
+/// Tiled dense pipeline: expand the mask plane, run the register-tiled
+/// kernel over the layer's widened weights straight into canonical psums.
 fn run_tiled_int<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     scr: &'a mut ConvScratch,
-    key: usize,
+    layer: usize,
 ) -> &'a [i16] {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
-    ensure_wt_wide(conv, scr, key);
     let ConvScratch {
         psum_i,
-        wt_w,
+        layers,
         mask_i,
         ..
     } = scr;
+    let wt = entry_mut(layers, layer).tiled_wt(conv);
     build_mask_plane(g, plane, mask_i);
     scratch_resize(psum_i, g.out_channels * oh * ow, 0);
-    dense_tiled_int(g, wt_w, mask_i, psum_i);
+    dense_tiled_int(g, wt, mask_i, psum_i);
     &scr.psum_i
 }
 
@@ -786,10 +855,10 @@ pub fn conv_psums_int_scatter<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     scr: &'a mut ConvScratch,
-    key: usize,
+    layer: usize,
 ) -> &'a [i16] {
     check_plane(&conv.geom, plane);
-    run_scatter_int(conv, plane, scr, key)
+    run_scatter_int(conv, plane, scr, layer)
 }
 
 /// Direct entry to the register-tiled dense kernel (the production
@@ -802,17 +871,22 @@ pub fn conv_psums_int_tiled<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     scr: &'a mut ConvScratch,
-    key: usize,
+    layer: usize,
 ) -> &'a [i16] {
     check_plane(&conv.geom, plane);
-    run_tiled_int(conv, plane, scr, key)
+    run_tiled_int(conv, plane, scr, layer)
 }
 
 /// Integer partial sums from a packed spike plane: the word-parallel
-/// event-driven scatter when `policy` selects it, the register-tiled dense
-/// kernel otherwise. Bit-exact with [`crate::runner::conv_psums_int`]
-/// either way. `key` identifies the layer for the transposed-weight cache
-/// (stable per engine, e.g. `item_index * 2 + is_downsample`).
+/// event-driven scatter or the register-tiled dense kernel, as the layer's
+/// kernel decision under `policy` picks for this plane's spike count.
+/// Bit-exact with [`crate::runner::conv_psums_int`] either way.
+///
+/// `layer` names the conv's entry in `scr` (transposed weights and kernel
+/// decision, built on the layer's first call): one slot per conv layer,
+/// always called with the same conv. The engines pass the index of the
+/// network item that owns the conv (a residual add's downsample conv is
+/// its item's only conv).
 ///
 /// # Panics
 ///
@@ -822,25 +896,25 @@ pub fn conv_psums_int_plane<'a>(
     plane: &SpikePlane,
     policy: KernelPolicy,
     scr: &'a mut ConvScratch,
-    key: usize,
+    layer: usize,
 ) -> &'a [i16] {
     let g = &conv.geom;
     check_plane(g, plane);
-    let (oh, ow) = g.out_hw();
-    let n_out = g.out_channels * oh * ow;
     let spikes = plane.count_ones();
-    let sparse = policy.picks_sparse(g, spikes, n_out);
+    let sparse = spikes < entry_mut(&mut scr.layers, layer).scatter_limit(conv, policy);
     account_taps(scr, g, spikes, sparse);
     if sparse {
-        run_scatter_int(conv, plane, scr, key)
+        run_scatter_int(conv, plane, scr, layer)
     } else {
-        run_tiled_int(conv, plane, scr, key)
+        run_tiled_int(conv, plane, scr, layer)
     }
 }
 
-/// Float twin of [`conv_psums_int_plane`] (same selection and iteration
-/// order, `f32` accumulation — addition order preserved, so results match
-/// the dense float reference exactly).
+/// Float twin of [`conv_psums_int_plane`]: the scatter under every policy
+/// but [`KernelPolicy::ForceDense`], which runs the dense gather (`f32`
+/// accumulation in the same tap order either way, so results match the
+/// dense float reference exactly). The gather has no fast path to win
+/// with, so no density makes it worth picking.
 ///
 /// # Panics
 ///
@@ -850,40 +924,56 @@ pub fn conv_psums_f32_plane<'a>(
     plane: &SpikePlane,
     policy: KernelPolicy,
     scr: &'a mut ConvScratch,
-    key: usize,
+    layer: usize,
 ) -> &'a [f32] {
     let g = &conv.geom;
     check_plane(g, plane);
     let (oh, ow) = g.out_hw();
     let n_out = g.out_channels * oh * ow;
-    let spikes = plane.count_ones();
-    let sparse = policy.picks_sparse(g, spikes, n_out);
-    account_taps(scr, g, spikes, sparse);
+    let sparse = policy != KernelPolicy::ForceDense;
+    account_taps(scr, g, plane.count_ones(), sparse);
+    let ConvScratch {
+        psum_f,
+        psum_cl_f,
+        layers,
+        ..
+    } = scr;
+    scratch_resize(psum_f, n_out, 0.0);
     if sparse {
-        if scr.wt_f_key != Some(key) {
-            build_wt_f32(conv, &mut scr.wt_f);
-            scr.wt_f_key = Some(key);
-        }
-        let ConvScratch {
-            psum_f,
-            psum_cl_f,
-            wt_f,
-            ..
-        } = scr;
+        let wt = entry_mut(layers, layer).f32_wt(conv);
         scratch_resize(psum_cl_f, n_out, 0.0);
-        scatter_f32(g, wt_f, plane, psum_cl_f);
-        scratch_resize(psum_f, n_out, 0.0);
-        transpose_cl(psum_cl_f, psum_f, g.out_channels, oh * ow);
+        scatter_f32(g, wt, plane, psum_cl_f);
+        transpose_cl(psum_cl_f, psum_f, g.out_channels, g.out_channels, oh * ow);
     } else {
-        scratch_resize(&mut scr.psum_f, n_out, 0.0);
-        gather_f32(conv, plane, &mut scr.psum_f);
+        gather_f32(conv, plane, psum_f);
     }
-    &scr.psum_f
+    psum_f
+}
+
+/// Output columns `ox` whose input column `ox·stride + kx − pad` lies in
+/// `[0, in_w)`, as a `lo..hi` range.
+fn valid_cols(kx: usize, g: &Conv2dGeom, ow: usize) -> (usize, usize) {
+    let lo = g.padding.saturating_sub(kx).div_ceil(g.stride);
+    let hi = if g.in_w + g.padding > kx {
+        ((g.in_w + g.padding - kx - 1) / g.stride + 1).min(ow)
+    } else {
+        0
+    };
+    (lo.min(hi), hi)
 }
 
 /// Scratch-buffer variant of [`crate::runner::conv_psums_dense`] (dense
 /// INT8 first-layer codes, 32-bit accumulation) — same values, zero
 /// steady-state allocation.
+///
+/// The 32-bit sums of `i8 · i8` products cannot overflow, so their order
+/// is free: the loop walks `(co, ci, ky, kx)` and adds `w · code` across
+/// each output row's valid columns at once (contiguous input columns at
+/// stride 1), instead of gathering every output's taps one by one.
+///
+/// # Panics
+///
+/// Panics if `codes` does not hold exactly one `C_in × H × W` image.
 pub fn conv_psums_dense_into<'a>(
     conv: &SnnConv,
     codes: &[i8],
@@ -891,35 +981,44 @@ pub fn conv_psums_dense_into<'a>(
 ) -> &'a [i32] {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
+    let (k, s, pad) = (g.kernel, g.stride, g.padding);
+    let plane_len = g.in_h * g.in_w;
+    assert_eq!(
+        codes.len(),
+        g.in_channels * plane_len,
+        "input codes mismatch conv geometry"
+    );
     scratch_resize(&mut scr.psum_d32, g.out_channels * oh * ow, 0);
-    for co in 0..g.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0i32;
-                for ci in 0..g.in_channels {
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
+    for (co, out) in scr.psum_d32.chunks_exact_mut(oh * ow).enumerate() {
+        for (ci, plane) in codes.chunks_exact(plane_len).enumerate() {
+            for ky in 0..k {
+                for kx in 0..k {
+                    let (lo, hi) = valid_cols(kx, g, ow);
+                    if lo == hi {
+                        continue;
+                    }
+                    let w = i32::from(conv.weight(co, ci, ky, kx));
+                    let first = lo * s + kx - pad;
+                    for (oy, orow) in out.chunks_exact_mut(ow).enumerate() {
+                        let Some(iy) = (oy * s + ky).checked_sub(pad).filter(|&iy| iy < g.in_h)
+                        else {
                             continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let sidx = (ci * g.in_h + iy as usize) * g.in_w + ix as usize;
-                            acc += i32::from(codes[sidx]) * i32::from(conv.weight(co, ci, ky, kx));
+                        };
+                        let irow = &plane[iy * g.in_w..][..g.in_w];
+                        for (o, &c) in orow[lo..hi].iter_mut().zip(irow[first..].iter().step_by(s))
+                        {
+                            *o += w * i32::from(c);
                         }
                     }
                 }
-                scr.psum_d32[(co * oh + oy) * ow + ox] = acc;
             }
         }
     }
     &scr.psum_d32
 }
 
-/// Float twin of [`conv_psums_dense_into`].
+/// Float twin of [`conv_psums_dense_into`] (reference tap order: `f32`
+/// sums are order-sensitive, so this one keeps the per-output gather).
 pub fn conv_psums_dense_f32_into<'a>(
     conv: &SnnConv,
     codes: &[i8],
@@ -1020,6 +1119,7 @@ mod tests {
             (2, 4, 8, 3, 2, 1),
             (4, 3, 7, 3, 1, 0),
             (2, 2, 5, 1, 2, 0),
+            (3, 8, 16, 3, 1, 1),
         ]
         .iter()
         .enumerate()
@@ -1064,20 +1164,18 @@ mod tests {
             scatter_ps_per_out: 800,
             dense_ps_per_lane: 70,
         };
-        let n_out = g.out_neurons();
-        let neurons = (g.in_channels * g.in_h * g.in_w) as f64;
-        let cross = m.crossover_density(&g);
-        assert!(cross > 0.0 && cross < 1.0, "crossover {cross} not interior");
-        // Just below the crossover the model must pick sparse, just above
-        // it dense (decisions are monotone in the spike count).
-        let below = (cross * 0.9 * neurons) as u64;
-        let above = (cross * 1.1 * neurons).ceil() as u64;
-        assert!(m.sparse_wins(&g, below, n_out));
-        assert!(!m.sparse_wins(&g, above, n_out));
+        let neurons = (g.in_channels * g.in_h * g.in_w) as u64;
+        let limit = m.scatter_limit(&g);
         assert!(
-            KernelPolicy::Calibrated(m).picks_sparse(&g, below, n_out)
-                && !KernelPolicy::Calibrated(m).picks_sparse(&g, above, n_out)
+            limit > 0 && limit < neurons,
+            "crossover {limit} not interior"
         );
+        // The stored count sits exactly where the modelled costs cross, and
+        // the calibrated policy stores exactly that count.
+        assert!(m.scatter_cost_ps(&g, limit - 1) <= m.dense_cost_ps(&g));
+        assert!(m.scatter_cost_ps(&g, limit) > m.dense_cost_ps(&g));
+        assert_eq!(KernelPolicy::Calibrated(m).scatter_limit(&g), limit);
+        assert_eq!(m.crossover_density(&g), limit as f64 / neurons as f64);
     }
 
     #[test]
@@ -1094,32 +1192,104 @@ mod tests {
         };
 
         // Scatter: a 17-channel layer sweeps the same LANES-wide blocks as
-        // a 32-channel one, so the per-spike term must be identical (the
-        // n_out overhead is zeroed out to isolate it).
+        // a 32-channel one, so the per-spike term must be identical.
         let g17 = test_conv(8, 17, 18, 3, 1, 1, 0).geom;
         let g32 = test_conv(8, 32, 18, 3, 1, 1, 0).geom;
-        let spikes = 64;
-        assert_eq!(
-            m.scatter_cost_ps(&g17, spikes, 0),
-            m.scatter_cost_ps(&g32, spikes, 0)
-        );
+        let per_spikes = |g: &Conv2dGeom| m.scatter_cost_ps(g, 64) - m.scatter_cost_ps(g, 0);
+        assert_eq!(per_spikes(&g17), per_spikes(&g32));
 
         // Dense: C_out=17 pads to 5 row tiles of TILE_CO=4 and OW=18 to 2
         // column tiles of TILE_OX=16, so the modelled work strictly exceeds
         // a naive n_out·C_in·K² element count.
         let (oh, _) = g17.out_hw();
         assert_eq!(dense_padded_outs(&g17), 20 * oh * 32);
-        let n_out = g17.out_neurons();
-        let naive = u128::from(m.dense_ps_per_lane) * (n_out * g17.in_channels * 9) as u128;
-        assert!(m.dense_cost_ps(&g17, n_out) > naive);
+        let naive =
+            u128::from(m.dense_ps_per_lane) * (g17.out_neurons() * g17.in_channels * 9) as u128;
+        assert!(m.dense_cost_ps(&g17) > naive);
 
-        // Decisions stay monotone and consistent with the crossover on the
-        // misaligned geometry, same invariant as the aligned test above.
-        let neurons = (g17.in_channels * g17.in_h * g17.in_w) as f64;
-        let cross = m.crossover_density(&g17);
-        assert!(cross > 0.0 && cross < 1.0, "crossover {cross} not interior");
-        assert!(m.sparse_wins(&g17, (cross * 0.9 * neurons) as u64, n_out));
-        assert!(!m.sparse_wins(&g17, (cross * 1.1 * neurons).ceil() as u64, n_out));
+        // Partial tiles run the tiled kernel's edge branch, so the model is
+        // never consulted there: the misaligned layer always scatters.
+        assert!(!tiled_is_candidate(&g17));
+        assert_eq!(m.scatter_limit(&g17), u64::MAX);
+        assert_eq!(m.crossover_density(&g17), 1.0);
+    }
+
+    #[test]
+    fn default_auto_never_tiles_where_the_fast_path_misses() {
+        // The deployed downsample and deeper-stage geometries: stride 2
+        // (3×3 and 1×1) and OW ∈ {8, 4, 2}. Auto scatters at any density.
+        for (cin, cout, hw, k, stride, pad) in [
+            (8usize, 16usize, 16usize, 3usize, 2usize, 1usize),
+            (8, 16, 16, 1, 2, 0),
+            (16, 16, 8, 3, 1, 1),
+            (32, 32, 4, 3, 1, 1),
+            (64, 64, 2, 3, 1, 1),
+        ] {
+            let g = test_conv(cin, cout, hw, k, stride, pad, 0).geom;
+            assert!(!tiled_is_candidate(&g), "{g:?}");
+            assert_eq!(KernelPolicy::Auto.scatter_limit(&g), u64::MAX, "{g:?}");
+        }
+    }
+
+    #[test]
+    fn default_auto_tiles_the_deployed_16_column_layers() {
+        // 8→8 @16², the deployed first residual stage: the tiled kernel's
+        // fast path covers it, and Auto goes tiled at 10 % density while a
+        // silent plane still scatters.
+        let g = test_conv(8, 8, 16, 3, 1, 1, 0).geom;
+        assert!(tiled_is_candidate(&g));
+        let neurons = (8 * 16 * 16) as u64;
+        let limit = KernelPolicy::Auto.scatter_limit(&g);
+        assert!(0 < limit && limit <= neurons / 10, "limit {limit}");
+        // The forced policies ignore geometry.
+        assert_eq!(KernelPolicy::ForceDense.scatter_limit(&g), 0);
+        assert_eq!(KernelPolicy::ForceSparse.scatter_limit(&g), u64::MAX);
+    }
+
+    #[test]
+    fn layer_entries_hold_only_the_layouts_their_decision_uses() {
+        let mut scr = ConvScratch::new();
+        let plane = |c: &SnnConv| {
+            let g = &c.geom;
+            let mut p = SpikePlane::default();
+            p.pack_from_bytes(
+                g.in_channels,
+                g.in_h,
+                g.in_w,
+                &spikes(g.in_channels * g.in_h * g.in_w, 10, 3),
+            );
+            p
+        };
+        // 0: stride 2 (always scatters); 1: 8→8 @16² (both candidates);
+        // 2: the float runner's layout; 3: 8→8 @16² forced dense (always
+        // tiles).
+        let down = test_conv(8, 16, 16, 3, 2, 1, 1);
+        let res16 = test_conv(8, 8, 16, 3, 1, 1, 2);
+        let (down_in, res16_in) = (plane(&down), plane(&res16));
+        let _ = conv_psums_int_plane(&down, &down_in, KernelPolicy::Auto, &mut scr, 0);
+        let _ = conv_psums_int_plane(&res16, &res16_in, KernelPolicy::Auto, &mut scr, 1);
+        let _ = conv_psums_f32_plane(&res16, &res16_in, KernelPolicy::Auto, &mut scr, 2);
+        let _ = conv_psums_int_plane(&res16, &res16_in, KernelPolicy::ForceDense, &mut scr, 3);
+        let sizes: Vec<_> = scr
+            .layers
+            .iter()
+            .map(|e| (e.wt_i.len(), e.wt_w.len(), e.wt_f.len()))
+            .collect();
+        // Scatter rows are padded to one 16-lane block; the tiled and float
+        // layouts are not.
+        assert_eq!(
+            sizes,
+            [
+                (8 * 9 * 16, 0, 0),
+                (8 * 9 * 16, 8 * 9 * 8, 0),
+                (0, 0, 8 * 9 * 8),
+                (0, 8 * 9 * 8, 0)
+            ]
+        );
+        // A later call reuses the entry: nothing grows.
+        let before = crate::scratch::scratch_growth();
+        let _ = conv_psums_int_plane(&down, &down_in, KernelPolicy::Auto, &mut scr, 0);
+        assert_eq!(crate::scratch::scratch_growth(), before);
     }
 
     #[test]
@@ -1155,14 +1325,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_heuristic_tracks_density() {
-        let g = test_conv(16, 16, 8, 3, 1, 1, 0).geom;
-        let neurons = (16 * 8 * 8) as u64;
-        assert!(sparse_wins(&g, neurons / 50, 16 * 8 * 8)); // 2% density
-        assert!(!sparse_wins(&g, neurons, 16 * 8 * 8)); // all-ones
-    }
-
-    #[test]
     fn tap_accounting_is_input_centric() {
         let conv = test_conv(2, 3, 4, 3, 1, 1, 2);
         let bytes = spikes(2 * 16, 25, 11);
@@ -1179,12 +1341,30 @@ mod tests {
 
     #[test]
     fn dense_into_matches_allocating_reference() {
-        let conv = test_conv(3, 4, 5, 3, 1, 1, 7);
-        let codes: Vec<i8> = (0..3 * 25).map(|i| ((i * 7 % 255) - 127) as i8).collect();
-        let mut scr = ConvScratch::new();
-        assert_eq!(
-            conv_psums_dense_into(&conv, &codes, &mut scr),
-            crate::runner::conv_psums_dense(&conv, &codes).as_slice()
-        );
+        // Stride 1 and 2, 1×1 and 3×3, and padding wider than the kernel
+        // reach (a column range that is empty for some taps).
+        for (i, &(cin, cout, hw, k, stride, pad)) in [
+            (3usize, 4usize, 5usize, 3usize, 1usize, 1usize),
+            (3, 8, 16, 3, 1, 1),
+            (2, 4, 7, 3, 2, 1),
+            (2, 3, 6, 1, 2, 0),
+            (1, 2, 2, 3, 1, 2),
+            (2, 2, 3, 3, 2, 2),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let conv = test_conv(cin, cout, hw, k, stride, pad, i + 7);
+            let codes: Vec<i8> = (0..cin * hw * hw)
+                .map(|j| ((j * 7 + i) % 255) as i32 - 127)
+                .map(|c| c as i8)
+                .collect();
+            let mut scr = ConvScratch::new();
+            assert_eq!(
+                conv_psums_dense_into(&conv, &codes, &mut scr),
+                crate::runner::conv_psums_dense(&conv, &codes).as_slice(),
+                "case {i}"
+            );
+        }
     }
 }

@@ -106,6 +106,17 @@ impl SpikePlane {
         &self.words[base..base + self.words_per_row]
     }
 
+    /// The packed words of every row, in `[C, H]` order (`words_per_row`
+    /// each): epilogues read and write a row's spikes a word at a time.
+    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words.chunks_exact(self.words_per_row.max(1))
+    }
+
+    /// Mutable twin of [`SpikePlane::rows`].
+    pub fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
+        self.words.chunks_exact_mut(self.words_per_row.max(1))
+    }
+
     /// Reads bit `(c, y, x)`.
     #[must_use]
     pub fn bit(&self, c: usize, y: usize, x: usize) -> bool {

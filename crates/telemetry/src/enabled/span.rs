@@ -2,7 +2,7 @@
 
 use super::registry::{with_store, TRACE_EVENT_CAP};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -43,9 +43,23 @@ thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Whether dropped spans also buffer a [`TraceEvent`] (see
+/// [`capture_trace`]).
+static CAPTURE: AtomicBool = AtomicBool::new(false);
+
+/// Turns Chrome-trace buffering on or off, process-wide. Off by default:
+/// every span still records its `span.<path>.us` histogram, but only a
+/// process that will export a trace ([`take_trace_events`], `--trace`)
+/// buffers an event per span. Without this gate a long `sia eval` or `sia
+/// serve` grew by one buffered event (~100 bytes) per image until the
+/// per-thread cap.
+pub fn capture_trace(on: bool) {
+    CAPTURE.store(on, Ordering::Relaxed);
+}
+
 /// Live RAII guard returned by [`crate::span!`]. Dropping it records the
-/// elapsed time under `span.<dotted.path>` (µs histogram) and buffers a
-/// [`TraceEvent`].
+/// elapsed time under `span.<dotted.path>` (µs histogram) and, while
+/// [`capture_trace`] is on, buffers a [`TraceEvent`].
 #[derive(Debug)]
 pub struct SpanGuard {
     start: Instant,
@@ -73,11 +87,15 @@ impl Drop for SpanGuard {
             path
         });
         let tid = thread_lane();
+        let capture = CAPTURE.load(Ordering::Relaxed);
         with_store(|s| {
             s.histograms
                 .entry(format!("span.{path}.us"))
                 .or_default()
                 .record(dur_us);
+            if !capture {
+                return;
+            }
             if s.trace_events.len() < TRACE_EVENT_CAP {
                 s.trace_events.push(TraceEvent {
                     name: path,
@@ -92,7 +110,8 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Drains the calling thread's buffered trace events.
+/// Drains the calling thread's buffered trace events. Empty unless
+/// [`capture_trace`] was on while the spans were dropped.
 #[must_use]
 pub fn take_trace_events() -> Vec<TraceEvent> {
     with_store(|s| std::mem::take(&mut s.trace_events))
@@ -106,6 +125,15 @@ mod tests {
     #[test]
     fn nested_spans_record_dotted_paths() {
         reset();
+        // Trace buffering is opt-in (and process-wide, so only this test
+        // switches it): uncaptured spans record their histogram only.
+        capture_trace(false);
+        {
+            let _g = span_guard("uncaptured");
+        }
+        assert!(take_trace_events().is_empty());
+        assert!(snapshot().histograms.contains_key("span.uncaptured.us"));
+        capture_trace(true);
         {
             let _outer = span_guard("outer");
             std::thread::sleep(std::time::Duration::from_millis(2));

@@ -7,7 +7,8 @@
 //!
 //! * **Spans** — `let _g = sia_telemetry::span!("tensor.matmul");` starts an
 //!   RAII scope; dropping it records hierarchical wall-clock time into a
-//!   log2 histogram and a Chrome-`trace_event`-compatible buffer.
+//!   log2 histogram and, while [`capture_trace`] is on (the CLI's
+//!   `--trace`), a Chrome-`trace_event`-compatible buffer.
 //! * **Counters / gauges / histograms** — a thread-safe registry keyed by
 //!   static-ish string names. Counters are monotonically increasing `u64`s
 //!   (`accel.cycles.compute`), gauges are last-write-wins `f64`s
@@ -49,13 +50,13 @@ pub use enabled::sink::{
     uninstall_jsonl,
 };
 #[cfg(feature = "enabled")]
-pub use enabled::span::{span_guard, take_trace_events, SpanGuard, TraceEvent};
+pub use enabled::span::{capture_trace, span_guard, take_trace_events, SpanGuard, TraceEvent};
 
 #[cfg(not(feature = "enabled"))]
 mod disabled;
 #[cfg(not(feature = "enabled"))]
 pub use disabled::{
-    chrome_trace_json, counter_add, emit, emit_counters, gauge_set, global_snapshot,
+    capture_trace, chrome_trace_json, counter_add, emit, emit_counters, gauge_set, global_snapshot,
     histogram_record, install_jsonl, render_table, reset, snapshot, span_guard, take_jsonl,
     take_trace_events, uninstall_jsonl, HistogramSummary, Snapshot, SpanGuard, TraceEvent,
 };
