@@ -36,6 +36,9 @@ fi
 echo "==> cargo clippy -D warnings (workspace)"
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy -p sia-telemetry --no-default-features --all-targets -- -D warnings
+# The benchmark is a workspace of its own, so the lint above does not reach
+# it; a library API change that leaves it warning fails here.
+cargo clippy --manifest-path e2ebench/Cargo.toml --all-targets -- -D warnings
 
 echo "==> tier-1: release build + root tests"
 cargo build --release

@@ -16,7 +16,7 @@
 use crate::args::Args;
 use crate::{data_for, err};
 use sia_perf::bench::{
-    check_against_baseline, summarize_ns, BenchCase, BenchReport, HostInfo, Threshold,
+    check_against_baseline, summarize_ns, BenchCase, BenchReport, HostInfo, Provenance, Threshold,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -276,6 +276,7 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
     Ok(BenchReport {
         bench: "gemm".to_string(),
         host,
+        provenance: Provenance::detect(),
         threads,
         cases,
     })
@@ -296,11 +297,11 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
 ///   `fine: 1`); smoke keeps the fixed ladder so the committed
 ///   `conv-smoke` baseline stays comparable run to run.
 /// * `<cin>to<cout>k<K>s<S>_<HW>_dNNN` — the deployed ResNet's conv
-///   geometries (every stage and both downsample forms) at 10 % density,
-///   plus a short ladder on the 8→8 @16² stage, the one whose layers weigh
-///   both kernels. `min_ns` tracks [`sia_snn::KernelPolicy::Auto`]'s pick,
-///   the policy e2ebench and an uncalibrated `sia serve` run, recorded as
-///   `sparse_selected`.
+///   geometries (every stage and both downsample forms) at 0 % (the
+///   per-call floor) and 10 % density, plus a short ladder on the 8→8
+///   @16² stage, the one whose layers weigh both kernels. `min_ns` tracks
+///   [`sia_snn::KernelPolicy::Auto`]'s pick, the policy e2ebench and an
+///   uncalibrated `sia serve` run, recorded as `sparse_selected`.
 ///
 /// Timing is **interleaved**: every round times each (case, kernel) pair
 /// once, so no kernel enjoys a privately warmed cache or branch-predictor
@@ -352,13 +353,14 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     } else {
         (32, 16, 200, 20)
     };
+    // Every geometry also runs a silent (0 %) plane: the per-call floor.
     let deployed = [
-        ((8, 8, 16, 3, 1), &[2u32, 5, 10, 20][..]),
-        ((8, 16, 16, 3, 2), &[10]),
-        ((8, 16, 16, 1, 2), &[10]),
-        ((16, 16, 8, 3, 1), &[10]),
-        ((32, 32, 4, 3, 1), &[10]),
-        ((64, 64, 2, 3, 1), &[10]),
+        ((8, 8, 16, 3, 1), &[0u32, 2, 5, 10, 20][..]),
+        ((8, 16, 16, 3, 2), &[0, 10]),
+        ((8, 16, 16, 1, 2), &[0, 10]),
+        ((16, 16, 8, 3, 1), &[0, 10]),
+        ((32, 32, 4, 3, 1), &[0, 10]),
+        ((64, 64, 2, 3, 1), &[0, 10]),
     ];
     let mut convs = vec![conv_of(ch, ch, hw, 3, 1)];
     convs.extend(
@@ -582,6 +584,7 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     Ok(BenchReport {
         bench: "conv".to_string(),
         host: HostInfo::detect(),
+        provenance: Provenance::detect(),
         threads: 1,
         cases,
     })
@@ -741,6 +744,7 @@ fn bench_eval(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, S
     Ok(BenchReport {
         bench: "eval".to_string(),
         host: HostInfo::detect(),
+        provenance: Provenance::detect(),
         threads,
         cases,
     })
@@ -1088,6 +1092,7 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
         return Ok(BenchReport {
             bench: "serve".to_string(),
             host: HostInfo::detect(),
+            provenance: Provenance::detect(),
             threads,
             cases,
         });
@@ -1179,6 +1184,7 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
     Ok(BenchReport {
         bench: "serve".to_string(),
         host: HostInfo::detect(),
+        provenance: Provenance::detect(),
         threads,
         cases,
     })

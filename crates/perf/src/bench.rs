@@ -85,6 +85,72 @@ pub fn physical_cores_from_cpuinfo(text: &str) -> Option<usize> {
     }
 }
 
+/// Where a bench result came from. The baseline checker ignores it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Provenance {
+    /// Commit of the source checkout, `-dirty` when it carried
+    /// uncommitted changes ([`git_commit`]).
+    pub git_commit: String,
+    /// The command that ran the bench, program name first.
+    pub command_line: Vec<String>,
+}
+
+impl Provenance {
+    /// This process's provenance.
+    #[must_use]
+    pub fn detect() -> Self {
+        Provenance {
+            git_commit: git_commit(),
+            command_line: std::env::args().collect(),
+        }
+    }
+}
+
+/// The HEAD commit of the checkout this crate was built from when it is a
+/// git work tree, else `unknown`. As `git describe --dirty` does, it gets a
+/// `-dirty` suffix when `git status` reports uncommitted changes to tracked
+/// files, so a result recorded before its change is committed does not
+/// name the parent's code as its own. HEAD is read from `.git` directly;
+/// without a `git` program the suffix cannot be detected and is left off.
+#[must_use]
+pub fn git_commit() -> String {
+    let head = git_head();
+    let dirty = head != "unknown"
+        && std::process::Command::new("git")
+            .args(["-C", concat!(env!("CARGO_MANIFEST_DIR"), "/../..")])
+            .args(["status", "--porcelain", "--untracked-files=no"])
+            .output()
+            .is_ok_and(|o| o.status.success() && !o.stdout.is_empty());
+    if dirty {
+        format!("{head}-dirty")
+    } else {
+        head
+    }
+}
+
+fn git_head() -> String {
+    let git = concat!(env!("CARGO_MANIFEST_DIR"), "/../../.git");
+    let read = |p: &str| std::fs::read_to_string(format!("{git}/{p}")).ok();
+    let Some(head) = read("HEAD") else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Some(sha) = read(reference) {
+        return sha.trim().to_string();
+    }
+    read("packed-refs")
+        .and_then(|packed| {
+            packed.lines().find_map(|l| {
+                let (sha, name) = l.split_once(' ')?;
+                (name == reference).then(|| sha.to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Noise statistics of one bench case.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchCase {
@@ -111,6 +177,8 @@ pub struct BenchReport {
     pub bench: String,
     /// Host the run executed on.
     pub host: HostInfo,
+    /// Commit and command line of the run.
+    pub provenance: Provenance,
     /// Worker threads the bench used.
     pub threads: usize,
     /// Per-case statistics.
@@ -147,7 +215,16 @@ impl BenchReport {
         write_escaped(&mut out, &self.host.os);
         out.push_str(", \"arch\": ");
         write_escaped(&mut out, &self.host.arch);
-        let _ = write!(out, "}},\n  \"threads\": {},\n  \"cases\": [", self.threads);
+        out.push_str("},\n  \"git_commit\": ");
+        write_escaped(&mut out, &self.provenance.git_commit);
+        out.push_str(",\n  \"command_line\": [");
+        for (i, arg) in self.provenance.command_line.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write_escaped(&mut out, arg);
+        }
+        let _ = write!(out, "],\n  \"threads\": {},\n  \"cases\": [", self.threads);
         for (i, case) in self.cases.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\"name\": ");
@@ -200,6 +277,20 @@ impl BenchReport {
                     .to_string(),
             },
         );
+        let provenance = Provenance {
+            git_commit: doc
+                .get("git_commit")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown")
+                .to_string(),
+            command_line: match doc.get("command_line") {
+                Some(Json::Arr(args)) => args
+                    .iter()
+                    .filter_map(|a| a.as_str().map(str::to_string))
+                    .collect(),
+                _ => Vec::new(),
+            },
+        };
         let threads = doc.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize;
         let Some(Json::Arr(raw_cases)) = doc.get("cases") else {
             return Err("bench JSON missing `cases` array".to_string());
@@ -239,6 +330,7 @@ impl BenchReport {
         Ok(BenchReport {
             bench,
             host,
+            provenance,
             threads,
             cases,
         })
@@ -410,6 +502,15 @@ mod tests {
                 os: "linux".into(),
                 arch: "x86_64".into(),
             },
+            provenance: Provenance {
+                git_commit: "0123abc".into(),
+                command_line: vec![
+                    "sia".into(),
+                    "bench".into(),
+                    "--out".into(),
+                    "a \"b\"".into(),
+                ],
+            },
             threads: 4,
             cases,
         }
@@ -423,6 +524,34 @@ mod tests {
         assert_eq!(back.host.logical_cpus, 4);
         assert_eq!(back.host.physical_cpus, 2);
         assert_eq!(back.cases[0].metrics, vec![("gflops".to_string(), 1.5)]);
+    }
+
+    #[test]
+    fn provenance_is_optional_and_never_gated() {
+        // A report without provenance (an older baseline) parses with an
+        // unknown commit, and the checker compares cases only.
+        let r = report(vec![case("a", 100, 120, 5)]);
+        let mut doc = r.to_json();
+        for field in ["git_commit", "command_line"] {
+            let start = doc.find(&format!("\"{field}\"")).unwrap();
+            let end = start + doc[start..].find(",\n").unwrap() + 2;
+            doc.replace_range(start..end, "");
+        }
+        let old = BenchReport::from_json(&doc).unwrap();
+        assert_eq!(old.provenance.git_commit, "unknown");
+        assert!(old.provenance.command_line.is_empty());
+        let outcome = check_against_baseline(&r, &old, Threshold::default());
+        assert!(outcome.passed() && outcome.missing.is_empty() && outcome.new_cases.is_empty());
+    }
+
+    #[test]
+    fn git_commit_is_a_sha_maybe_dirty_or_unknown() {
+        let commit = git_commit();
+        let sha = commit.strip_suffix("-dirty").unwrap_or(&commit);
+        assert!(
+            commit == "unknown" || (sha.len() == 40 && sha.bytes().all(|b| b.is_ascii_hexdigit())),
+            "{commit}"
+        );
     }
 
     #[test]

@@ -40,54 +40,85 @@ pub fn step_int(u: &mut i16, current: i16, theta: i16, mode: NeuronMode) -> bool
 /// One timestep of a whole stage of integer neurons: neuron `i` (flat
 /// `[C, H, W]` index) integrates `current[i]` exactly as [`step_int`]
 /// would, and its spike lands in `out` (already reset to the stage's
-/// shape).
+/// shape). Returns how many of the stage's membranes sit at an `i16` rail
+/// after the step (the `snn.membrane.saturated` count), so no caller has
+/// to scan the membranes again.
 ///
-/// The walk goes row by row and packs each row's spikes straight into its
-/// `u64` words, with no index division and no data-dependent branch: the
-/// spike test becomes a mask, and reset-by-subtraction subtracts `θ & mask`
-/// (`sub16(u, 0) == u`, so a silent neuron is untouched). The cycle-level
-/// machine keeps stepping neuron by neuron through [`step_int`], so the
-/// two stay independent oracles of each other.
+/// The walk steps the stage in flat 64-neuron words whatever its row
+/// width, with no index division and no data-dependent branch: the spike
+/// test becomes a mask, and reset-by-subtraction subtracts `θ & mask`
+/// (`sub16(u, 0) == u`, so a silent neuron is untouched). Each word's
+/// spikes are then split into the plane's row words
+/// ([`SpikePlane::flat_writer`]). The cycle-level machine keeps
+/// stepping neuron by neuron through [`step_int`], so the two stay
+/// independent oracles of each other.
 pub fn fire_int(
     mem: &mut [i16],
     current: &[i16],
     theta: i16,
     mode: NeuronMode,
     out: &mut SpikePlane,
-) {
+) -> u64 {
     match mode {
-        NeuronMode::If => fire_rows(mem, current, theta, out, |u| u),
+        NeuronMode::If => fire_flat(mem, current, theta, out, |u| u),
         NeuronMode::Lif { leak_shift } => {
-            fire_rows(mem, current, theta, out, |u| sub16(u, asr16(u, leak_shift)));
+            fire_flat(mem, current, theta, out, |u| sub16(u, asr16(u, leak_shift)))
         }
     }
 }
 
 #[inline(always)]
-fn fire_rows(
+fn fire_flat(
     mem: &mut [i16],
     current: &[i16],
     theta: i16,
     out: &mut SpikePlane,
     leak: impl Fn(i16) -> i16,
-) {
-    let w = out.width().max(1);
-    for ((mrow, crow), words) in mem
-        .chunks_exact_mut(w)
-        .zip(current.chunks_exact(w))
-        .zip(out.rows_mut())
-    {
-        for ((m, c), word) in mrow.chunks_mut(64).zip(crow.chunks(64)).zip(words) {
-            let mut bits = 0u64;
-            for (j, (u, &i)) in m.iter_mut().zip(c).enumerate() {
-                let v = add16(leak(*u), i);
-                let fire = v >= theta;
-                *u = sub16(v, theta & -i16::from(fire));
-                bits |= u64::from(fire) << j;
-            }
-            *word = bits;
-        }
+) -> u64 {
+    let mut spikes = out.flat_writer();
+    let mut rails = 0u64;
+    let (mem_words, mem_tail) = mem.as_chunks_mut::<64>();
+    let (cur_words, cur_tail) = current.as_chunks::<64>();
+    for (m, c) in mem_words.iter_mut().zip(cur_words) {
+        let (bits, at_rail) = step_word(m, c, theta, &leak);
+        spikes.push(bits);
+        rails += at_rail;
     }
+    if !mem_tail.is_empty() {
+        let (bits, at_rail) = step_word(mem_tail, cur_tail, theta, &leak);
+        spikes.push(bits);
+        rails += at_rail;
+    }
+    rails
+}
+
+/// Steps up to 64 neurons: returns their spikes (LSB first) and how many
+/// membranes end at a rail. Spikes land in bytes first and are packed
+/// eight at a time, which keeps the whole step in wide vector lanes.
+#[inline(always)]
+fn step_word(
+    mem: &mut [i16],
+    current: &[i16],
+    theta: i16,
+    leak: impl Fn(i16) -> i16,
+) -> (u64, u64) {
+    let mut fired = [0u8; 64];
+    let mut at_rail = 0u16;
+    for ((f, u), &i) in fired.iter_mut().zip(mem.iter_mut()).zip(current) {
+        let v = add16(leak(*u), i);
+        let fire = v >= theta;
+        *u = sub16(v, theta & -i16::from(fire));
+        *f = u8::from(fire);
+        at_rail += u16::from(*u == i16::MAX || *u == i16::MIN);
+    }
+    let mut bits = 0u64;
+    for (k, bytes) in fired.as_chunks::<8>().0.iter().enumerate() {
+        // Byte k·8 + j holds 0 or 1; the multiply gathers each byte's bit
+        // into the top byte, in order (no carries can reach it).
+        let packed = u64::from_le_bytes(*bytes).wrapping_mul(0x0102_0408_1020_4080) >> 56;
+        bits |= packed << (8 * k);
+    }
+    (bits, u64::from(at_rail))
 }
 
 /// One float-membrane timestep (reference dynamics).
@@ -208,10 +239,11 @@ mod tests {
 
     #[test]
     fn fire_int_matches_step_int_neuron_by_neuron() {
-        // Rows wider than one word, currents and membranes spanning both
-        // rails, θ at the top rail, and both neuron modes.
-        let (c, h, w) = (2, 3, 70);
-        let n = c * h * w;
+        // Every way rows sit in flat 64-neuron words (widths dividing 64,
+        // a multiple of it, and neither, narrower and wider than a word),
+        // currents and membranes spanning both rails, θ at the top rail,
+        // and both neuron modes. The returned rail count must equal a
+        // recount of the membranes.
         let mut s = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = || {
             s = s
@@ -219,19 +251,30 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (s >> 48) as u16 as i16
         };
-        for mode in [NeuronMode::If, NeuronMode::Lif { leak_shift: 3 }] {
-            for theta in [1i16, 128, 3000, i16::MAX] {
-                let mem0: Vec<i16> = (0..n).map(|_| next()).collect();
-                let cur: Vec<i16> = (0..n).map(|_| next()).collect();
-                let mut mem = mem0.clone();
-                let mut out = SpikePlane::new(c, h, w);
-                fire_int(&mut mem, &cur, theta, mode, &mut out);
-                let mut expect = mem0.clone();
-                for i in 0..n {
-                    let fired = step_int(&mut expect[i], cur[i], theta, mode);
-                    assert_eq!(out.bit_linear(i), fired, "{mode:?} θ={theta} i={i}");
+        for w in [1usize, 2, 3, 8, 10, 16, 63, 64, 65, 100] {
+            let (c, h) = (2, 3);
+            let n = c * h * w;
+            for mode in [NeuronMode::If, NeuronMode::Lif { leak_shift: 3 }] {
+                for theta in [1i16, 128, 3000, i16::MAX] {
+                    let mem0: Vec<i16> = (0..n).map(|_| next()).collect();
+                    let cur: Vec<i16> = (0..n).map(|_| next()).collect();
+                    let mut mem = mem0.clone();
+                    let mut out = SpikePlane::new(c, h, w);
+                    let rails = fire_int(&mut mem, &cur, theta, mode, &mut out);
+                    let mut expect = mem0.clone();
+                    for i in 0..n {
+                        let fired = step_int(&mut expect[i], cur[i], theta, mode);
+                        assert_eq!(out.bit_linear(i), fired, "w={w} {mode:?} θ={theta} i={i}");
+                    }
+                    assert_eq!(mem, expect, "w={w} {mode:?} θ={theta}");
+                    let recount = mem.iter().filter(|&&u| u == i16::MAX || u == i16::MIN);
+                    assert_eq!(rails, recount.count() as u64, "w={w} {mode:?} θ={theta}");
+                    assert_eq!(
+                        out.count_ones(),
+                        out.to_bytes().iter().map(|&b| u64::from(b)).sum::<u64>(),
+                        "ghost bits at w={w}"
+                    );
                 }
-                assert_eq!(mem, expect, "{mode:?} θ={theta}");
             }
         }
     }

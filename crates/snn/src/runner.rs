@@ -37,9 +37,10 @@
 //! event-driven scatter or the register-tiled dense kernel of
 //! [`crate::sparse`], a choice each engine fixes once per layer from the
 //! layer's geometry (and, where both kernels are candidates, a crossover
-//! spike count); the integer runner's neuron epilogue then walks each
-//! stage channel by channel and row by row, firing without divisions or
-//! data-dependent branches ([`crate::neuron::fire_int`]).
+//! spike count); the integer runner's neuron epilogue then steps each
+//! stage in flat 64-neuron words, firing without divisions or
+//! data-dependent branches ([`crate::neuron::fire_int`]), and its head
+//! reads each timestep as per-channel spike counts.
 //!
 //! One run at `T` yields the entire accuracy-vs-timesteps curve up to `T`
 //! (Figs. 7 and 9) and per-stage spike counts (Figs. 6 and 8).
@@ -59,6 +60,7 @@ use sia_fixed::sat::{acc_weight, add16};
 use sia_fixed::{QuantScale, Q8_8};
 use sia_telemetry::Value;
 use sia_tensor::Tensor;
+use std::sync::Arc;
 
 /// The result of one inference run.
 #[derive(Clone, Debug)]
@@ -287,10 +289,11 @@ pub enum EngineInput<'a> {
 /// timesteps of the stage last executed, `nxt` receives the stage being
 /// executed (the two swap, ping-pong style), `skip` parks the pending
 /// residual branch. The flat `logits` buffer (`T × classes`), per-timestep
-/// observability counters and per-stage tap totals also live here so the
-/// steady-state run allocates nothing. Engines keep one of these across
-/// runs (via [`Engine::take_drive_scratch`]) so a warm run re-uses every
-/// buffer.
+/// observability counters and per-stage tap totals also live here, as does
+/// the network's stage layout (item kinds, stage names and neuron counts),
+/// built on the first run: an engine runs one network for its whole life,
+/// so the layout never goes stale. Engines keep one of these across runs (via
+/// [`Engine::take_drive_scratch`]) so a warm run re-uses every buffer.
 #[derive(Debug, Default)]
 pub struct DriveScratch {
     cur: Vec<SpikePlane>,
@@ -300,6 +303,45 @@ pub struct DriveScratch {
     spikes_per_t: Vec<u64>,
     saturated_per_t: Vec<u64>,
     taps_per_stage: Vec<(u64, u64)>,
+    layout: Option<StageLayout>,
+}
+
+/// The network-static facts every run of an engine shares, built on its
+/// first run: item kinds, and the stage names and neuron counts each run's
+/// [`SpikeStats`] points at instead of copying.
+#[derive(Debug)]
+struct StageLayout {
+    kinds: Vec<ItemKind>,
+    names: Arc<[String]>,
+    neurons: Arc<[u64]>,
+}
+
+impl StageLayout {
+    fn of(net: &SnnNetwork) -> Self {
+        let kinds: Vec<ItemKind> = net
+            .items
+            .iter()
+            .map(|it| match it {
+                SnnItem::InputConv(_) => ItemKind::Input,
+                SnnItem::Conv(_) => ItemKind::Conv,
+                SnnItem::ConvPsum(_) => ItemKind::ConvPsum,
+                SnnItem::BlockStart => ItemKind::BlockStart,
+                SnnItem::BlockAdd(_) => ItemKind::BlockAdd,
+                SnnItem::MaxPoolOr { .. } => ItemKind::Pool,
+                SnnItem::Head(_) => ItemKind::Head,
+            })
+            .collect();
+        assert!(
+            kinds.iter().any(|k| matches!(k, ItemKind::Head)),
+            "network has no classification head"
+        );
+        let (names, neurons) = spiking_stage_sizes(net);
+        StageLayout {
+            kinds,
+            names: names.into(),
+            neurons: neurons.into(),
+        }
+    }
 }
 
 /// A spiking inference backend.
@@ -453,7 +495,7 @@ fn validate_events(net: &SnnNetwork, events: &EventStream, timesteps: usize) {
 
 /// Item discriminants, precomputed so the traversal below can dispatch
 /// without holding a borrow of the engine's network.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum ItemKind {
     Input,
     Conv,
@@ -541,29 +583,14 @@ pub fn drive_policy<E: Engine>(
 ) -> (SnnOutput, E::Extra) {
     check_run_params(timesteps, burn_in);
     let _span = sia_telemetry::span!(engine.span_name());
-    let (names, sizes) = spiking_stage_sizes(engine.network());
-    let kinds: Vec<ItemKind> = engine
-        .network()
-        .items
-        .iter()
-        .map(|it| match it {
-            SnnItem::InputConv(_) => ItemKind::Input,
-            SnnItem::Conv(_) => ItemKind::Conv,
-            SnnItem::ConvPsum(_) => ItemKind::ConvPsum,
-            SnnItem::BlockStart => ItemKind::BlockStart,
-            SnnItem::BlockAdd(_) => ItemKind::BlockAdd,
-            SnnItem::MaxPoolOr { .. } => ItemKind::Pool,
-            SnnItem::Head(_) => ItemKind::Head,
-        })
-        .collect();
-    assert!(
-        kinds.iter().any(|k| matches!(k, ItemKind::Head)),
-        "network has no classification head"
-    );
-    let classes = engine.network().num_classes;
-    let stage_count = names.len();
-    let window = policy.chunk_window(timesteps);
     let mut arenas = engine.take_drive_scratch();
+    let layout = arenas
+        .layout
+        .take()
+        .unwrap_or_else(|| StageLayout::of(engine.network()));
+    let classes = engine.network().num_classes;
+    let stage_count = layout.names.len();
+    let window = policy.chunk_window(timesteps);
     scratch_reserve_default(&mut arenas.cur, window);
     scratch_reserve_default(&mut arenas.nxt, window);
     scratch_reserve_default(&mut arenas.skip, window);
@@ -582,7 +609,7 @@ pub fn drive_policy<E: Engine>(
         }
     };
     engine.begin_run(timesteps);
-    let mut stats = SpikeStats::new(names, sizes);
+    let mut stats = SpikeStats::new(Arc::clone(&layout.names), Arc::clone(&layout.neurons));
     stats.images = 1;
     // Chunked layer-major traversal: `t0..t1` is the current chunk (chunk-
     // local plane index `k` = absolute timestep `t0 + k`). `t_done` drops
@@ -599,7 +626,7 @@ pub fn drive_policy<E: Engine>(
             }
         }
         let mut stage = 0usize;
-        for (idx, kind) in kinds.iter().enumerate() {
+        for (idx, kind) in layout.kinds.iter().enumerate() {
             if t0 == 0 {
                 engine.begin_item(idx, timesteps);
             }
@@ -611,6 +638,7 @@ pub fn drive_policy<E: Engine>(
                 spikes_per_t,
                 saturated_per_t,
                 taps_per_stage,
+                ..
             } = &mut arenas;
             match kind {
                 ItemKind::Input | ItemKind::Conv | ItemKind::BlockAdd => {
@@ -681,7 +709,7 @@ pub fn drive_policy<E: Engine>(
         t0 = t1;
     }
     stats.timesteps = t_done as u64;
-    for idx in 0..kinds.len() {
+    for idx in 0..layout.kinds.len() {
         engine.end_item(idx, t_done);
     }
     for stage in 0..stage_count {
@@ -710,6 +738,7 @@ pub fn drive_policy<E: Engine>(
         .chunks(classes.max(1))
         .map(<[f32]>::to_vec)
         .collect();
+    arenas.layout = Some(layout);
     engine.put_drive_scratch(arenas);
     (
         SnnOutput {
@@ -751,18 +780,33 @@ fn bn_currents<P: Copy>(
 
 /// The identity branch of a residual add: `dst[i] = add16(pending[i],
 /// skip_add)` where skip spike `i` is set and `pending[i]` elsewhere
-/// (`add16(x, 0) == x`), reading the skip plane a word at a time.
+/// (`add16(x, 0) == x`), reading the skip plane in flat 64-neuron words
+/// ([`SpikePlane::flat_words`]) whatever its row width.
 fn skip_currents(dst: &mut [i16], pending: &[i16], skip: &SpikePlane, skip_add: i16) {
-    let w = skip.width().max(1);
-    for ((drow, prow), words) in dst
-        .chunks_exact_mut(w)
-        .zip(pending.chunks_exact(w))
-        .zip(skip.rows())
+    for ((d, p), word) in dst
+        .chunks_mut(64)
+        .zip(pending.chunks(64))
+        .zip(skip.flat_words())
     {
-        for ((d, p), &word) in drow.chunks_mut(64).zip(prow.chunks(64)).zip(words) {
-            for (j, (d, &p)) in d.iter_mut().zip(p).enumerate() {
-                *d = add16(p, skip_add & -i16::from((word >> j) & 1 == 1));
-            }
+        for (j, (d, &p)) in d.iter_mut().zip(p).enumerate() {
+            *d = add16(p, skip_add & -i16::from((word >> j) & 1 == 1));
+        }
+    }
+}
+
+/// The head's evidence for one timestep: `acc[o] += Σ_c w[o][c] · n_c`,
+/// where `n_c` counts channel `c`'s spikes (per-channel popcounts; the i64
+/// sum is order-free, so this equals adding `w[o][c]` once per spike).
+/// The cycle-level machine keeps its own spike-by-spike walk.
+fn head_accumulate_int(acc: &mut [i64], head: &SnnLinear, spikes: &SpikePlane) {
+    for (c, words) in spikes.channel_words().enumerate() {
+        let n: u32 = words.iter().map(|w| w.count_ones()).sum();
+        if n == 0 {
+            continue;
+        }
+        let column = head.weights[c..].iter().step_by(head.channels);
+        for (a, &w) in acc.iter_mut().zip(column) {
+            *a += i64::from(w) * i64::from(n);
         }
     }
 }
@@ -784,6 +828,9 @@ pub struct IntRunner<'a> {
     /// One stage's neuron currents, staged between the BN epilogue and
     /// the neuron step.
     currents: Vec<i16>,
+    /// Per item: membranes at an `i16` rail after its latest step (the
+    /// count [`fire_int`] returns).
+    rails: Vec<u64>,
     conv: ConvScratch,
     policy: KernelPolicy,
     arenas: DriveScratch,
@@ -811,6 +858,7 @@ impl<'a> IntRunner<'a> {
             pending_len: 0,
             run_timesteps: 0,
             currents: Vec::new(),
+            rails: vec![0; net.items.len()],
             conv: ConvScratch::new(),
             policy: KernelPolicy::Auto,
             arenas: DriveScratch::default(),
@@ -938,7 +986,7 @@ impl Engine for IntRunner<'_> {
         }
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
-        fire_int(
+        self.rails[idx] = fire_int(
             &mut self.membranes[idx],
             &self.input_currents,
             c.theta,
@@ -957,7 +1005,7 @@ impl Engine for IntRunner<'_> {
         bn_currents(&mut self.currents, psums, &c.g, &c.h, Q8_8::mul_int);
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
-        fire_int(
+        self.rails[idx] = fire_int(
             &mut self.membranes[idx],
             &self.currents,
             c.theta,
@@ -1012,7 +1060,7 @@ impl Engine for IntRunner<'_> {
             None => skip_currents(&mut self.currents, pending, skip, a.skip_add),
         }
         out.reset(a.channels, a.h, a.w);
-        fire_int(
+        self.rails[idx] = fire_int(
             &mut self.membranes[idx],
             &self.currents,
             a.theta,
@@ -1026,14 +1074,7 @@ impl Engine for IntRunner<'_> {
         let SnnItem::Head(l) = &net.items[idx] else {
             unreachable!("head_accumulate on a non-head item")
         };
-        let per_ch = l.in_h * l.in_w;
-        for (o, acc) in self.head_acc.iter_mut().enumerate() {
-            let mut a = 0i64;
-            spikes.for_each_set_linear(|i| {
-                a += i64::from(l.weights[o * l.channels + i / per_ch]);
-            });
-            *acc += a;
-        }
+        head_accumulate_int(&mut self.head_acc, l, spikes);
     }
 
     fn head_readout_into(&self, idx: usize, t_eff: usize, out: &mut [f32]) {
@@ -1046,10 +1087,7 @@ impl Engine for IntRunner<'_> {
     }
 
     fn saturated_membranes(&self, idx: usize) -> u64 {
-        self.membranes[idx]
-            .iter()
-            .filter(|&&m| m == i16::MAX || m == i16::MIN)
-            .count() as u64
+        self.rails[idx]
     }
 
     fn stage_taps(&mut self, _idx: usize) -> Option<(u64, u64)> {
@@ -1493,6 +1531,103 @@ mod tests {
         let b = sparse.run(&img, 8);
         assert_eq!(a.logits_per_t, b.logits_per_t);
         assert_eq!(a.stats.spikes, b.stats.spikes);
+    }
+
+    fn lcg(seed: &mut u64) -> u64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *seed >> 33
+    }
+
+    fn random_plane(c: usize, h: usize, w: usize, seed: &mut u64) -> SpikePlane {
+        let bytes: Vec<u8> = (0..c * h * w)
+            .map(|_| u8::from(lcg(seed).is_multiple_of(3)))
+            .collect();
+        let mut plane = SpikePlane::default();
+        plane.pack_from_bytes(c, h, w, &bytes);
+        plane
+    }
+
+    /// The row-by-row skip-branch walk the flat one replaced: its oracle.
+    fn skip_currents_by_rows(dst: &mut [i16], pending: &[i16], skip: &SpikePlane, skip_add: i16) {
+        let (h, w) = (skip.height(), skip.width().max(1));
+        for (r, (drow, prow)) in dst
+            .chunks_exact_mut(w)
+            .zip(pending.chunks_exact(w))
+            .enumerate()
+        {
+            let words = skip.row(r / h, r % h);
+            for ((d, p), &word) in drow.chunks_mut(64).zip(prow.chunks(64)).zip(words) {
+                for (j, (d, &p)) in d.iter_mut().zip(p).enumerate() {
+                    *d = add16(p, skip_add & -i16::from((word >> j) & 1 == 1));
+                }
+            }
+        }
+    }
+
+    /// The spike-by-spike head walk (one pass per class) the per-channel
+    /// popcounts replaced: their oracle.
+    fn head_accumulate_by_spikes(acc: &mut [i64], l: &SnnLinear, spikes: &SpikePlane) {
+        let per_ch = l.in_h * l.in_w;
+        for (o, acc) in acc.iter_mut().enumerate() {
+            let mut a = 0i64;
+            spikes.for_each_set_linear(|i| {
+                a += i64::from(l.weights[o * l.channels + i / per_ch]);
+            });
+            *acc += a;
+        }
+    }
+
+    #[test]
+    fn skip_currents_match_the_row_by_row_oracle() {
+        let mut seed = 17u64;
+        for w in [1usize, 2, 3, 8, 10, 16, 63, 64, 65, 100] {
+            let (c, h) = (3, 2);
+            let skip = random_plane(c, h, w, &mut seed);
+            let pending: Vec<i16> = (0..c * h * w)
+                .map(|_| lcg(&mut seed) as u16 as i16)
+                .collect();
+            for skip_add in [0i16, 1, 100, -5, i16::MAX] {
+                let mut got = vec![0; pending.len()];
+                let mut want = vec![0; pending.len()];
+                skip_currents(&mut got, &pending, &skip, skip_add);
+                skip_currents_by_rows(&mut want, &pending, &skip, skip_add);
+                assert_eq!(got, want, "w={w} skip_add={skip_add}");
+            }
+        }
+    }
+
+    #[test]
+    fn head_accumulate_matches_the_spike_by_spike_oracle() {
+        let mut seed = 29u64;
+        for (channels, h, w, out) in [
+            (1usize, 1usize, 1usize, 1usize),
+            (8, 2, 2, 10),
+            (64, 2, 2, 10),
+            (5, 3, 70, 4),
+        ] {
+            let l = SnnLinear {
+                weights: (0..out * channels)
+                    .map(|_| lcg(&mut seed) as u8 as i8)
+                    .collect(),
+                q: QuantScale::new(7),
+                bias: vec![0.0; out],
+                weights_f: vec![0.0; out * channels],
+                channels,
+                in_h: h,
+                in_w: w,
+                out,
+            };
+            let mut got: Vec<i64> = (0..out).map(|o| o as i64 - 3).collect();
+            let mut want = got.clone();
+            for _ in 0..3 {
+                let spikes = random_plane(channels, h, w, &mut seed);
+                head_accumulate_int(&mut got, &l, &spikes);
+                head_accumulate_by_spikes(&mut want, &l, &spikes);
+                assert_eq!(got, want, "{channels}x{h}x{w} -> {out}");
+            }
+        }
     }
 
     #[test]

@@ -28,21 +28,28 @@
 //! equivalence is enforced bit-for-bit by proptests
 //! (`crates/snn/tests/sparse_dense.rs`).
 //!
-//! ## Word-level parallelism
+//! ## Tap tables and fixed-width rows
 //!
 //! Two further identities let the production kernels run `i16` lanes in
 //! parallel without perturbing a single accumulator:
 //!
-//! * **lane blocking** — the scatter's innermost `co` sweep runs in
-//!   [`LANES`]-wide fixed blocks ([`add_weight_lanes`]); each lane is a
-//!   *different* accumulator, so blocking never reorders any one
-//!   accumulator's additions, and the autovectorizer lifts the block into
+//! * **tap tables** — which `(ky, oy)` pairs an input row reaches, and which
+//!   `(kx, ox)` pairs an input column reaches, depend only on the layer's
+//!   geometry. Each layer entry lists them once ([`TapTable`], ascending in
+//!   `k`, for any stride, padding and kernel), so a spike's taps are a walk
+//!   over two short precomputed lists: no division, remainder or range
+//!   test per tap. The walk reads the plane's row words directly and skips
+//!   an all-zero row before touching the table;
+//! * **fixed-width rows** — the scatter's innermost `co` sweep runs over
+//!   weight and psum rows viewed as `[i16; S]`/`[i8; S]` arrays whose width
+//!   `S` is a compile-time constant ([`scatter_lane_span`] rounded to
+//!   [`LANES`]: 16, 32, 48 or 64 lanes, and 16-lane blocks beyond). Each
+//!   lane is a *different* accumulator, so the width never reorders any
+//!   one accumulator's additions, and the autovectorizer lifts the row into
 //!   saturating i16 SIMD adds (`PADDSW`-class instructions — the software
 //!   image of one PE-array row accumulating eight output channels per
-//!   clock). Weight rows and psum rows are padded with zero lanes to
-//!   [`scatter_lane_span`], so a layer with fewer than [`LANES`] output
-//!   channels still runs one full block per tap (the padding lanes add
-//!   zeros into slack accumulators nobody reads);
+//!   clock). Rows past `C_out` are zero lanes that add zeros into slack
+//!   accumulators nobody reads;
 //! * **masked identity** — `x.saturating_add(0) == x` exactly, so the
 //!   register-tiled dense kernel ([`dense_tiled_int`]) may visit *every*
 //!   tap branch-free and add `mask & weight`, where `mask` is `-1` for a
@@ -60,6 +67,8 @@
 //!   of each kernel the layer can run — padded `i8` rows for the scatter,
 //!   widened `i16` rows for the tiled kernel, `f32` rows for the float
 //!   scatter;
+//! * the tap table both scatters walk, built with the first scatter
+//!   layout;
 //! * the kernel decision, fixed once from the layer's geometry and the
 //!   engine's [`KernelPolicy`] as one scatter limit
 //!   ([`KernelPolicy::scatter_limit`]): a call scatters iff its plane has
@@ -73,15 +82,14 @@
 //! candidates holds two.
 
 use crate::network::SnnConv;
-use crate::scratch::{scratch_reserve_default, scratch_resize};
+use crate::scratch::{note_growth, scratch_reserve_default, scratch_resize};
 use crate::spikeplane::SpikePlane;
-use sia_fixed::sat::acc_weight;
-use sia_tensor::tile::{block, zip_blocks_mut};
+use sia_tensor::tile::block;
 use sia_tensor::Conv2dGeom;
 
-/// i16 accumulator lanes per unrolled scatter block: one 256-bit
-/// saturating-add's worth on AVX2-class hosts; narrower targets split a
-/// block into two 128-bit ops, wider ones fuse adjacent blocks.
+/// The scatter's lane granule: rows are padded to a multiple of this many
+/// i16 accumulators (one 256-bit saturating add on AVX2-class hosts), and
+/// layers wider than 64 lanes sweep their rows in blocks of it.
 pub const LANES: usize = 16;
 
 /// Dense micro-tile rows: output channels held in registers per tile.
@@ -139,9 +147,9 @@ pub fn tiled_is_candidate(g: &Conv2dGeom) -> bool {
 
 /// Output-channel lanes the scatter kernel actually sweeps per spike tap.
 ///
-/// The innermost `co` loop runs in [`LANES`]-wide blocks over rows padded
-/// to `ceil(C_out / LANES) · LANES` lanes ([`add_weight_lanes`]), so the
-/// cost model prices that many lanes, not `C_out`.
+/// The innermost `co` loop runs over fixed-width rows padded to
+/// `ceil(C_out / LANES) · LANES` lanes (see the module docs), so the cost
+/// model prices that many lanes, not `C_out`.
 #[must_use]
 pub fn scatter_lane_span(out_channels: usize) -> usize {
     out_channels.div_ceil(LANES) * LANES
@@ -190,11 +198,14 @@ pub struct CostModel {
 
 impl CostModel {
     /// The coefficients [`KernelPolicy::Auto`] decides with: a rounded
-    /// fit to a full `sia bench conv` on a 2-vCPU x86-64 virtual machine
-    /// (`BENCH_conv.json`). They put the crossover of the 32-channel 16×16
-    /// bench layer near 11 % density and of the deployed 8-channel 16×16
-    /// layers near 2 %, where the measured kernels cross (cases `dNNN` and
-    /// `8to8k3s1_16_dNNN`).
+    /// fit to a full `sia bench conv` of the row-by-row scatter on a
+    /// 2-vCPU x86-64 virtual machine. They put the crossover of the
+    /// 32-channel 16×16 bench layer near 11 % density and of the deployed
+    /// 8-channel 16×16 layers near 2 %. The bench times one spike plane
+    /// repeated, which flatters the scatter: coefficients refitted to a
+    /// run where the tap-table scatter beat the tiled kernel on the
+    /// 8-channel layer up to ~8 % (`8to8k3s1_16_dNNN`) made the deployed
+    /// 16×16 stage slower in traced `eval-fixed` runs, so these stay.
     pub const DEFAULT: CostModel = CostModel {
         scatter_ps_per_lane: 250,
         scatter_ps_per_out: 800,
@@ -255,7 +266,8 @@ impl CostModel {
 }
 
 /// One conv layer's entry: its transposed weights in the layouts its
-/// kernels read (each built on first need) and its kernel decision.
+/// kernels read and its scatter tap table (each built on first need), and
+/// its kernel decision.
 #[derive(Clone, Debug, Default)]
 struct LayerEntry {
     /// The policy `limit` was fixed under (`None` before the first call).
@@ -272,15 +284,18 @@ struct LayerEntry {
     wt_w: Vec<i16>,
     /// The same transposition in `f32`, unpadded: the float scatter's.
     wt_f: Vec<f32>,
+    /// The valid taps both scatters walk, built with the first scatter
+    /// layout.
+    taps: TapTable,
 }
 
 impl LayerEntry {
-    fn scatter_wt(&mut self, conv: &SnnConv) -> &[i8] {
+    fn scatter_wt(&mut self, conv: &SnnConv) -> (&[i8], &TapTable) {
         if self.wt_i.is_empty() {
             let span = scatter_lane_span(conv.geom.out_channels);
             build_wt(conv, span, &mut self.wt_i, |w| w);
         }
-        &self.wt_i
+        (&self.wt_i, self.taps.get_or_build(&conv.geom))
     }
 
     fn tiled_wt(&mut self, conv: &SnnConv) -> &[i16] {
@@ -290,11 +305,11 @@ impl LayerEntry {
         &self.wt_w
     }
 
-    fn f32_wt(&mut self, conv: &SnnConv) -> &[f32] {
+    fn f32_wt(&mut self, conv: &SnnConv) -> (&[f32], &TapTable) {
         if self.wt_f.is_empty() {
             build_wt(conv, conv.geom.out_channels, &mut self.wt_f, f32::from);
         }
-        &self.wt_f
+        (&self.wt_f, self.taps.get_or_build(&conv.geom))
     }
 
     /// The layer's scatter limit under `policy`, fixed on the first call
@@ -313,6 +328,77 @@ impl LayerEntry {
         }
         self.limit
     }
+}
+
+/// A layer's valid scatter taps, by input coordinate.
+///
+/// Input row `iy` reaches output row `oy` through kernel row `ky` iff
+/// `oy·stride = iy + pad − ky` has a solution with `0 ≤ oy < OH`, and
+/// likewise for columns. The table lists, for every input row, the
+/// `(ky·K, oy·OW)` pairs that solve it and, for every input column, the
+/// `(kx, ox)` pairs, each ascending in `k` (the reference tap order). A
+/// spike at `(ci, iy, x)` then adds weight row `ci·K² + ky·K + kx` into
+/// psum row `oy·OW + ox` for every pair of pairs.
+#[derive(Clone, Debug, Default)]
+struct TapTable {
+    rows: Vec<(u32, u32)>,
+    /// `rows[row_start[iy]..row_start[iy + 1]]` are input row `iy`'s pairs.
+    row_start: Vec<u32>,
+    cols: Vec<(u32, u32)>,
+    /// `cols[col_start[x]..col_start[x + 1]]` are input column `x`'s pairs.
+    col_start: Vec<u32>,
+}
+
+impl TapTable {
+    /// The table, built on first use (scratch-tracked).
+    fn get_or_build(&mut self, g: &Conv2dGeom) -> &TapTable {
+        if self.row_start.is_empty() {
+            let (oh, ow) = g.out_hw();
+            (self.rows, self.row_start) =
+                axis_taps(g, g.in_h, oh, |ky, oy| (ky * g.kernel, oy * ow));
+            (self.cols, self.col_start) = axis_taps(g, g.in_w, ow, |kx, ox| (kx, ox));
+            note_growth();
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn row(&self, iy: usize) -> &[(u32, u32)] {
+        &self.rows[self.row_start[iy] as usize..self.row_start[iy + 1] as usize]
+    }
+
+    #[inline(always)]
+    fn col(&self, x: usize) -> &[(u32, u32)] {
+        &self.cols[self.col_start[x] as usize..self.col_start[x + 1] as usize]
+    }
+}
+
+/// One axis of a [`TapTable`]: for each input coordinate `i < len`, the
+/// kernel offsets `kk` (ascending) whose output coordinate
+/// `o = (i + pad − kk) / stride` is exact and below `o_len`, stored as
+/// `pair(kk, o)`; plus the start offset of each coordinate's run.
+fn axis_taps(
+    g: &Conv2dGeom,
+    len: usize,
+    o_len: usize,
+    pair: impl Fn(usize, usize) -> (usize, usize),
+) -> (Vec<(u32, u32)>, Vec<u32>) {
+    let narrow = |v: usize| u32::try_from(v).expect("conv layer too large for a tap table");
+    let mut taps = Vec::new();
+    let mut start = vec![0];
+    for i in 0..len {
+        for kk in 0..g.kernel {
+            let Some(num) = (i + g.padding).checked_sub(kk) else {
+                break;
+            };
+            if num % g.stride == 0 && num / g.stride < o_len {
+                let (a, b) = pair(kk, num / g.stride);
+                taps.push((narrow(a), narrow(b)));
+            }
+        }
+        start.push(narrow(taps.len()));
+    }
+    (taps, start)
 }
 
 /// Reusable per-engine convolution scratch: psum buffers (canonical and
@@ -387,159 +473,134 @@ fn build_wt<T: Copy + Default>(conv: &SnnConv, span: usize, wt: &mut Vec<T>, f: 
     }
 }
 
-/// Float scatter: for every set spike bit, visit its valid `(ky, kx)` taps
-/// and add the transposed weight row into the channels-last psum row (see
-/// the module docs for the order proof).
-fn scatter_f32(g: &Conv2dGeom, wt: &[f32], plane: &SpikePlane, psum_cl: &mut [f32]) {
-    let (oh, ow) = g.out_hw();
-    let (k, cout) = (g.kernel, g.out_channels);
-    let pad = g.padding as isize;
-    let stride = g.stride as isize;
-    for ci in 0..g.in_channels {
-        for iy in 0..g.in_h {
-            plane.for_each_set_in_row(ci, iy, |x| {
-                for ky in 0..k {
-                    // oy·stride = iy + pad − ky, decreasing in ky: once
-                    // negative it stays negative.
-                    let oy_num = iy as isize + pad - ky as isize;
-                    if oy_num < 0 {
-                        break;
-                    }
-                    if oy_num % stride != 0 {
-                        continue;
-                    }
-                    let oy = (oy_num / stride) as usize;
-                    if oy >= oh {
-                        continue;
-                    }
-                    for kx in 0..k {
-                        let ox_num = x as isize + pad - kx as isize;
-                        if ox_num < 0 {
-                            break;
-                        }
-                        if ox_num % stride != 0 {
-                            continue;
-                        }
-                        let ox = (ox_num / stride) as usize;
-                        if ox >= ow {
-                            continue;
-                        }
-                        let wrow = &wt[((ci * k + ky) * k + kx) * cout..][..cout];
-                        let prow = &mut psum_cl[(oy * ow + ox) * cout..][..cout];
-                        for (p, &w) in prow.iter_mut().zip(wrow) {
-                            *p += w;
+/// One scatter kernel's per-tap work: add transposed weight row `t`
+/// (`(ci, ky, kx)`) into channels-last psum row `p` (`(oy, ox)`). A trait
+/// method, not a closure, so [`for_each_tap`]'s callers can force it inline
+/// into the walk.
+trait TapAdd {
+    fn add(&mut self, t: usize, p: usize);
+}
+
+/// Calls `sink.add(t, p)` for every valid tap of every set spike of
+/// `plane`. The walk reads each row's words directly, skips an all-zero
+/// row before touching the table, and visits taps in the order the module
+/// docs prove bit-exact.
+#[inline(always)]
+fn for_each_tap(taps: &TapTable, k2: usize, plane: &SpikePlane, sink: &mut impl TapAdd) {
+    let wpr = plane.words_per_row();
+    if plane.is_empty() {
+        return;
+    }
+    for (ci, words) in plane.channel_words().enumerate() {
+        let t0 = ci * k2;
+        for (iy, row) in words.chunks_exact(wpr).enumerate() {
+            if row.iter().all(|&w| w == 0) {
+                continue;
+            }
+            let row_taps = taps.row(iy);
+            for (wi, &word) in row.iter().enumerate() {
+                let mut m = word;
+                while m != 0 {
+                    let col_taps = taps.col(wi * 64 + m.trailing_zeros() as usize);
+                    m &= m - 1;
+                    for &(ky_k, oy_ow) in row_taps {
+                        for &(kx, ox) in col_taps {
+                            sink.add(t0 + (ky_k + kx) as usize, (oy_ow + ox) as usize);
                         }
                     }
                 }
-            });
+            }
         }
     }
 }
 
-/// Valid stride-1 kernel offsets for padded input coordinate `ipad`:
-/// `kk` such that `out = ipad − kk` lands in `[0, o_len)`, as a
-/// `lo..hi` range (ascending `kk` ⇒ reference tap order).
-#[inline]
-fn tap_range(ipad: usize, k: usize, o_len: usize) -> (usize, usize) {
-    let hi = (ipad + 1).min(k);
-    let lo = (ipad + 1).saturating_sub(o_len).min(hi);
-    (lo, hi)
+/// Float rows: `C_out` unpadded `f32` lanes.
+struct F32Rows<'a> {
+    wt: &'a [f32],
+    psum: &'a mut [f32],
+    cout: usize,
 }
 
-/// One spike tap, word-parallel: folds a transposed weight row into a
-/// channels-last psum row in [`LANES`]-wide blocks. Every lane is a
-/// distinct `co` accumulator, so blocking cannot reorder any single
-/// accumulator's additions. Rows are padded to whole blocks
-/// ([`scatter_lane_span`]); the scalar tail applies the identical
-/// `acc_weight` op, so the lane count never changes values.
-#[inline]
-fn add_weight_lanes(prow: &mut [i16], wrow: &[i8]) {
-    zip_blocks_mut::<LANES, _, _>(
-        prow,
-        wrow,
-        |p, w| {
-            for l in 0..LANES {
-                p[l] = p[l].saturating_add(i16::from(w[l]));
-            }
-        },
-        |p, &w| *p = acc_weight(*p, w),
-    );
+impl TapAdd for F32Rows<'_> {
+    #[inline(always)]
+    fn add(&mut self, t: usize, p: usize) {
+        let wrow = &self.wt[t * self.cout..][..self.cout];
+        for (acc, &w) in self.psum[p * self.cout..][..self.cout].iter_mut().zip(wrow) {
+            *acc += w;
+        }
+    }
 }
 
-/// Word-parallel integer scatter: identical tap visit order to
-/// [`scatter_f32`], with the innermost `co` sweep unrolled via
-/// [`add_weight_lanes`] over rows of `span` lanes. Stride-1 planes
-/// additionally take a branch-free tap-range fast path (no divisibility
-/// tests in the per-spike loop).
-fn scatter_int_wide(
+/// Integer rows: `nb` blocks of `S` saturating `i16` lanes.
+struct IntRows<'a, const S: usize> {
+    wt: &'a [[i8; S]],
+    psum: &'a mut [[i16; S]],
+    nb: usize,
+}
+
+impl<const S: usize> TapAdd for IntRows<'_, S> {
+    #[inline(always)]
+    fn add(&mut self, t: usize, p: usize) {
+        let w = &self.wt[t * self.nb..][..self.nb];
+        for (acc, w) in self.psum[p * self.nb..][..self.nb].iter_mut().zip(w) {
+            add_lanes(acc, w);
+        }
+    }
+}
+
+/// `S` saturating i16 lanes: `acc[l] += w[l]`. The weight row is widened
+/// into a local first: every load then precedes every store, so the
+/// vectorizer needs no proof that the rows do not overlap, and even a
+/// 16-lane row becomes one SIMD add instead of sixteen scalar ones.
+#[inline(always)]
+fn add_lanes<const S: usize>(acc: &mut [i16; S], w: &[i8; S]) {
+    let w: [i16; S] = std::array::from_fn(|l| i16::from(w[l]));
+    for l in 0..S {
+        acc[l] = acc[l].saturating_add(w[l]);
+    }
+}
+
+/// Float scatter: adds each valid tap's transposed weight row into its
+/// channels-last psum row (`C_out` lanes, unpadded).
+fn scatter_f32(
     g: &Conv2dGeom,
-    wt: &[i8],
-    span: usize,
+    taps: &TapTable,
+    wt: &[f32],
     plane: &SpikePlane,
-    psum_cl: &mut [i16],
+    psum_cl: &mut [f32],
+) {
+    let mut rows = F32Rows {
+        wt,
+        psum: psum_cl,
+        cout: g.out_channels,
+    };
+    for_each_tap(taps, g.kernel * g.kernel, plane, &mut rows);
+}
+
+/// Integer scatter pipeline at a compile-time lane width `S`: clears the
+/// channels-last psums, adds each valid tap's weight row into its psum row
+/// (`nb` blocks of `S` saturating i16 lanes per row), and transposes the
+/// rows into canonical `[C_out, OH, OW]` `out`. The callers pass `nb` as a
+/// literal, so after inlining the whole row is a fixed-width sweep.
+#[inline(always)]
+fn scatter_int<const S: usize>(
+    g: &Conv2dGeom,
+    taps: &TapTable,
+    wt: &[i8],
+    plane: &SpikePlane,
+    psum_cl: &mut Vec<i16>,
+    out: &mut [i16],
+    nb: usize,
 ) {
     let (oh, ow) = g.out_hw();
-    let k = g.kernel;
-    if g.stride == 1 {
-        let pad = g.padding;
-        for ci in 0..g.in_channels {
-            for iy in 0..g.in_h {
-                let (ky_lo, ky_hi) = tap_range(iy + pad, k, oh);
-                plane.for_each_set_in_row(ci, iy, |x| {
-                    let (kx_lo, kx_hi) = tap_range(x + pad, k, ow);
-                    for ky in ky_lo..ky_hi {
-                        let oy = iy + pad - ky;
-                        let trow = (ci * k + ky) * k;
-                        for kx in kx_lo..kx_hi {
-                            let ox = x + pad - kx;
-                            let wrow = &wt[(trow + kx) * span..][..span];
-                            let prow = &mut psum_cl[(oy * ow + ox) * span..][..span];
-                            add_weight_lanes(prow, wrow);
-                        }
-                    }
-                });
-            }
-        }
-    } else {
-        // General stride: same validity walk as [`scatter_f32`].
-        let pad = g.padding as isize;
-        let stride = g.stride as isize;
-        for ci in 0..g.in_channels {
-            for iy in 0..g.in_h {
-                plane.for_each_set_in_row(ci, iy, |x| {
-                    for ky in 0..k {
-                        let oy_num = iy as isize + pad - ky as isize;
-                        if oy_num < 0 {
-                            break;
-                        }
-                        if oy_num % stride != 0 {
-                            continue;
-                        }
-                        let oy = (oy_num / stride) as usize;
-                        if oy >= oh {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ox_num = x as isize + pad - kx as isize;
-                            if ox_num < 0 {
-                                break;
-                            }
-                            if ox_num % stride != 0 {
-                                continue;
-                            }
-                            let ox = (ox_num / stride) as usize;
-                            if ox >= ow {
-                                continue;
-                            }
-                            let wrow = &wt[((ci * k + ky) * k + kx) * span..][..span];
-                            let prow = &mut psum_cl[(oy * ow + ox) * span..][..span];
-                            add_weight_lanes(prow, wrow);
-                        }
-                    }
-                });
-            }
-        }
-    }
+    scratch_resize(psum_cl, oh * ow * S * nb, 0);
+    let mut rows = IntRows::<S> {
+        wt: wt.as_chunks::<S>().0,
+        psum: psum_cl.as_chunks_mut::<S>().0,
+        nb,
+    };
+    for_each_tap(taps, g.kernel * g.kernel, plane, &mut rows);
+    transpose_cl(rows.psum.as_flattened(), out, g.out_channels, S * nb);
 }
 
 /// Expands the bit plane into a padded `0 / −1` i16 mask plane for the
@@ -748,11 +809,14 @@ fn tile_one_row(
 }
 
 /// Channels-last rows of `span ≥ cout` lanes → canonical `[C_out, OH, OW]`
-/// (value-preserving; padding lanes are dropped).
-fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, span: usize, per_ch: usize) {
-    for (co, dst) in out.chunks_exact_mut(per_ch).take(cout).enumerate() {
-        for (p, d) in dst.iter_mut().enumerate() {
-            *d = cl[p * span + co];
+/// `out` (value-preserving; padding lanes are dropped). Inlined, so the
+/// integer scatter's rows keep their compile-time width.
+#[inline(always)]
+fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, span: usize) {
+    let per_ch = out.len() / cout;
+    for (p, row) in cl.chunks_exact(span).enumerate() {
+        for (co, &v) in row[..cout].iter().enumerate() {
+            out[co * per_ch + p] = v;
         }
     }
 }
@@ -796,8 +860,8 @@ fn check_plane(g: &Conv2dGeom, plane: &SpikePlane) {
 }
 
 /// Word-parallel scatter pipeline: scatter into the padded channels-last
-/// psums with the layer's padded weight rows, transpose to canonical
-/// layout.
+/// psums with the layer's padded weight rows and tap table, transpose to
+/// canonical layout. The row width picks the lane-width instantiation.
 fn run_scatter_int<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
@@ -805,19 +869,22 @@ fn run_scatter_int<'a>(
     layer: usize,
 ) -> &'a [i16] {
     let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    let span = scatter_lane_span(g.out_channels);
     let ConvScratch {
         psum_i,
         psum_cl_i,
         layers,
         ..
     } = scr;
-    let wt = entry_mut(layers, layer).scatter_wt(conv);
-    scratch_resize(psum_cl_i, oh * ow * span, 0);
-    scatter_int_wide(g, wt, span, plane, psum_cl_i);
-    scratch_resize(psum_i, g.out_channels * oh * ow, 0);
-    transpose_cl(psum_cl_i, psum_i, g.out_channels, span, oh * ow);
+    let (wt, taps) = entry_mut(layers, layer).scatter_wt(conv);
+    scratch_resize(psum_i, g.out_neurons(), 0);
+    let out = psum_i.as_mut_slice();
+    match scatter_lane_span(g.out_channels) {
+        16 => scatter_int::<16>(g, taps, wt, plane, psum_cl_i, out, 1),
+        32 => scatter_int::<32>(g, taps, wt, plane, psum_cl_i, out, 1),
+        48 => scatter_int::<48>(g, taps, wt, plane, psum_cl_i, out, 1),
+        64 => scatter_int::<64>(g, taps, wt, plane, psum_cl_i, out, 1),
+        span => scatter_int::<LANES>(g, taps, wt, plane, psum_cl_i, out, span / LANES),
+    }
     &scr.psum_i
 }
 
@@ -940,10 +1007,10 @@ pub fn conv_psums_f32_plane<'a>(
     } = scr;
     scratch_resize(psum_f, n_out, 0.0);
     if sparse {
-        let wt = entry_mut(layers, layer).f32_wt(conv);
+        let (wt, taps) = entry_mut(layers, layer).f32_wt(conv);
         scratch_resize(psum_cl_f, n_out, 0.0);
-        scatter_f32(g, wt, plane, psum_cl_f);
-        transpose_cl(psum_cl_f, psum_f, g.out_channels, g.out_channels, oh * ow);
+        scatter_f32(g, taps, wt, plane, psum_cl_f);
+        transpose_cl(psum_cl_f, psum_f, g.out_channels, g.out_channels);
     } else {
         gather_f32(conv, plane, psum_f);
     }
@@ -1005,9 +1072,16 @@ pub fn conv_psums_dense_into<'a>(
                             continue;
                         };
                         let irow = &plane[iy * g.in_w..][..g.in_w];
-                        for (o, &c) in orow[lo..hi].iter_mut().zip(irow[first..].iter().step_by(s))
-                        {
-                            *o += w * i32::from(c);
+                        let orow = &mut orow[lo..hi];
+                        if s == 1 {
+                            // Contiguous on both sides: one vector sweep.
+                            for (o, &c) in orow.iter_mut().zip(&irow[first..][..hi - lo]) {
+                                *o += w * i32::from(c);
+                            }
+                        } else {
+                            for (o, &c) in orow.iter_mut().zip(irow[first..].iter().step_by(s)) {
+                                *o += w * i32::from(c);
+                            }
                         }
                     }
                 }

@@ -7,9 +7,14 @@
 //! and the cycle-level machine:
 //!
 //! * popcount-based spike statistics ([`SpikePlane::count_ones`]),
-//! * scatter iteration over set bits ([`SpikePlane::for_each_set_in_row`]),
+//! * per-channel word views for kernels that walk set bits a row word at
+//!   a time ([`SpikePlane::channel_words`]: the scatter's tap-table walk
+//!   and the head's per-channel popcounts),
 //! * word-level segment extraction for the PE pipeline
 //!   ([`SpikePlane::extract_bits`]),
+//! * moving a stage's bits to and from flat 64-neuron words, whatever its
+//!   row width, for epilogues that step neurons a word at a time
+//!   ([`SpikePlane::flat_words`], [`SpikePlane::flat_writer`]),
 //! * a packed 2×2 OR-pool ([`or_pool_packed`]) that reduces two input words
 //!   to one output word with shift/mask arithmetic.
 //!
@@ -106,15 +111,34 @@ impl SpikePlane {
         &self.words[base..base + self.words_per_row]
     }
 
-    /// The packed words of every row, in `[C, H]` order (`words_per_row`
-    /// each): epilogues read and write a row's spikes a word at a time.
-    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.words.chunks_exact(self.words_per_row.max(1))
+    /// The packed words of every channel (`h · words_per_row` each), in
+    /// channel order.
+    pub fn channel_words(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.words
+            .chunks_exact((self.h * self.words_per_row).max(1))
     }
 
-    /// Mutable twin of [`SpikePlane::rows`].
-    pub fn rows_mut(&mut self) -> std::slice::ChunksExactMut<'_, u64> {
-        self.words.chunks_exact_mut(self.words_per_row.max(1))
+    /// The plane's bits in canonical flat `[C, H, W]` order, 64 neurons per
+    /// word (LSB = lowest index; the final word's unused bits are zero):
+    /// epilogues that step a stage in flat 64-neuron words read a
+    /// row-packed plane through this.
+    pub fn flat_words(&self) -> FlatWords<'_> {
+        FlatWords {
+            words: &self.words,
+            rows: FlatRows::new(self.w, self.words_per_row),
+        }
+    }
+
+    /// The inverse of [`SpikePlane::flat_words`]: a writer that takes the
+    /// plane's bits as flat `[C, H, W]` words, 64 neurons per word, and
+    /// splits each into the rows it spans. Every bit is overwritten once
+    /// `ceil(len / 64)` words have been pushed; bits past
+    /// [`SpikePlane::len`] are ignored.
+    pub fn flat_writer(&mut self) -> FlatWriter<'_> {
+        FlatWriter {
+            rows: FlatRows::new(self.w, self.words_per_row),
+            words: &mut self.words,
+        }
     }
 
     /// Reads bit `(c, y, x)`.
@@ -263,6 +287,121 @@ impl SpikePlane {
                 self.for_each_set_in_row(c, y, |x| f(row_off + x));
             }
         }
+    }
+}
+
+/// Row-word bookkeeping of the flat-word views: bits stream between row
+/// words and flat words through a 128-bit accumulator, whatever the row
+/// width. It holds the bits gathered but not yet placed, and where the walk
+/// is within its row.
+#[derive(Clone, Debug)]
+struct FlatRows {
+    words_per_row: usize,
+    /// Valid bits in each row's final word.
+    tail: usize,
+    /// Position of the next row word within its row.
+    col: usize,
+    /// Gathered bits not yet placed (`avail` of them, LSB first).
+    acc: u128,
+    avail: usize,
+}
+
+impl FlatRows {
+    fn new(w: usize, words_per_row: usize) -> Self {
+        FlatRows {
+            words_per_row,
+            tail: w - 64 * words_per_row.saturating_sub(1),
+            col: 0,
+            acc: 0,
+            avail: 0,
+        }
+    }
+
+    /// Valid bits in the next row word.
+    #[inline(always)]
+    fn word_bits(&self) -> usize {
+        if self.col + 1 == self.words_per_row {
+            self.tail
+        } else {
+            64
+        }
+    }
+
+    /// Moves past the next row word.
+    #[inline(always)]
+    fn advance(&mut self) {
+        self.col += 1;
+        if self.col == self.words_per_row {
+            self.col = 0;
+        }
+    }
+}
+
+/// Iterator returned by [`SpikePlane::flat_words`].
+#[derive(Clone, Debug)]
+pub struct FlatWords<'a> {
+    words: &'a [u64],
+    rows: FlatRows,
+}
+
+impl Iterator for FlatWords<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        let r = &mut self.rows;
+        while r.avail < 64 {
+            let Some((&word, rest)) = self.words.split_first() else {
+                break;
+            };
+            self.words = rest;
+            // Ghost bits are zero, so the word needs no mask.
+            r.acc |= u128::from(word) << r.avail;
+            r.avail += r.word_bits();
+            r.advance();
+        }
+        if r.avail == 0 {
+            return None;
+        }
+        let out = r.acc as u64;
+        r.acc >>= 64;
+        r.avail = r.avail.saturating_sub(64);
+        Some(out)
+    }
+}
+
+/// Writer returned by [`SpikePlane::flat_writer`].
+#[derive(Debug)]
+pub struct FlatWriter<'a> {
+    words: &'a mut [u64],
+    rows: FlatRows,
+}
+
+impl FlatWriter<'_> {
+    /// Places the next 64 flat neurons' bits (LSB = lowest index).
+    #[inline]
+    pub fn push(&mut self, flat: u64) {
+        // Past the plane's last word there is nothing to place.
+        if self.words.is_empty() {
+            return;
+        }
+        let r = &mut self.rows;
+        r.acc |= u128::from(flat) << r.avail;
+        r.avail += 64;
+        let words = std::mem::take(&mut self.words);
+        let mut done = 0;
+        for word in words.iter_mut() {
+            let n = r.word_bits();
+            if r.avail < n {
+                break;
+            }
+            r.advance();
+            *word = r.acc as u64 & mask_lo(n);
+            r.acc >>= n;
+            r.avail -= n;
+            done += 1;
+        }
+        self.words = &mut words[done..];
     }
 }
 
@@ -459,6 +598,45 @@ mod tests {
                     pooled.to_bytes().iter().map(|&b| u64::from(b)).sum::<u64>()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn flat_words_round_trip_at_every_width() {
+        // Widths that divide 64, are multiples of it, and neither.
+        let mut seed = 13u64;
+        for w in [1usize, 2, 3, 8, 10, 16, 32, 63, 64, 65, 100, 128, 130] {
+            let (c, h) = (3, 2);
+            let bytes = lcg_bytes(c * h * w, 40, &mut seed);
+            let mut p = SpikePlane::default();
+            p.pack_from_bytes(c, h, w, &bytes);
+            let flat: Vec<u64> = p.flat_words().collect();
+            assert_eq!(flat.len(), (c * h * w).div_ceil(64), "w={w}");
+            for (i, &b) in bytes.iter().enumerate() {
+                assert_eq!((flat[i / 64] >> (i % 64)) & 1 == 1, b != 0, "w={w} bit {i}");
+            }
+            // Unused bits of the final flat word stay clear.
+            assert_eq!(
+                flat.iter().map(|w| u64::from(w.count_ones())).sum::<u64>(),
+                p.count_ones()
+            );
+            // A writer fed the flat words rebuilds the plane exactly, even
+            // over stale bits, and ignores bits and words past the plane.
+            let mut q = SpikePlane::new(c, h, w);
+            q.words.iter_mut().for_each(|word| *word = u64::MAX);
+            let mut writer = q.flat_writer();
+            for (i, &word) in flat.iter().enumerate() {
+                let ghost = if i + 1 == flat.len() && (c * h * w) % 64 != 0 {
+                    u64::MAX << ((c * h * w) % 64)
+                } else {
+                    0
+                };
+                writer.push(word | ghost);
+            }
+            for _ in 0..3 {
+                writer.push(u64::MAX);
+            }
+            assert_eq!(q, p, "w={w}");
         }
     }
 

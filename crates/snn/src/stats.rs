@@ -1,17 +1,21 @@
 //! Spike-rate accounting (Figs. 6 and 8).
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Per-stage spike statistics accumulated across timesteps (and, when merged,
 /// across images).
+///
+/// The stage names and neuron counts are the network's, shared (`Arc`) by
+/// every run of an engine instead of copied per image.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SpikeStats {
     /// Stage names, in network order.
-    pub names: Vec<String>,
+    pub names: Arc<[String]>,
     /// Spikes emitted per stage.
     pub spikes: Vec<u64>,
     /// Neuron count per stage.
-    pub neurons: Vec<u64>,
+    pub neurons: Arc<[u64]>,
     /// Total timesteps integrated across all accumulated images. With an
     /// adaptive exit policy this counts *executed* timesteps, which may
     /// differ per image — hence a sum, not a per-image value.
@@ -23,7 +27,8 @@ pub struct SpikeStats {
 impl SpikeStats {
     /// Creates zeroed statistics for the given stage names/sizes.
     #[must_use]
-    pub fn new(names: Vec<String>, neurons: Vec<u64>) -> Self {
+    pub fn new(names: impl Into<Arc<[String]>>, neurons: impl Into<Arc<[u64]>>) -> Self {
+        let (names, neurons) = (names.into(), neurons.into());
         assert_eq!(names.len(), neurons.len(), "names/neurons length mismatch");
         let n = names.len();
         SpikeStats {
@@ -42,7 +47,7 @@ impl SpikeStats {
         let denom = self.timesteps.max(1);
         self.spikes
             .iter()
-            .zip(&self.neurons)
+            .zip(self.neurons.iter())
             .map(|(&s, &n)| s as f32 / (n.max(1) * denom) as f32)
             .collect()
     }
@@ -63,7 +68,10 @@ impl SpikeStats {
     ///
     /// Panics if the stage structures differ.
     pub fn merge(&mut self, other: &SpikeStats) {
-        assert_eq!(self.names, other.names, "merging stats of different nets");
+        assert!(
+            Arc::ptr_eq(&self.names, &other.names) || self.names == other.names,
+            "merging stats of different nets"
+        );
         for (a, b) in self.spikes.iter_mut().zip(&other.spikes) {
             *a += b;
         }

@@ -1,6 +1,7 @@
 //! Property-based equivalence of the event-driven kernels: over random
-//! geometries (kernel ∈ {1, 3}, stride, padding) and spike densities from
-//! 0 to 100 %, the scatter path must match the dense reference loop
+//! geometries (kernel ∈ {1, 3, 5}, stride, padding, every scatter lane
+//! width) and spike densities from 0 to 100 %, the scatter path must match
+//! the dense reference loop
 //! **bit for bit** — including the saturating integer tap order — and the
 //! packed `or_pool` must match the byte-wise one.
 
@@ -51,8 +52,8 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 }
 
 /// Geometries that exercise the word-parallel fast paths: 8 to 32 output
-/// channels (one or two padded `LANES` blocks in the scatter — 8 and 12
-/// leave padding lanes, as the deployed 8-channel stage does — and
+/// channels (16- or 32-lane scatter rows — 8 and 12 leave padding lanes,
+/// as the deployed 8-channel stage does — and
 /// paired-row tiles in the dense kernel) and ≥ 16 output columns
 /// (full-width register tiles), at spike rates from sparse (5 %) up to the
 /// depths where the saturating i16 accumulators hit the ±`i16::MAX` rails —
@@ -82,6 +83,44 @@ fn hot_case_strategy() -> impl Strategy<Value = Case> {
             k,
             stride,
             padding,
+            rate,
+            seed,
+        })
+}
+
+/// Geometries past the deployed ones: every lane width the integer scatter
+/// instantiates (16, 32, 48 and 64 lanes — `cout` 16, 24, 32, 48, 64) and
+/// the 16-lane blocks of wider rows (72 and 96), on 2- to 8-wide planes,
+/// with kernels 1–5, strides 1–3 and padding 0–2 (wider than a 1×1 kernel
+/// reaches), from silent to full planes, and up to 64 input channels,
+/// where the saturating i16 accumulators reach the rails.
+fn lane_width_case_strategy() -> impl Strategy<Value = Case> {
+    (
+        1usize..=64,
+        prop_oneof![
+            Just(16usize),
+            Just(24),
+            Just(32),
+            Just(48),
+            Just(64),
+            Just(72),
+            Just(96)
+        ],
+        prop_oneof![Just(2usize), Just(4), Just(8)],
+        prop_oneof![Just(1usize), Just(3), Just(5)],
+        1usize..=3,
+        0usize..=2,
+        0u32..=100,
+        any::<u64>(),
+    )
+        .prop_map(|(cin, cout, hw, k, stride, padding, rate, seed)| Case {
+            cin,
+            cout,
+            hw,
+            k,
+            stride,
+            // A kernel wider than the padded plane has no output: pad up.
+            padding: padding.max(k.saturating_sub(hw).div_ceil(2)),
             rate,
             seed,
         })
@@ -166,6 +205,24 @@ proptest! {
         prop_assert_eq!(&got, &reference, "scatter");
         let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
         prop_assert_eq!(&got, &reference, "tiled");
+    }
+
+    #[test]
+    fn scatters_are_bit_exact_at_every_lane_width(c in lane_width_case_strategy()) {
+        // The tap tables and the fixed-width row instantiations, int and
+        // f32, against the byte references.
+        let conv = make_conv(&c);
+        let bytes = spike_bytes(c.cin * c.hw * c.hw, c.rate, c.seed);
+        let plane = packed(&c, &bytes);
+        let reference = conv_psums_int(&conv, &bytes);
+        let mut scr = ConvScratch::new();
+        let got = conv_psums_int_scatter(&conv, &plane, &mut scr, 0).to_vec();
+        prop_assert_eq!(&got, &reference, "int scatter");
+        let got = conv_psums_int_plane(&conv, &plane, KernelPolicy::Auto, &mut scr, 0).to_vec();
+        prop_assert_eq!(&got, &reference, "auto");
+        let reference = conv_psums_f32(&conv, &bytes);
+        let got = conv_psums_f32_plane(&conv, &plane, KernelPolicy::ForceSparse, &mut scr, 0).to_vec();
+        prop_assert_eq!(&got, &reference, "f32 scatter");
     }
 
     #[test]

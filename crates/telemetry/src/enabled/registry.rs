@@ -93,28 +93,46 @@ pub(crate) fn with_store<R>(f: impl FnOnce(&mut Store) -> R) -> R {
     LOCAL.with(|store| f(&mut store.lock().expect("telemetry store poisoned")))
 }
 
+// Each probe looks its key up by `&str` and copies it to the heap only on
+// the first insert, so a hit allocates nothing.
+
 /// Adds `delta` to the named counter.
 pub fn counter_add(name: &str, delta: u64) {
-    with_store(|s| {
-        *s.counters.entry(name.to_string()).or_insert(0) += delta;
+    with_store(|s| match s.counters.get_mut(name) {
+        Some(c) => *c += delta,
+        None => {
+            s.counters.insert(name.to_string(), delta);
+        }
     });
 }
 
 /// Sets the named gauge (last write wins).
 pub fn gauge_set(name: &str, value: f64) {
-    with_store(|s| {
-        s.gauges.insert(name.to_string(), value);
+    with_store(|s| match s.gauges.get_mut(name) {
+        Some(g) => *g = value,
+        None => {
+            s.gauges.insert(name.to_string(), value);
+        }
     });
 }
 
 /// Records one sample into the named log2-bucketed histogram.
 pub fn histogram_record(name: &str, value: u64) {
-    with_store(|s| {
-        s.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
-    });
+    with_store(|s| s.record_histogram(name, value));
+}
+
+impl Store {
+    /// Records `value` into histogram `name`, inserting it on first use.
+    pub(crate) fn record_histogram(&mut self, name: &str, value: u64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Histogram::default();
+                h.record(value);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
+    }
 }
 
 /// Aggregated view of one histogram.

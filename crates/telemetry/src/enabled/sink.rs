@@ -5,6 +5,7 @@ use super::registry::{counter_add, Snapshot};
 use super::span::{now_us, TraceEvent};
 use crate::json::{write_escaped, write_f64};
 use crate::Value;
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -71,7 +72,18 @@ pub fn take_jsonl() -> Vec<u8> {
 /// a JSON-lines sink is installed, appends
 /// `{"ev":"<kind>","ts_us":…,<fields>}` as one line.
 pub fn emit(kind: &str, fields: &[(&str, Value)]) {
-    counter_add(&format!("events.{kind}"), 1);
+    thread_local! {
+        static KEY: RefCell<String> = const { RefCell::new(String::new()) };
+    }
+    // The `events.<kind>` key is assembled in a reused buffer: a counter
+    // hit then allocates nothing.
+    KEY.with(|key| {
+        let mut key = key.borrow_mut();
+        key.clear();
+        key.push_str("events.");
+        key.push_str(kind);
+        counter_add(&key, 1);
+    });
     let mut guard = sink().lock().expect("telemetry sink poisoned");
     let Some(target) = guard.as_mut() else {
         return;

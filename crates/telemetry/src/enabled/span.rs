@@ -41,7 +41,13 @@ fn thread_lane() -> u64 {
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// Reused buffer for the `span.<path>.us` key a dropped span records
+    /// under, so a histogram hit allocates nothing.
+    static SPAN_KEY: RefCell<String> = const { RefCell::new(String::new()) };
 }
+
+const KEY_PREFIX: &str = "span.";
+const KEY_SUFFIX: &str = ".us";
 
 /// Whether dropped spans also buffer a [`TraceEvent`] (see
 /// [`capture_trace`]).
@@ -80,32 +86,39 @@ pub fn span_guard(name: &'static str) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let dur_us = self.start.elapsed().as_micros() as u64;
-        let path = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = stack.join(".");
-            stack.pop();
-            path
-        });
         let tid = thread_lane();
         let capture = CAPTURE.load(Ordering::Relaxed);
-        with_store(|s| {
-            s.histograms
-                .entry(format!("span.{path}.us"))
-                .or_default()
-                .record(dur_us);
-            if !capture {
-                return;
-            }
-            if s.trace_events.len() < TRACE_EVENT_CAP {
-                s.trace_events.push(TraceEvent {
-                    name: path,
-                    ts_us: self.start_us,
-                    dur_us,
-                    tid,
-                });
-            } else {
-                s.dropped_trace_events += 1;
-            }
+        SPAN_KEY.with(|key| {
+            let mut key = key.borrow_mut();
+            key.clear();
+            key.push_str(KEY_PREFIX);
+            SPAN_STACK.with(|stack| {
+                let mut stack = stack.borrow_mut();
+                for (i, name) in stack.iter().enumerate() {
+                    if i > 0 {
+                        key.push('.');
+                    }
+                    key.push_str(name);
+                }
+                stack.pop();
+            });
+            key.push_str(KEY_SUFFIX);
+            with_store(|s| {
+                s.record_histogram(&key, dur_us);
+                if !capture {
+                    return;
+                }
+                if s.trace_events.len() < TRACE_EVENT_CAP {
+                    s.trace_events.push(TraceEvent {
+                        name: key[KEY_PREFIX.len()..key.len() - KEY_SUFFIX.len()].to_string(),
+                        ts_us: self.start_us,
+                        dur_us,
+                        tid,
+                    });
+                } else {
+                    s.dropped_trace_events += 1;
+                }
+            });
         });
     }
 }

@@ -33,30 +33,6 @@ pub fn block_mut<const N: usize, T>(s: &mut [T]) -> &mut [T; N] {
         .expect("slice shorter than block")
 }
 
-/// Walks `dst` and `src` in lockstep as `N`-element register blocks,
-/// calling `body` on each full block pair and `tail` element-wise on the
-/// common remainder. The block closure receives fixed-size arrays, so a
-/// lane loop inside it unrolls to straight-line vector code.
-#[inline]
-pub fn zip_blocks_mut<const N: usize, T, U>(
-    dst: &mut [T],
-    src: &[U],
-    mut body: impl FnMut(&mut [T; N], &[U; N]),
-    mut tail: impl FnMut(&mut T, &U),
-) {
-    let mut d = dst.chunks_exact_mut(N);
-    let mut s = src.chunks_exact(N);
-    for (db, sb) in d.by_ref().zip(s.by_ref()) {
-        body(
-            db.try_into().expect("chunks_exact_mut yields N-blocks"),
-            sb.try_into().expect("chunks_exact yields N-blocks"),
-        );
-    }
-    for (dt, st) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        tail(dt, st);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,25 +44,6 @@ mod tests {
         let mut m = v;
         block_mut::<2, _>(&mut m)[1] = 9;
         assert_eq!(m, [1, 9, 3, 4, 5]);
-    }
-
-    #[test]
-    fn zip_blocks_covers_full_blocks_and_tail() {
-        let mut dst = [0i32; 11];
-        let src: Vec<i32> = (1..=11).collect();
-        zip_blocks_mut::<4, _, _>(
-            &mut dst,
-            &src,
-            |d, s| {
-                for l in 0..4 {
-                    d[l] += s[l] * 10;
-                }
-            },
-            |d, s| *d += s,
-        );
-        // two full 4-blocks scaled by 10, three tail elements added as-is
-        let want = [10, 20, 30, 40, 50, 60, 70, 80, 9, 10, 11];
-        assert_eq!(dst, want);
     }
 
     #[test]
