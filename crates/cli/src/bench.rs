@@ -41,7 +41,8 @@ pub fn cmd_bench(args: &Args) -> Result<(), String> {
         .map_or("conv", String::as_str)
         .to_string();
     let smoke = args.switch("smoke");
-    let threads = args.usize_or("threads", 4).map_err(err)?;
+    // one worker per core unless `--threads` says otherwise, as `sia serve`
+    let threads = sia_tensor::pool::resolve_threads(args.usize_or("threads", 0).map_err(err)?);
     let Some(&(_, run)) = BENCHES.iter().find(|(name, _)| *name == which) else {
         let names: Vec<&str> = BENCHES.iter().map(|(name, _)| *name).collect();
         return Err(format!("unknown bench '{which}' ({})", names.join("|")));
@@ -660,87 +661,79 @@ fn bench_eval(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, S
         "backend", "iters", "min ms/pass", "median ms/pass", "img/s"
     );
     let policy = crate::calibrate::resolve_policy(args)?;
-    let mut cases = Vec::new();
-    let mut int_fixed_min = 0u64;
-    for backend in [Backend::Float, Backend::Int, Backend::Accel] {
-        let samples = sample(warmup, iters, || {
-            crate::evaluate_backend(&evaluator, backend, &model, timesteps, policy, &set)
-                .expect("bench backend evaluates")
-        });
-        let (min, median, mad) = summarize_ns(&samples);
-        if backend == Backend::Int {
-            int_fixed_min = min;
-        }
-        println!(
-            "{:<10} {iters:>6} {:>14.2} {:>16.2} {:>10.1}",
-            backend.as_str(),
-            min as f64 / 1e6,
-            median as f64 / 1e6,
-            images as f64 / (min.max(1) as f64 / 1e9)
-        );
-        cases.push(BenchCase {
-            name: backend.as_str().to_string(),
-            iters: u64::from(iters),
-            warmup: u64::from(warmup),
-            min_ns: min,
-            median_ns: median,
-            mad_ns: mad,
-            metrics: vec![(
-                "images_per_s".to_string(),
-                images as f64 / (min.max(1) as f64 / 1e9),
-            )],
-        });
-    }
     // Adaptive early-exit case: the int backend under a logit-margin policy,
-    // tracked against the fixed int pass above (`speedup_vs_fixed`). One
-    // untimed pass records the executed-timestep statistics.
-    let exit = ExitPolicy::Margin {
-        threshold: 0.5,
-        window: 1,
-    };
+    // tracked against the fixed int pass (`speedup_vs_fixed`).
     let exit_eval = BatchEvaluator::new(EvalConfig {
         timesteps,
         burn_in: 0,
         threads,
         encoding: EvalEncoding::Dense,
-        exit,
+        exit: ExitPolicy::Margin {
+            threshold: 0.5,
+            window: 1,
+        },
     });
-    let samples = sample(warmup, iters, || {
-        crate::evaluate_backend(&exit_eval, Backend::Int, &model, timesteps, policy, &set)
-            .expect("bench backend evaluates")
-    });
-    let (min, median, mad) = summarize_ns(&samples);
-    let outcome =
-        crate::evaluate_backend(&exit_eval, Backend::Int, &model, timesteps, policy, &set)?;
-    println!(
-        "{:<10} {iters:>6} {:>14.2} {:>16.2} {:>10.1}  (avg T {:.2}, exit {:.0}%)",
-        "int-exit",
-        min as f64 / 1e6,
-        median as f64 / 1e6,
-        images as f64 / (min.max(1) as f64 / 1e9),
-        outcome.avg_t(),
-        outcome.exit_rate() * 100.0
-    );
-    cases.push(BenchCase {
-        name: "int-exit".to_string(),
-        iters: u64::from(iters),
-        warmup: u64::from(warmup),
-        min_ns: min,
-        median_ns: median,
-        mad_ns: mad,
-        metrics: vec![
-            (
-                "images_per_s".to_string(),
-                images as f64 / (min.max(1) as f64 / 1e9),
-            ),
-            ("avg_t".to_string(), f64::from(outcome.avg_t())),
-            ("exit_rate".to_string(), f64::from(outcome.exit_rate())),
-            (
-                "speedup_vs_fixed".to_string(),
-                int_fixed_min as f64 / min.max(1) as f64,
-            ),
-        ],
-    });
+    let runs = [
+        ("float", &evaluator, Backend::Float),
+        ("int", &evaluator, Backend::Int),
+        ("accel", &evaluator, Backend::Accel),
+        ("int-exit", &exit_eval, Backend::Int),
+    ];
+    // Timing is interleaved, as in `bench conv`: every round runs one pass
+    // of each case, so a shift in host speed lands on all four alike. The
+    // first `warmup` rounds are discarded; int-exit's first pass records
+    // its executed-timestep statistics.
+    let mut samples: Vec<Vec<u64>> = vec![Vec::with_capacity(iters as usize); runs.len()];
+    let mut exit_stats = (0.0f32, 0.0f32);
+    for round in 0..warmup + iters {
+        for (i, &(name, ev, backend)) in runs.iter().enumerate() {
+            let t0 = Instant::now();
+            let outcome = crate::evaluate_backend(ev, backend, &model, timesteps, policy, &set)?;
+            let ns = t0.elapsed().as_nanos() as u64;
+            if round >= warmup {
+                samples[i].push(ns);
+            }
+            if round == 0 && name == "int-exit" {
+                exit_stats = (outcome.avg_t(), outcome.exit_rate());
+            }
+        }
+    }
+    let mut cases = Vec::new();
+    let mut int_fixed_min = 0u64;
+    for ((name, ..), samples) in runs.iter().zip(&samples) {
+        let (min, median, mad) = summarize_ns(samples);
+        let images_per_s = images as f64 / (min.max(1) as f64 / 1e9);
+        let mut metrics = vec![("images_per_s".to_string(), images_per_s)];
+        let mut note = String::new();
+        if *name == "int" {
+            int_fixed_min = min;
+        } else if *name == "int-exit" {
+            let (avg_t, exit_rate) = exit_stats;
+            note = format!("  (avg T {avg_t:.2}, exit {:.0}%)", exit_rate * 100.0);
+            metrics.extend([
+                ("avg_t".to_string(), f64::from(avg_t)),
+                ("exit_rate".to_string(), f64::from(exit_rate)),
+                (
+                    "speedup_vs_fixed".to_string(),
+                    int_fixed_min as f64 / min.max(1) as f64,
+                ),
+            ]);
+        }
+        println!(
+            "{name:<10} {iters:>6} {:>14.2} {:>16.2} {images_per_s:>10.1}{note}",
+            min as f64 / 1e6,
+            median as f64 / 1e6,
+        );
+        cases.push(BenchCase {
+            name: (*name).to_string(),
+            iters: u64::from(iters),
+            warmup: u64::from(warmup),
+            min_ns: min,
+            median_ns: median,
+            mad_ns: mad,
+            metrics,
+        });
+    }
     Ok(BenchReport {
         bench: "eval".to_string(),
         host: HostInfo::detect(),
@@ -758,6 +751,20 @@ fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
     #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
     let idx = (((sorted_ns.len() - 1) as f64) * q).round() as usize;
     sorted_ns[idx] as f64 / 1e3
+}
+
+/// Whether one `/predict` response (`got`, parsed) carries exactly the
+/// local reference prediction `want`: one prediction, the same class, and
+/// logits equal bit for bit.
+fn served_bits_match(got: &[sia_serve::Prediction], want: &sia_serve::Prediction) -> bool {
+    got.len() == 1
+        && got[0].class == want.class
+        && got[0].logits.len() == want.logits.len()
+        && got[0]
+            .logits
+            .iter()
+            .zip(&want.logits)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// A self-hosted serve-bench instance: server handle, its accept-loop
@@ -916,17 +923,7 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
                         String::from_utf8_lossy(&resp)
                     ));
                 }
-                let got = parse_predictions(&resp)?;
-                let want = &expected[i];
-                let same_bits = got.len() == 1
-                    && got[0].class == want.class
-                    && got[0].logits.len() == want.logits.len()
-                    && got[0]
-                        .logits
-                        .iter()
-                        .zip(&want.logits)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !same_bits {
+                if !served_bits_match(&parse_predictions(&resp)?, &expected[i]) {
                     return Err(format!(
                         "determinism gate failed: served prediction for image {i} \
                          diverges bitwise from the local single-thread reference"
@@ -981,16 +978,7 @@ fn bench_serve(args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
                         if let Some(expected) = &expected {
                             let got = parse_predictions(&resp)
                                 .map_err(|e| format!("client {worker}: {e}"))?;
-                            let want = &expected[idx];
-                            if got.len() != 1
-                                || got[0].class != want.class
-                                || got[0].logits.len() != want.logits.len()
-                                || got[0]
-                                    .logits
-                                    .iter()
-                                    .zip(&want.logits)
-                                    .any(|(a, b)| a.to_bits() != b.to_bits())
-                            {
+                            if !served_bits_match(&got, &expected[idx]) {
                                 return Err(format!(
                                     "client {worker}: served prediction for image {idx} \
                                      diverged under {concurrency} concurrent clients"

@@ -10,9 +10,8 @@
 //!             [--queue 256]
 //! sia explore [--clock-mhz 100]
 //! sia calibrate [--smoke] [--out cal.json] [--check cal.json]
-//! sia bench   [conv|gemm|eval|serve] [--out BENCH_conv.json] [--smoke] [--threads 4]
+//! sia bench   [conv|gemm|eval|serve] [--out BENCH_conv.json] [--smoke] [--threads N]
 //!             [--check-baseline] [--update-baseline] [--baseline-dir DIR]
-//! sia trace   metrics.jsonl
 //! sia report  metrics.jsonl [--html report.html] [--trace spans.json]
 //! sia help
 //! ```
@@ -52,9 +51,10 @@
 //! `train` and `run` take `--metrics <out.jsonl>` to stream structured
 //! telemetry events (or bare `--metrics` to print the counter/gauge table
 //! on exit) and `--trace <out.json>` to export a Chrome `trace_event`
-//! flamegraph; `trace` summarises a previously written JSONL file and
-//! `report` (see [`report`]) turns one into per-layer attribution with a
-//! roofline classification, reconciled exactly against the run's counters.
+//! flamegraph; `report` (see [`report`]) summarises a previously written
+//! JSONL file — event counts, training curve, spike sparsity — and turns
+//! its `accel.layer` events into per-layer attribution with a roofline
+//! classification, reconciled exactly against the run's counters.
 
 #![forbid(unsafe_code)]
 
@@ -99,7 +99,6 @@ fn main() -> ExitCode {
         "explore" => cmd_explore(&args).map(|()| ExitCode::SUCCESS),
         "calibrate" => calibrate::cmd_calibrate(&args).map(|()| ExitCode::SUCCESS),
         "bench" => bench::cmd_bench(&args).map(|()| ExitCode::SUCCESS),
-        "trace" => report::cmd_trace(&args).map(|()| ExitCode::SUCCESS),
         "report" => report::cmd_report(&args).map(|()| ExitCode::SUCCESS),
         "help" | "--help" => {
             print!("{HELP}");
@@ -152,7 +151,6 @@ USAGE:
               [--rel-slack PCT] [--mad-k K] [--allow-missing]
   sia bench   serve [--url HOST:PORT | --model model.sia] [--backend B]
               [--images N] [--shutdown] [...]
-  sia trace   <metrics.jsonl>
   sia report  <metrics.jsonl> [--html report.html] [--trace spans.json]
   sia help
 
@@ -180,6 +178,8 @@ USAGE:
   predictions match the local engine bit-for-bit; --shutdown stops the
   target afterwards). Every family writes one JSON schema (warmup
   discard, min-of-iters, median + MAD; default BENCH_<name>.json).
+  --threads defaults to one worker per core, as does --threads 0; the
+  report records the resolved count.
   --update-baseline records the run under --baseline-dir (default
   results/baselines/); --check-baseline exits 1 when any case exceeds its
   noise-aware threshold: min > baseline × (1 + rel-slack% + mad-k × MAD/median).
@@ -187,12 +187,14 @@ USAGE:
   (e.g. serve --url cannot host the early-exit comparison server) from a
   failure to a notice.
 
-  `report` joins a metrics file's accel.layer events into a per-layer
-  table — wall-time, cycles, effective vs nominal ops, GOPS, spike
-  density, AXI stalls, compute/memory/driver-bound classification against
-  the Fig. 5 roofline — and reconciles every sum against the run's own
-  counters (exit 1 on any mismatch). --html writes a self-contained
-  dashboard; add --trace spans.json for an inline flamegraph.
+  `report` summarises a metrics file: event-kind counts, the training
+  curve and per-stage spike sparsity when present, and a per-layer table
+  of the accel.layer events — wall-time, cycles, spikes, effective vs
+  nominal ops, GOPS, spike density, AXI stalls, compute/memory/driver-bound
+  classification against the Fig. 5 roofline — whose every sum it
+  reconciles against the run's own counters (exit 1 on any mismatch).
+  --html writes a self-contained dashboard (needs accel.layer events);
+  add --trace spans.json for an inline flamegraph.
 
   `train --threads N` runs GEMM/conv and trainer shards on N pool workers
   (0 = one per core); `--micro-batch M` shards each batch for data-parallel

@@ -1,35 +1,51 @@
-//! `sia report` — per-layer performance attribution from a metrics file —
-//! and `sia trace`, the event-stream summariser. Both load JSONL through
-//! [`sia_perf::EventLog`], so a missing, empty or truncated-mid-write file
-//! becomes a diagnostic and a nonzero exit, never a panic.
+//! `sia report` — the one reader of a `--metrics` JSONL file. It loads the
+//! file through [`sia_perf::EventLog`], so a missing, empty or unparseable
+//! file becomes a diagnostic and a nonzero exit, never a panic, and a file
+//! truncated mid-write reports its complete lines with a note. It prints
+//! the sections the file has: event-kind counts, the training curve
+//! (`train.epoch`), per-stage spike sparsity (`snn.stage`, which every
+//! backend emits) and the per-layer attribution of `accel.layer` events,
+//! reconciled exactly against the run's own counters.
 
 use crate::args::Args;
-use sia_perf::attribution::{attribute, Attribution, ReconCheck};
+use sia_perf::attribution::{attribute, Attribution, LayerAttribution, ReconCheck};
 use sia_perf::html::{render_report, FlameSpan};
 use sia_perf::{EventLog, RooflineModel};
 use sia_telemetry::json::{parse, Json};
+use std::collections::BTreeMap;
 
-/// Builds the per-layer attribution report:
+/// Summarises a metrics file:
 ///
 /// ```text
 /// sia report metrics.jsonl [--html report.html] [--trace spans.json]
 /// ```
 ///
-/// Prints the per-layer table, the roofline classification and the
-/// reconciliation checks; fails (exit 1) when any accounting identity is
-/// violated. `--html` additionally writes a self-contained single-file
-/// dashboard (sortable tables + flamegraph when `--trace` supplies the
-/// Chrome-trace spans of the same run).
+/// Prints the event-kind counts, then the training curve and the
+/// spiking-stage sparsity table when the file has those events. With
+/// `accel.layer` events it prints the per-layer table, the roofline
+/// classification and the reconciliation checks, and fails (exit 1) when
+/// any accounting identity is violated; without them it notes that
+/// attribution was skipped. `--html` additionally writes a self-contained
+/// single-file dashboard (sortable tables + flamegraph when `--trace`
+/// supplies the Chrome-trace spans of the same run) and requires layer
+/// events.
 pub fn cmd_report(args: &Args) -> Result<(), String> {
     let path = args
         .positional
         .first()
         .ok_or("usage: sia report <metrics.jsonl> [--html report.html] [--trace spans.json]")?;
     let log = EventLog::load(path)?;
-    if let Some(note) = log.skipped_note() {
-        eprintln!("{note}");
-    }
-    let att = attribute(&log)?;
+    print_event_kinds(path, &log);
+    print_training_curve(&log);
+    print_stage_sparsity(&log);
+    let att = match attribute(&log) {
+        Ok(att) => att,
+        Err(why) if !args.options.contains_key("html") => {
+            println!("\nattribution skipped: {why}");
+            return Ok(());
+        }
+        Err(why) => return Err(why),
+    };
     let (roof, roof_src) = match log
         .last_of_kind("accel.config")
         .and_then(RooflineModel::from_config_event)
@@ -41,7 +57,7 @@ pub fn cmd_report(args: &Args) -> Result<(), String> {
         ),
     };
     println!(
-        "{path}: {} accel.layer events over {} layers",
+        "\naccelerator layers: {} accel.layer events over {} layers",
         att.events,
         att.layers.len()
     );
@@ -101,12 +117,90 @@ pub fn cmd_report(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+fn u64_of(ev: &Json, key: &str) -> u64 {
+    ev.get(key).and_then(Json::as_u64).unwrap_or(0)
+}
+
+fn print_event_kinds(path: &str, log: &EventLog) {
+    let mut kinds: BTreeMap<&str, u64> = BTreeMap::new();
+    for kind in log.events.iter().filter_map(|ev| ev.get("ev")?.as_str()) {
+        *kinds.entry(kind).or_insert(0) += 1;
+    }
+    println!("{path}: {} event kinds", kinds.len());
+    for (kind, n) in &kinds {
+        println!("  {kind:<24} {n:>8}");
+    }
+    if let Some(note) = log.skipped_note() {
+        println!("  ({note})");
+    }
+}
+
+fn print_training_curve(log: &EventLog) {
+    let epochs = log.of_kind("train.epoch");
+    if epochs.is_empty() {
+        return;
+    }
+    let f64_of = |e: &Json, k: &str| e.get(k).and_then(Json::as_f64).unwrap_or(0.0);
+    println!("\ntraining curve");
+    println!(
+        "  {:>5} {:>9} {:>10} {:>9} {:>9}",
+        "epoch", "loss", "train_acc", "test_acc", "lr"
+    );
+    for e in epochs {
+        println!(
+            "  {:>5} {:>9.4} {:>10.3} {:>9.3} {:>9.5}",
+            u64_of(e, "epoch"),
+            f64_of(e, "loss"),
+            f64_of(e, "train_acc"),
+            f64_of(e, "test_acc"),
+            f64_of(e, "lr"),
+        );
+    }
+}
+
+/// Per spiking stage, summed over runs in first-appearance order: spikes,
+/// spike slots (neurons × timesteps), taps processed and taps skipped.
+fn print_stage_sparsity(log: &EventLog) {
+    let mut order: Vec<&str> = Vec::new();
+    let mut stages: BTreeMap<&str, [u64; 4]> = BTreeMap::new();
+    for ev in log.of_kind("snn.stage") {
+        let name = ev.get("name").and_then(Json::as_str).unwrap_or("?");
+        let entry = stages.entry(name).or_insert_with(|| {
+            order.push(name);
+            [0; 4]
+        });
+        entry[0] += u64_of(ev, "spikes");
+        entry[1] += u64_of(ev, "neurons") * u64_of(ev, "timesteps");
+        entry[2] += u64_of(ev, "taps_processed");
+        entry[3] += u64_of(ev, "taps_skipped");
+    }
+    if order.is_empty() {
+        return;
+    }
+    println!("\nspiking-stage sparsity (summed over runs)");
+    println!(
+        "  {:<22} {:>12} {:>9} {:>14} {:>12} {:>7}",
+        "stage", "spikes", "density", "taps processed", "taps skipped", "skip%"
+    );
+    for name in order {
+        let [spikes, slots, processed, skipped] = stages[name];
+        let density = spikes as f64 / slots.max(1) as f64;
+        let skip_pct = 100.0 * skipped as f64 / (processed + skipped).max(1) as f64;
+        println!(
+            "  {name:<22} {spikes:>12} {density:>9.4} {processed:>14} {skipped:>12} {skip_pct:>6.1}%"
+        );
+    }
+}
+
 fn print_layer_table(att: &Attribution, roof: &RooflineModel) {
     println!(
-        "{:<22} {:>5} {:>12} {:>9} {:>7} {:>13} {:>13} {:>8} {:>8} {:>12} {:>9}",
+        "{:<22} {:>5} {:>12} {:>12} {:>12} {:>10} {:>9} {:>7} {:>13} {:>13} {:>8} {:>8} {:>12} {:>9}",
         "layer",
         "runs",
         "total cy",
+        "compute cy",
+        "transfer cy",
+        "spikes",
         "ms",
         "GOPS",
         "eff ops",
@@ -118,10 +212,13 @@ fn print_layer_table(att: &Attribution, roof: &RooflineModel) {
     );
     for l in &att.layers {
         println!(
-            "{:<22} {:>5} {:>12} {:>9.4} {:>7.2} {:>13} {:>13} {:>8.3} {:>8.4} {:>12} {:>9}",
+            "{:<22} {:>5} {:>12} {:>12} {:>12} {:>10} {:>9.4} {:>7.2} {:>13} {:>13} {:>8.3} {:>8.4} {:>12} {:>9}",
             l.name,
             l.occurrences,
             l.total_cycles,
+            l.compute_cycles,
+            l.transfer_cycles,
+            l.spikes,
             l.ms(roof.clock_hz),
             l.effective_gops(roof.clock_hz),
             l.ops,
@@ -143,11 +240,15 @@ fn print_layer_table(att: &Attribution, roof: &RooflineModel) {
     } else {
         att.total_ops() as f64 / (total_cycles as f64 / roof.clock_hz as f64) / 1e9
     };
+    let sum = |f: fn(&LayerAttribution) -> u64| att.layers.iter().map(f).sum::<u64>();
     println!(
-        "{:<22} {:>5} {:>12} {:>9.4} {:>7.2} {:>13} {:>13}",
+        "{:<22} {:>5} {:>12} {:>12} {:>12} {:>10} {:>9.4} {:>7.2} {:>13} {:>13}",
         "TOTAL",
         att.events,
         total_cycles,
+        sum(|l| l.compute_cycles),
+        sum(|l| l.transfer_cycles),
+        sum(|l| l.spikes),
         total_ms,
         total_gops,
         att.total_ops(),
@@ -208,110 +309,4 @@ fn load_spans(path: &str) -> Result<Vec<FlameSpan>, String> {
             })
         })
         .collect())
-}
-
-/// Summarises a `--metrics` JSON-lines file: event counts, the training
-/// curve, per-layer accelerator cycle totals, and per-stage spike
-/// sparsity (from the `snn.stage` events every backend emits).
-pub fn cmd_trace(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("usage: sia trace <metrics.jsonl>")?;
-    let log = EventLog::load(path)?;
-    let mut kinds: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-    let mut epochs: Vec<&Json> = Vec::new();
-    // per-layer (name → total, compute, transfer, spikes)
-    let mut layers: std::collections::BTreeMap<String, [u64; 4]> =
-        std::collections::BTreeMap::new();
-    let mut layer_order: Vec<String> = Vec::new();
-    // per spiking stage (name → spikes, spike slots, taps processed, taps skipped)
-    let mut stages: std::collections::BTreeMap<String, [u64; 4]> =
-        std::collections::BTreeMap::new();
-    let mut stage_order: Vec<String> = Vec::new();
-    for ev in &log.events {
-        let Some(kind) = ev.get("ev").and_then(Json::as_str) else {
-            continue;
-        };
-        *kinds.entry(kind.to_string()).or_insert(0) += 1;
-        match kind {
-            "train.epoch" => epochs.push(ev),
-            "accel.layer" => {
-                let name = ev.get("name").and_then(Json::as_str).unwrap_or("?");
-                let field = |k: &str| ev.get(k).and_then(Json::as_u64).unwrap_or(0);
-                let entry = layers.entry(name.to_string()).or_insert_with(|| {
-                    layer_order.push(name.to_string());
-                    [0; 4]
-                });
-                entry[0] += field("total_cycles");
-                entry[1] += field("compute_cycles");
-                entry[2] += field("transfer_cycles");
-                entry[3] += field("spikes");
-            }
-            "snn.stage" => {
-                let name = ev.get("name").and_then(Json::as_str).unwrap_or("?");
-                let field = |k: &str| ev.get(k).and_then(Json::as_u64).unwrap_or(0);
-                let entry = stages.entry(name.to_string()).or_insert_with(|| {
-                    stage_order.push(name.to_string());
-                    [0; 4]
-                });
-                entry[0] += field("spikes");
-                entry[1] += field("neurons") * field("timesteps");
-                entry[2] += field("taps_processed");
-                entry[3] += field("taps_skipped");
-            }
-            _ => {}
-        }
-    }
-    println!("{path}: {} event kinds", kinds.len());
-    for (kind, n) in &kinds {
-        println!("  {kind:<24} {n:>8}");
-    }
-    if let Some(note) = log.skipped_note() {
-        println!("  ({note})");
-    }
-    if !epochs.is_empty() {
-        println!("\ntraining curve");
-        println!(
-            "  {:>5} {:>9} {:>10} {:>9} {:>9}",
-            "epoch", "loss", "train_acc", "test_acc", "lr"
-        );
-        for e in &epochs {
-            println!(
-                "  {:>5} {:>9.4} {:>10.3} {:>9.3} {:>9.5}",
-                e.get("epoch").and_then(Json::as_u64).unwrap_or(0),
-                e.get("loss").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("train_acc").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("test_acc").and_then(Json::as_f64).unwrap_or(0.0),
-                e.get("lr").and_then(Json::as_f64).unwrap_or(0.0),
-            );
-        }
-    }
-    if !layers.is_empty() {
-        println!("\naccelerator layers (summed over runs; see `sia report` for attribution)");
-        println!(
-            "  {:<22} {:>12} {:>12} {:>12} {:>10}",
-            "layer", "total(cy)", "compute(cy)", "transfer(cy)", "spikes"
-        );
-        for name in &layer_order {
-            let [total, compute, transfer, spikes] = layers[name];
-            println!("  {name:<22} {total:>12} {compute:>12} {transfer:>12} {spikes:>10}");
-        }
-    }
-    if !stages.is_empty() {
-        println!("\nspiking-stage sparsity (summed over runs)");
-        println!(
-            "  {:<22} {:>12} {:>9} {:>14} {:>12} {:>7}",
-            "stage", "spikes", "density", "taps processed", "taps skipped", "skip%"
-        );
-        for name in &stage_order {
-            let [spikes, slots, processed, skipped] = stages[name];
-            let density = spikes as f64 / slots.max(1) as f64;
-            let skip_pct = 100.0 * skipped as f64 / (processed + skipped).max(1) as f64;
-            println!(
-                "  {name:<22} {spikes:>12} {density:>9.4} {processed:>14} {skipped:>12} {skip_pct:>6.1}%"
-            );
-        }
-    }
-    Ok(())
 }

@@ -1,22 +1,39 @@
-//! `--trace` end to end: span buffering is off unless a command turns it
-//! on, so a command run with `--trace <file>` must export the spans it ran,
-//! not an empty trace.
+//! `--trace` and `--metrics` end to end: span buffering is off unless a
+//! command turns it on, so a command run with `--trace <file>` must export
+//! the spans it ran, not an empty trace; and `sia report` must read back
+//! the `--metrics` capture each command wrote.
 #![cfg(feature = "telemetry")]
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
-fn sia(dir: &Path, args: &[&str]) {
-    let out = Command::new(env!("CARGO_BIN_EXE_sia"))
+fn run_sia(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sia"))
         .current_dir(dir)
         .args(args)
         .output()
-        .expect("spawn sia");
+        .expect("spawn sia")
+}
+
+fn sia(dir: &Path, args: &[&str]) {
+    let out = run_sia(dir, args);
     assert!(
         out.status.success(),
         "sia {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// Runs `sia report <file>` and returns its stdout; it must exit 0.
+fn report(dir: &Path, file: &str) -> String {
+    let out = run_sia(dir, &["report", file]);
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "sia report {file} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
 }
 
 /// The `"name"` of every event in a Chrome trace file.
@@ -52,27 +69,65 @@ fn trace_flag_exports_the_spans_each_command_ran() {
             "1",
             "--trace",
             "train.json",
+            "--metrics",
+            "train.jsonl",
         ],
     );
     let train = event_names(&dir.join("train.json"));
     assert!(train.iter().any(|n| n == "step"), "train trace: {train:?}");
 
-    sia(
-        &dir,
-        &[
-            "eval",
-            "m.sia",
-            "--backend",
-            "int",
-            "--images",
-            "4",
-            "--timesteps",
-            "8",
-            "--trace",
-            "eval.json",
-        ],
-    );
-    let eval = event_names(&dir.join("eval.json"));
-    assert!(eval.iter().any(|n| n == "int_run"), "eval trace: {eval:?}");
+    let eval = |backend: &str, images: &str| {
+        let (trace, metrics) = (format!("{backend}.json"), format!("{backend}.jsonl"));
+        sia(
+            &dir,
+            &[
+                "eval",
+                "m.sia",
+                "--backend",
+                backend,
+                "--images",
+                images,
+                "--timesteps",
+                "8",
+                "--trace",
+                &trace,
+                "--metrics",
+                &metrics,
+            ],
+        );
+        event_names(&dir.join(trace))
+    };
+    let int = eval("int", "4");
+    assert!(int.iter().any(|n| n == "int_run"), "eval trace: {int:?}");
+    eval("accel", "2");
+
+    let train = report(&dir, "train.jsonl");
+    assert!(train.contains("training curve"), "{train}");
+    assert!(train.contains("attribution skipped"), "{train}");
+
+    let int = report(&dir, "int.jsonl");
+    assert!(int.contains("spiking-stage sparsity"), "{int}");
+    assert!(int.contains("attribution skipped"), "{int}");
+
+    let accel = report(&dir, "accel.jsonl");
+    assert!(accel.contains("accel.layer events over"), "{accel}");
+    for column in ["compute cy", "transfer cy", "spikes"] {
+        assert!(
+            accel.contains(column),
+            "layer table lacks `{column}`:\n{accel}"
+        );
+    }
+    assert!(accel.contains("all 9 identities hold"), "{accel}");
+
+    std::fs::write(dir.join("empty.jsonl"), "").expect("write empty capture");
+    assert!(!run_sia(&dir, &["report", "empty.jsonl"]).status.success());
+
+    // a capture cut mid-line: every complete line still reports
+    let text = std::fs::read_to_string(dir.join("int.jsonl")).expect("read int capture");
+    let end = text.trim_end().len() - 5;
+    std::fs::write(dir.join("cut.jsonl"), &text[..end]).expect("write cut capture");
+    let cut = report(&dir, "cut.jsonl");
+    assert!(cut.contains("spiking-stage sparsity"), "{cut}");
+    assert!(cut.contains("file ends mid-line"), "{cut}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -72,13 +72,6 @@ impl LabelledSet {
         }
     }
 
-    /// Applies `f` to every image in place (normalisation, augmentation).
-    pub fn map_images(&mut self, mut f: impl FnMut(&mut Tensor)) {
-        for img in &mut self.images {
-            f(img);
-        }
-    }
-
     /// Iterator over shuffled mini-batches; each yield is a stacked
     /// `[B,C,H,W]` tensor and its labels. The final short batch is yielded.
     #[must_use]
@@ -194,14 +187,6 @@ mod tests {
         let set = tiny_set(10).take(4);
         assert_eq!(set.len(), 4);
         assert_eq!(set.take(100).len(), 4); // over-take is clamped
-    }
-
-    #[test]
-    fn map_images_mutates_in_place() {
-        let mut set = tiny_set(3);
-        set.map_images(|img| img.map_inplace(|x| x + 1.0));
-        assert_eq!(set.get(0).0.data()[0], 1.0);
-        assert_eq!(set.get(2).0.data()[0], 3.0);
     }
 
     #[test]

@@ -218,59 +218,6 @@ pub fn render_class(class: usize, config: &SynthConfig, rng: &mut StdRng) -> Ten
     Tensor::from_vec(vec![3, s, s], data)
 }
 
-/// Per-channel mean/std normalisation statistics over a set.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ChannelStats {
-    /// Per-channel means.
-    pub mean: [f32; 3],
-    /// Per-channel standard deviations.
-    pub std: [f32; 3],
-}
-
-/// Computes per-channel statistics of a labelled set.
-///
-/// # Panics
-///
-/// Panics if the set is empty.
-#[must_use]
-pub fn channel_stats(set: &LabelledSet) -> ChannelStats {
-    assert!(!set.is_empty(), "cannot compute stats of an empty set");
-    let mut sum = [0.0f64; 3];
-    let mut sum_sq = [0.0f64; 3];
-    let mut count = [0usize; 3];
-    for i in 0..set.len() {
-        let (img, _) = set.get(i);
-        let s = img.shape().dim(1) * img.shape().dim(2);
-        for c in 0..3 {
-            for &px in &img.data()[c * s..(c + 1) * s] {
-                sum[c] += f64::from(px);
-                sum_sq[c] += f64::from(px) * f64::from(px);
-            }
-            count[c] += s;
-        }
-    }
-    let mut mean = [0.0f32; 3];
-    let mut std = [0.0f32; 3];
-    for c in 0..3 {
-        let m = sum[c] / count[c] as f64;
-        let var = (sum_sq[c] / count[c] as f64 - m * m).max(1e-12);
-        mean[c] = m as f32;
-        std[c] = var.sqrt() as f32;
-    }
-    ChannelStats { mean, std }
-}
-
-/// Normalises an image in place with the given statistics.
-pub fn normalize(img: &mut Tensor, stats: &ChannelStats) {
-    let s = img.shape().dim(1) * img.shape().dim(2);
-    for c in 0..3 {
-        let (m, d) = (stats.mean[c], stats.std[c].max(1e-6));
-        for px in &mut img.data_mut()[c * s..(c + 1) * s] {
-            *px = (*px - m) / d;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,21 +314,6 @@ mod tests {
     fn render_class_checks_range() {
         let mut rng = StdRng::seed_from_u64(1);
         let _ = render_class(10, &SynthConfig::small(), &mut rng);
-    }
-
-    #[test]
-    fn channel_stats_and_normalize() {
-        let d = SynthDataset::generate(&SynthConfig::small(), 50, 0);
-        let stats = channel_stats(&d.train);
-        for c in 0..3 {
-            assert!(stats.mean[c] > 0.1 && stats.mean[c] < 0.9);
-            assert!(stats.std[c] > 0.05);
-        }
-        let (img, _) = d.train.get(0);
-        let mut norm = img.clone();
-        normalize(&mut norm, &stats);
-        // normalised image should roughly centre near zero
-        assert!(norm.mean().abs() < 1.0);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::model::Model;
 #[derive(Clone, Debug)]
 pub struct Sgd {
     lr: f32,
-    base_lr: f32,
     momentum: f32,
     weight_decay: f32,
     grad_clip: Option<f32>,
@@ -31,7 +30,6 @@ impl Sgd {
         assert!(lr > 0.0, "learning rate must be positive");
         Sgd {
             lr,
-            base_lr: lr,
             momentum: 0.0,
             weight_decay: 0.0,
             grad_clip: None,
@@ -72,12 +70,6 @@ impl Sgd {
     pub fn decay_lr(&mut self, factor: f32) {
         assert!(factor > 0.0, "decay factor must be positive");
         self.lr *= factor;
-    }
-
-    /// Sets the learning rate to `base_lr · factor` (cosine or warmup
-    /// schedules computed by the caller).
-    pub fn set_lr_scale(&mut self, factor: f32) {
-        self.lr = self.base_lr * factor;
     }
 
     /// Applies one update step to every parameter of `model`, consuming the
@@ -194,8 +186,6 @@ mod tests {
         let mut opt = Sgd::new(0.4);
         opt.decay_lr(0.5);
         assert!((opt.lr() - 0.2).abs() < 1e-7);
-        opt.set_lr_scale(0.25);
-        assert!((opt.lr() - 0.1).abs() < 1e-7);
     }
 
     #[test]

@@ -156,33 +156,6 @@ impl NetworkSpec {
             .join(" → ")
     }
 
-    /// Number of convolution stages (including downsample convs).
-    #[must_use]
-    pub fn conv_count(&self) -> usize {
-        self.items
-            .iter()
-            .map(|it| match it {
-                SpecItem::Conv(_) => 1,
-                SpecItem::BlockAdd { down: Some(_), .. } => 1,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total multiply-accumulate count of one inference pass.
-    #[must_use]
-    pub fn total_macs(&self) -> usize {
-        self.items
-            .iter()
-            .map(|it| match it {
-                SpecItem::Conv(c) => c.geom.macs(),
-                SpecItem::BlockAdd { down: Some(c), .. } => c.geom.macs(),
-                SpecItem::Linear(l) => l.in_features * l.out_features,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Total parameter count (weights + bias; BN affine terms excluded since
     /// they fold into `G`/`H`).
     #[must_use]
@@ -273,9 +246,6 @@ mod tests {
     #[test]
     fn counts() {
         let s = spec();
-        assert_eq!(s.conv_count(), 3);
-        let conv_macs = 4 * 64 * 27 + 2 * (4 * 64 * 36);
-        assert_eq!(s.total_macs(), conv_macs + 40);
         assert_eq!(s.weight_count(), 4 * 3 * 9 + 2 * (4 * 4 * 9) + 40 + 10);
     }
 

@@ -122,13 +122,6 @@ impl RooflineModel {
         self.peak_ops_per_sec / self.stream_bytes_per_sec
     }
 
-    /// Attainable ops/s at operational intensity `ops_per_byte` — the
-    /// roofline itself: `min(peak, bandwidth × intensity)`.
-    #[must_use]
-    pub fn attainable_ops_per_sec(&self, ops_per_byte: f64) -> f64 {
-        (self.stream_bytes_per_sec * ops_per_byte).min(self.peak_ops_per_sec)
-    }
-
     /// Splits a layer's latency into its accounted components, in cycles:
     /// `(compute, stream, driver, overhead)`. Stream and driver re-derive
     /// from the layer's recorded traffic exactly as the machine's AXI
@@ -174,16 +167,6 @@ mod tests {
         assert!((r.mmio_words_per_sec - 100e6 / 560.0).abs() < 1e-6);
         // ridge: 38.4 GOPS / 800 MB/s = 48 ops/byte
         assert!((r.ridge_intensity() - 48.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn roofline_is_min_of_bandwidth_and_peak() {
-        let r = RooflineModel::pynq_z2();
-        // below the ridge: bandwidth-limited, linear in intensity
-        assert!((r.attainable_ops_per_sec(1.0) - 800e6).abs() < 1.0);
-        assert!((r.attainable_ops_per_sec(24.0) - 19.2e9).abs() < 1e3);
-        // above the ridge: flat at peak
-        assert!((r.attainable_ops_per_sec(1000.0) - 38.4e9).abs() < 1e3);
     }
 
     #[test]

@@ -21,13 +21,6 @@
 //! * **Seeded random walk** ([`RandomWalk`]): uniformly random decisions
 //!   from a deterministic xorshift stream, for depth beyond the exhaustive
 //!   frontier. The same seed replays the same schedules.
-//!
-//! Virtual time is frozen: `now()` is always zero and deadlines are
-//! strictly in the future, so a `wait_timeout` can only fire at
-//! *quiescence* — when no thread is enabled. A lost wakeup therefore
-//! cannot hide behind a timeout that happens to rescue it: if the only
-//! way forward is a timer, the trace shows the timer firing; if not even
-//! a timer is armed, the run reports [`Failure::Deadlock`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -73,9 +66,9 @@ impl std::fmt::Display for TraceStep {
 /// What went wrong on a schedule.
 #[derive(Clone, Debug)]
 pub enum Failure {
-    /// Every live virtual thread is blocked and no timeout is armed.
-    /// A lost wakeup manifests exactly like this: a consumer asleep
-    /// forever while its work sits queued.
+    /// Every live virtual thread is blocked. A lost wakeup manifests
+    /// exactly like this: a consumer asleep forever while its work sits
+    /// queued.
     Deadlock {
         /// The blocked threads: `(tid, name, operation blocked on)`.
         blocked: Vec<(usize, String, String)>,
@@ -243,10 +236,7 @@ pub(crate) enum Op {
     CvWait {
         cv: usize,
         mutex: usize,
-        /// Virtual deadline in µs since the frozen epoch (None = untimed).
-        deadline: Option<u64>,
     },
-    CvNotifyOne(usize),
     CvNotifyAll(usize),
     AtomicLoad(usize),
     AtomicStore(usize),
@@ -263,15 +253,7 @@ impl Op {
             Op::Start => "start".to_string(),
             Op::MutexLock(m) => format!("mutex#{m}.lock"),
             Op::MutexUnlock(m) => format!("mutex#{m}.unlock"),
-            Op::CvWait {
-                cv, deadline: None, ..
-            } => format!("cv#{cv}.wait"),
-            Op::CvWait {
-                cv,
-                deadline: Some(d),
-                ..
-            } => format!("cv#{cv}.wait_timeout({d}us)"),
-            Op::CvNotifyOne(c) => format!("cv#{c}.notify_one"),
+            Op::CvWait { cv, .. } => format!("cv#{cv}.wait"),
             Op::CvNotifyAll(c) => format!("cv#{c}.notify_all"),
             Op::AtomicLoad(a) => format!("atomic#{a}.load"),
             Op::AtomicStore(a) => format!("atomic#{a}.store"),
@@ -295,11 +277,10 @@ enum Status {
         loc: &'static Location<'static>,
     },
     /// Asleep inside a condvar wait (released the mutex, not runnable
-    /// until notified or timed out).
+    /// until notified).
     Sleeping {
         cv: usize,
         mutex: usize,
-        deadline: Option<u64>,
         loc: &'static Location<'static>,
     },
     /// Body returned (or unwound); a `Join` on this thread is enabled.
@@ -311,8 +292,6 @@ struct Thr {
     status: Status,
     /// Set by the controller to resume the thread out of `reach`.
     resume: bool,
-    /// Whether the last `wait_timeout` ended by timeout (set at grant).
-    timed_out: bool,
     /// Whether the last channel op observed a closed/receiver-less end.
     chan_closed: bool,
     name: String,
@@ -362,7 +341,6 @@ pub(crate) struct RunCore {
 
 /// Outcome flags `reach` hands back to the model primitive that parked.
 pub(crate) struct Reached {
-    pub timed_out: bool,
     pub chan_closed: bool,
 }
 
@@ -486,7 +464,6 @@ impl RunCore {
         g.threads.push(Thr {
             status: Status::Parked { op: Op::Start, loc },
             resume: false,
-            timed_out: false,
             chan_closed: false,
             name: name.to_string(),
         });
@@ -542,7 +519,6 @@ impl RunCore {
         let t = &mut g.threads[tid];
         t.resume = false;
         Reached {
-            timed_out: std::mem::take(&mut t.timed_out),
             chan_closed: std::mem::take(&mut t.chan_closed),
         }
     }
@@ -585,10 +561,7 @@ fn cancelled_reach(mut g: MutexGuard<'_, Core>, op: Op) -> Reached {
         }
         Op::ChanRecv(_) => {
             // report "closed" so `while let` worker loops exit cleanly
-            return Reached {
-                timed_out: true,
-                chan_closed: true,
-            };
+            return Reached { chan_closed: true };
         }
         _ => {}
     }
@@ -609,10 +582,7 @@ fn cancelled_reach(mut g: MutexGuard<'_, Core>, op: Op) -> Reached {
         drop(g);
         std::panic::panic_any(CancelToken);
     }
-    Reached {
-        timed_out: true,
-        chan_closed: true,
-    }
+    Reached { chan_closed: true }
 }
 
 /// Real-thread entry point for a virtual thread: wait for the start
@@ -714,33 +684,19 @@ fn apply_effect(g: &mut Core, tid: usize, op: Op) -> bool {
         Op::MutexUnlock(m) => {
             g.mutexes[m].owner = None;
         }
-        Op::CvWait {
-            cv,
-            mutex,
-            deadline,
-        } => {
+        Op::CvWait { cv, mutex } => {
             g.mutexes[mutex].owner = None;
             g.cvs[cv].waiters.push_back(tid);
             let loc = match g.threads[tid].status {
                 Status::Parked { loc, .. } => loc,
                 _ => Location::caller(),
             };
-            g.threads[tid].status = Status::Sleeping {
-                cv,
-                mutex,
-                deadline,
-                loc,
-            };
+            g.threads[tid].status = Status::Sleeping { cv, mutex, loc };
             return false;
-        }
-        Op::CvNotifyOne(c) => {
-            if let Some(w) = g.cvs[c].waiters.pop_front() {
-                wake_sleeper(g, w, false);
-            }
         }
         Op::CvNotifyAll(c) => {
             while let Some(w) = g.cvs[c].waiters.pop_front() {
-                wake_sleeper(g, w, false);
+                wake_sleeper(g, w);
             }
         }
         Op::ChanSend(c) => {
@@ -773,12 +729,11 @@ fn apply_effect(g: &mut Core, tid: usize, op: Op) -> bool {
 }
 
 /// Converts a sleeping cv waiter into a parked mutex-reacquire.
-fn wake_sleeper(g: &mut Core, tid: usize, timed_out: bool) {
+fn wake_sleeper(g: &mut Core, tid: usize) {
     let (mutex, loc) = match g.threads[tid].status {
         Status::Sleeping { mutex, loc, .. } => (mutex, loc),
         ref other => panic!("sia-sched: waking t{tid} in state {other:?}"),
     };
-    g.threads[tid].timed_out = timed_out;
     g.threads[tid].status = Status::Parked {
         op: Op::MutexLock(mutex),
         loc,
@@ -851,33 +806,7 @@ where
             .collect();
 
         if candidates.is_empty() {
-            // quiescence: fire the earliest armed timeout, else deadlock
-            let earliest = (0..g.threads.len())
-                .filter_map(|t| match g.threads[t].status {
-                    Status::Sleeping {
-                        deadline: Some(d), ..
-                    } => Some((d, t)),
-                    _ => None,
-                })
-                .min();
-            if let Some((_, t)) = earliest {
-                let (cv, loc) = match g.threads[t].status {
-                    Status::Sleeping { cv, loc, .. } => (cv, loc),
-                    _ => unreachable!(),
-                };
-                g.cvs[cv].waiters.retain(|&w| w != t);
-                wake_sleeper(&mut g, t, true);
-                let name = g.threads[t].name.clone();
-                g.trace.push(TraceStep {
-                    thread: t,
-                    name,
-                    op: format!("cv#{cv}.timeout-fires"),
-                    location: format!("{}:{}", loc.file(), loc.line()),
-                });
-                g.steps += 1;
-                last_ran = None; // a timer fired; the next switch is free
-                continue 'schedule;
-            }
+            // quiescence with live threads: nothing can ever wake them
             let blocked: Vec<(usize, String, String)> = (0..g.threads.len())
                 .filter_map(|t| match g.threads[t].status {
                     Status::Parked { op, .. } => {

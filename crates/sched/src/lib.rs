@@ -13,7 +13,7 @@
 //! Two halves:
 //!
 //! * [`sync`] — a small sync-primitive abstraction, [`SyncOps`]: `Mutex`,
-//!   `Condvar`, atomics, channels, spawn/join and a monotonic clock. The
+//!   `Condvar`, atomics, channels and spawn/join. The
 //!   [`StdSync`] implementation is a zero-cost passthrough to `std` (plus
 //!   poison-stripping, which the protocols all did by hand anyway) — it is
 //!   what production binaries run. The protocols above are generic over
@@ -58,6 +58,5 @@ pub use explore::{
 };
 pub use model::ModelSync;
 pub use sync::{
-    AtomicUsizeApi, CondvarApi, InstantApi, JoinHandleApi, MutexApi, ReceiverApi, SenderApi,
-    StdSync, SyncOps,
+    AtomicUsizeApi, CondvarApi, JoinHandleApi, MutexApi, ReceiverApi, SenderApi, StdSync, SyncOps,
 };

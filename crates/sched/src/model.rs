@@ -13,12 +13,10 @@
 use std::panic::Location;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use crate::explore::{self, Op};
 use crate::sync::{
-    AtomicUsizeApi, CondvarApi, InstantApi, JoinHandleApi, MutexApi, ReceiverApi, SenderApi,
-    SyncOps,
+    AtomicUsizeApi, CondvarApi, JoinHandleApi, MutexApi, ReceiverApi, SenderApi, SyncOps,
 };
 
 /// The checker's [`SyncOps`]: every operation is a scheduling point.
@@ -111,13 +109,8 @@ pub struct VCondvar {
     id: usize,
 }
 
-impl VCondvar {
-    #[track_caller]
-    fn wait_inner<'a, T: Send + 'a>(
-        &self,
-        mut guard: VMutexGuard<'a, T>,
-        timeout: Option<Duration>,
-    ) -> (VMutexGuard<'a, T>, bool) {
+impl CondvarApi<ModelSync> for VCondvar {
+    fn wait<'a, T: Send + 'a>(&self, mut guard: VMutexGuard<'a, T>) -> VMutexGuard<'a, T> {
         let loc = Location::caller();
         let (core, tid) = explore::cur();
         let vm = guard.vm;
@@ -128,49 +121,21 @@ impl VCondvar {
         // Drop does not report a second (spurious) unlock.
         guard.inner = None;
         std::mem::forget(guard);
-        // virtual time is frozen at 0, so any timeout is strictly future;
-        // it can fire only at quiescence (see crate::explore module docs)
-        let deadline = timeout.map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1));
-        let reached = core.reach(
+        core.reach(
             tid,
             Op::CvWait {
                 cv: self.id,
                 mutex: vm.id,
-                deadline,
             },
             loc,
         );
-        // reach returned ⇒ this thread was woken (notify or timeout) and
-        // then granted the mutex re-acquire; take the real lock to match
-        let inner = real_lock(&vm.data);
-        (
-            VMutexGuard {
-                vm,
-                inner: Some(inner),
-                loc: lock_loc,
-            },
-            reached.timed_out,
-        )
-    }
-}
-
-impl CondvarApi<ModelSync> for VCondvar {
-    fn wait<'a, T: Send + 'a>(&self, guard: VMutexGuard<'a, T>) -> VMutexGuard<'a, T> {
-        self.wait_inner(guard, None).0
-    }
-
-    fn wait_timeout<'a, T: Send + 'a>(
-        &self,
-        guard: VMutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (VMutexGuard<'a, T>, bool) {
-        self.wait_inner(guard, Some(timeout))
-    }
-
-    fn notify_one(&self) {
-        let loc = Location::caller();
-        let (core, tid) = explore::cur();
-        core.reach(tid, Op::CvNotifyOne(self.id), loc);
+        // reach returned ⇒ this thread was notified and then granted the
+        // mutex re-acquire; take the real lock to match
+        VMutexGuard {
+            vm,
+            inner: Some(real_lock(&vm.data)),
+            loc: lock_loc,
+        }
     }
 
     fn notify_all(&self) {
@@ -210,22 +175,6 @@ impl AtomicUsizeApi for VAtomicUsize {
         let (core, tid) = explore::cur();
         core.reach(tid, Op::AtomicFetchAdd(self.id), loc);
         self.v.fetch_add(value, ord)
-    }
-}
-
-/// The frozen virtual clock: `now()` is always instant 0; `add` always
-/// lands strictly in the future (µs resolution, minimum 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct VInstant(u64);
-
-impl InstantApi for VInstant {
-    fn add(self, d: Duration) -> Self {
-        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX).max(1);
-        VInstant(self.0.saturating_add(us))
-    }
-
-    fn duration_since(self, earlier: Self) -> Duration {
-        Duration::from_micros(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -315,7 +264,6 @@ impl SyncOps for ModelSync {
     type Mutex<T: Send> = VMutex<T>;
     type Condvar = VCondvar;
     type AtomicUsize = VAtomicUsize;
-    type Instant = VInstant;
     type Sender<T: Send> = VSender<T>;
     type Receiver<T: Send> = VReceiver<T>;
     type JoinHandle = VJoinHandle;
@@ -341,10 +289,6 @@ impl SyncOps for ModelSync {
             id: core.alloc_atomic(),
             v: std::sync::atomic::AtomicUsize::new(value),
         }
-    }
-
-    fn now() -> VInstant {
-        VInstant(0)
     }
 
     fn channel<T: Send>() -> (VSender<T>, VReceiver<T>) {
@@ -527,22 +471,7 @@ mod tests {
             .assert_pass("channel");
     }
 
-    /// Timed wait with no notifier: the frozen clock fires the timeout at
-    /// quiescence instead of deadlocking.
-    #[test]
-    fn wait_timeout_fires_at_quiescence() {
-        Explorer::new()
-            .explore(|| {
-                let m = ModelSync::mutex(false);
-                let cv = ModelSync::condvar();
-                let g = m.lock();
-                let (_g, timed_out) = cv.wait_timeout(g, Duration::from_millis(1));
-                assert!(timed_out, "no notifier exists, so only the timer fires");
-            })
-            .assert_pass("wait_timeout");
-    }
-
-    /// Untimed wait with no notifier is a deadlock (lost-wakeup shape).
+    /// A wait with no notifier is a deadlock (lost-wakeup shape).
     #[test]
     fn lost_wakeup_is_deadlock() {
         let result = Explorer::new().explore(|| {

@@ -19,7 +19,6 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
 
 /// A mutex that yields plain guards (poison is stripped, never surfaced).
 pub trait MutexApi<T: Send>: Send + Sync {
@@ -50,21 +49,6 @@ pub trait CondvarApi<S: SyncOps>: Send + Sync {
     where
         S::Mutex<T>: 'a;
 
-    /// [`CondvarApi::wait`] with a timeout; the `bool` is true when the
-    /// wait timed out rather than being notified.
-    #[track_caller]
-    fn wait_timeout<'a, T: Send + 'a>(
-        &self,
-        guard: <S::Mutex<T> as MutexApi<T>>::Guard<'a>,
-        timeout: Duration,
-    ) -> (<S::Mutex<T> as MutexApi<T>>::Guard<'a>, bool)
-    where
-        S::Mutex<T>: 'a;
-
-    /// Wakes one waiter.
-    #[track_caller]
-    fn notify_one(&self);
-
     /// Wakes every waiter.
     #[track_caller]
     fn notify_all(&self);
@@ -87,20 +71,6 @@ pub trait AtomicUsizeApi: Send + Sync {
     /// Adds to the value, returning the previous value.
     #[track_caller]
     fn fetch_add(&self, value: usize, ord: Ordering) -> usize;
-}
-
-/// A monotonic instant: the subset of `std::time::Instant` the batching
-/// deadline logic needs. The checker freezes the clock so deadlines only
-/// fire through [`CondvarApi::wait_timeout`] at quiescence.
-pub trait InstantApi:
-    Copy + Send + Sync + PartialEq + PartialOrd + std::fmt::Debug + 'static
-{
-    /// This instant shifted `d` into the future.
-    #[must_use]
-    fn add(self, d: Duration) -> Self;
-
-    /// Time elapsed from `earlier` to `self` (zero if `earlier` is later).
-    fn duration_since(self, earlier: Self) -> Duration;
 }
 
 /// The sending half of an unbounded channel.
@@ -137,8 +107,6 @@ pub trait SyncOps: Sized + Send + Sync + 'static {
     type Condvar: CondvarApi<Self>;
     /// Shared `usize` atomic.
     type AtomicUsize: AtomicUsizeApi;
-    /// Monotonic clock instant.
-    type Instant: InstantApi;
     /// Unbounded channel sender.
     type Sender<T: Send>: SenderApi<T>;
     /// Unbounded channel receiver.
@@ -154,9 +122,6 @@ pub trait SyncOps: Sized + Send + Sync + 'static {
 
     /// Creates an atomic.
     fn atomic_usize(value: usize) -> Self::AtomicUsize;
-
-    /// The current instant.
-    fn now() -> Self::Instant;
 
     /// Creates an unbounded channel.
     fn channel<T: Send>() -> (Self::Sender<T>, Self::Receiver<T>);
@@ -206,20 +171,6 @@ impl CondvarApi<StdSync> for std::sync::Condvar {
         std::sync::Condvar::wait(self, guard).unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn wait_timeout<'a, T: Send + 'a>(
-        &self,
-        guard: std::sync::MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (std::sync::MutexGuard<'a, T>, bool) {
-        let (guard, result) = std::sync::Condvar::wait_timeout(self, guard, timeout)
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (guard, result.timed_out())
-    }
-
-    fn notify_one(&self) {
-        std::sync::Condvar::notify_one(self);
-    }
-
     fn notify_all(&self) {
         std::sync::Condvar::notify_all(self);
     }
@@ -236,16 +187,6 @@ impl AtomicUsizeApi for std::sync::atomic::AtomicUsize {
 
     fn fetch_add(&self, value: usize, ord: Ordering) -> usize {
         std::sync::atomic::AtomicUsize::fetch_add(self, value, ord)
-    }
-}
-
-impl InstantApi for Instant {
-    fn add(self, d: Duration) -> Self {
-        self + d
-    }
-
-    fn duration_since(self, earlier: Self) -> Duration {
-        self.saturating_duration_since(earlier)
     }
 }
 
@@ -271,7 +212,6 @@ impl SyncOps for StdSync {
     type Mutex<T: Send> = std::sync::Mutex<T>;
     type Condvar = std::sync::Condvar;
     type AtomicUsize = std::sync::atomic::AtomicUsize;
-    type Instant = Instant;
     type Sender<T: Send> = mpsc::Sender<T>;
     type Receiver<T: Send> = mpsc::Receiver<T>;
     type JoinHandle = std::thread::JoinHandle<()>;
@@ -286,10 +226,6 @@ impl SyncOps for StdSync {
 
     fn atomic_usize(value: usize) -> std::sync::atomic::AtomicUsize {
         std::sync::atomic::AtomicUsize::new(value)
-    }
-
-    fn now() -> Instant {
-        Instant::now()
     }
 
     fn channel<T: Send>() -> (mpsc::Sender<T>, mpsc::Receiver<T>) {
@@ -352,15 +288,6 @@ mod tests {
             hits[w].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn std_instant_math() {
-        let t0 = StdSync::now();
-        let t1 = t0.add(Duration::from_millis(5));
-        assert!(t1 > t0);
-        assert_eq!(t1.duration_since(t0), Duration::from_millis(5));
-        assert_eq!(t0.duration_since(t1), Duration::ZERO);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! The aggregation core: fixed-point batch norm + IF/LIF activation
-//! (paper §III-B) operating on the partial sums handed over by the spiking
-//! core, with membrane potentials living in the ping-pong memory.
+//! The aggregation core's batch-norm coefficients (paper §III-B). The
+//! core itself — batch norm on the partial sums handed over by the spiking
+//! core, then the IF/LIF activation on the ping-pong membranes — runs in
+//! [`crate::SiaMachine`]'s layer epilogue, which applies these per psum.
 
-use crate::config::SiaConfig;
 use sia_fixed::sat::add16;
 use sia_fixed::Q8_8;
-use sia_snn::network::NeuronMode;
-use sia_snn::neuron::step_int;
 
 /// Per-channel batch-norm coefficients as held in the configuration
 /// registers (streamed from the PS "layerwise as part of the
@@ -33,84 +31,9 @@ impl BnCoefficients {
     }
 }
 
-/// Outcome of running the aggregation core over one tile of partial sums.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggregationOutput {
-    /// Output spikes, one per input psum.
-    pub spikes: Vec<u8>,
-    /// Cycles spent (pipeline fill + one psum per cycle; overlapped with
-    /// the spiking core except for the fill).
-    pub cycles: u64,
-    /// Number of spikes emitted.
-    pub spike_count: u64,
-}
-
-/// Runs batch norm + activation over a tile of partial sums, updating the
-/// membrane slice in place (the U-state bank currently in write mode).
-///
-/// `channel_of` maps a psum index to its output channel (for coefficient
-/// lookup).
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree.
-#[must_use]
-pub fn run_tile(
-    psums: &[i16],
-    membranes: &mut [i16],
-    bn: &BnCoefficients,
-    channel_of: impl Fn(usize) -> usize,
-    theta: i16,
-    mode: NeuronMode,
-    config: &SiaConfig,
-) -> AggregationOutput {
-    assert_eq!(
-        psums.len(),
-        membranes.len(),
-        "psum/membrane length mismatch"
-    );
-    let mut spikes = vec![0u8; psums.len()];
-    let mut count = 0u64;
-    for (i, (&p, u)) in psums.iter().zip(membranes.iter_mut()).enumerate() {
-        let current = bn.apply(p, channel_of(i));
-        if step_int(u, current, theta, mode) {
-            spikes[i] = 1;
-            count += 1;
-        }
-    }
-    AggregationOutput {
-        spikes,
-        cycles: config.aggregation_pipeline_depth + psums.len() as u64,
-        spike_count: count,
-    }
-}
-
-/// Residual accumulation before batch norm (§IV: "pre-computed partial sums
-/// are read from the processor which is accumulated with the partial sums
-/// present in the PL"). Saturating, elementwise.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn accumulate_residual(main: &[i16], residual: &[i16]) -> Vec<i16> {
-    assert_eq!(main.len(), residual.len(), "residual length mismatch");
-    main.iter()
-        .zip(residual)
-        .map(|(&a, &b)| add16(a, b))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bn_identity(channels: usize) -> BnCoefficients {
-        BnCoefficients {
-            g: vec![Q8_8::ONE; channels],
-            h: vec![0; channels],
-        }
-    }
 
     #[test]
     fn bn_apply_scales_and_offsets() {
@@ -120,63 +43,5 @@ mod tests {
         };
         assert_eq!(bn.apply(100, 0), 60);
         assert_eq!(bn.apply(100, 1), 195);
-    }
-
-    #[test]
-    fn tile_spikes_and_resets_by_subtraction() {
-        let cfg = SiaConfig::pynq_z2();
-        let bn = bn_identity(1);
-        let mut mem = vec![64i16, 64, 64];
-        let out = run_tile(
-            &[100, 10, -200],
-            &mut mem,
-            &bn,
-            |_| 0,
-            128,
-            NeuronMode::If,
-            &cfg,
-        );
-        assert_eq!(out.spikes, vec![1, 0, 0]);
-        assert_eq!(out.spike_count, 1);
-        assert_eq!(mem, vec![36, 74, -136]); // 164−128, 74, −136
-    }
-
-    #[test]
-    fn tile_cycles_include_pipeline_fill() {
-        let cfg = SiaConfig::pynq_z2();
-        let bn = bn_identity(1);
-        let mut mem = vec![0i16; 10];
-        let out = run_tile(&[0; 10], &mut mem, &bn, |_| 0, 128, NeuronMode::If, &cfg);
-        assert_eq!(out.cycles, cfg.aggregation_pipeline_depth + 10);
-    }
-
-    #[test]
-    fn lif_mode_leaks() {
-        let cfg = SiaConfig::pynq_z2();
-        let bn = bn_identity(1);
-        let mut mem = vec![64i16];
-        let out = run_tile(
-            &[0],
-            &mut mem,
-            &bn,
-            |_| 0,
-            128,
-            NeuronMode::Lif { leak_shift: 2 },
-            &cfg,
-        );
-        assert_eq!(out.spike_count, 0);
-        assert_eq!(mem, vec![48]); // 64 − (64 >> 2)
-    }
-
-    #[test]
-    fn residual_accumulation_saturates() {
-        let acc = accumulate_residual(&[i16::MAX, 5], &[10, -3]);
-        assert_eq!(acc, vec![i16::MAX, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn residual_length_checked() {
-        let _ = accumulate_residual(&[1], &[1, 2]);
     }
 }

@@ -65,24 +65,6 @@ pub struct Program {
     pub timesteps: usize,
 }
 
-impl Program {
-    /// Total planned PS↔PL stream traffic in bytes.
-    #[must_use]
-    pub fn total_stream_bytes(&self) -> usize {
-        self.layers.iter().map(|l| l.traffic.stream_bytes()).sum()
-    }
-
-    /// Number of PL conv passes (kernel groups × conv layers).
-    #[must_use]
-    pub fn total_passes(&self) -> usize {
-        self.layers
-            .iter()
-            .filter(|l| l.on_pl)
-            .map(|l| l.kernel_groups.len())
-            .sum()
-    }
-}
-
 fn kernel_groups(out_channels: usize, pe_count: usize) -> Vec<(usize, usize)> {
     let mut groups = Vec::new();
     let mut start = 0;
@@ -359,8 +341,6 @@ mod tests {
         assert!(!p.layers[0].on_pl);
         assert!(p.layers[1].on_pl);
         assert!(!p.layers.last().unwrap().on_pl);
-        assert!(p.total_passes() >= 1);
-        assert!(p.total_stream_bytes() > 0);
     }
 
     #[test]

@@ -77,20 +77,6 @@ impl SiaConfig {
         }
     }
 
-    /// The §V ASIC projection point: same architecture at 500 MHz
-    /// (TSMC 40 nm).
-    #[must_use]
-    pub fn asic_40nm() -> Self {
-        SiaConfig {
-            clock_hz: 500_000_000,
-            // on-die interconnect removes the PS driver bottlenecks
-            mmio_cycles_per_word: 8,
-            layer_overhead_cycles: 2_000,
-            dma_bytes_per_cycle: 16.0,
-            ..SiaConfig::pynq_z2()
-        }
-    }
-
     /// Number of processing elements.
     #[must_use]
     pub fn pe_count(&self) -> usize {
@@ -160,13 +146,6 @@ mod tests {
     fn peak_throughput_is_38_4_gops() {
         let c = SiaConfig::pynq_z2();
         assert!((c.peak_ops_per_second() - 38.4e9).abs() < 1e3);
-    }
-
-    #[test]
-    fn asic_projection_is_five_x_clock() {
-        let c = SiaConfig::asic_40nm();
-        assert_eq!(c.clock_hz, 500_000_000);
-        assert!((c.peak_ops_per_second() - 192.0e9).abs() < 1e3);
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   walks output pixels, broadcasting the input spike window to all PEs.
 //!   Rows whose spike taps are all zero are **skipped in zero cycles** —
 //!   the event-driven behaviour that gives spiking inference its speed;
-//! * [`aggregation`] — the aggregation core: fixed-point batch norm
-//!   (`y·G + H` in Q8.8, paper Eq. 2) and the IF/LIF activation unit with
+//! * [`aggregation`] — the aggregation core's fixed-point batch-norm
+//!   coefficients (`y·G + H` in Q8.8, paper Eq. 2); the machine's layer
+//!   epilogue applies them and runs the IF/LIF activation unit with
 //!   reset-by-subtraction, selected by the mode bit;
 //! * [`memory`] — the exact on-chip memory map of §III-D (128 B spike
 //!   input, 8 kB weights, 64 kB membrane potentials in **U1/U2 ping-pong**,

@@ -23,8 +23,6 @@ pub struct PingPongMembranes {
     /// Index of the bank currently in **read** mode.
     read_bank: usize,
     capacity_words: usize,
-    reads: u64,
-    writes: u64,
 }
 
 impl PingPongMembranes {
@@ -43,8 +41,6 @@ impl PingPongMembranes {
             banks: [vec![0; per_bank], vec![0; per_bank]],
             read_bank: 0,
             capacity_words: per_bank,
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -70,8 +66,7 @@ impl PingPongMembranes {
     ///
     /// Panics if `i` exceeds the bank capacity.
     #[must_use]
-    pub fn read(&mut self, i: usize) -> i16 {
-        self.reads += 1;
+    pub fn read(&self, i: usize) -> i16 {
         self.banks[self.read_bank][i]
     }
 
@@ -81,7 +76,6 @@ impl PingPongMembranes {
     ///
     /// Panics if `i` exceeds the bank capacity.
     pub fn write(&mut self, i: usize, v: i16) {
-        self.writes += 1;
         let w = 1 - self.read_bank;
         self.banks[w][i] = v;
     }
@@ -104,12 +98,6 @@ impl PingPongMembranes {
         } else {
             BankRole::Write
         }
-    }
-
-    /// `(reads, writes)` access counters (for the power model).
-    #[must_use]
-    pub fn access_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 }
 
@@ -228,15 +216,6 @@ mod tests {
         assert_eq!(m.read(3), 7);
         m.toggle();
         assert_eq!(m.read(3), 7);
-    }
-
-    #[test]
-    fn access_counters_track() {
-        let mut m = PingPongMembranes::new(32);
-        let _ = m.read(0);
-        m.write(0, 1);
-        m.write(1, 2);
-        assert_eq!(m.access_counts(), (1, 2));
     }
 
     #[test]

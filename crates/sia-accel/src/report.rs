@@ -121,27 +121,6 @@ impl CycleReport {
         active as f64 / (compute as f64 * self.pe_count as f64)
     }
 
-    /// Sustained images/second when inferences stream back-to-back with
-    /// the layer pipeline kept busy: the ping-pong memories double-buffer
-    /// between consecutive images, so the steady-state interval is the
-    /// **slowest layer** (the pipeline bottleneck) rather than the sum of
-    /// all layers. The FC row of Table I makes this vivid: single-image
-    /// latency is ≈ 59 ms + convs, but the conv pipeline hides behind the
-    /// driver-paced FC, so streaming throughput is 1/max, not 1/sum.
-    #[must_use]
-    pub fn streaming_fps(&self) -> f64 {
-        let bottleneck = self
-            .layers
-            .iter()
-            .map(LayerCycles::total_cycles)
-            .max()
-            .unwrap_or(0);
-        if bottleneck == 0 {
-            return 0.0;
-        }
-        self.clock_hz as f64 / bottleneck as f64
-    }
-
     /// Report for a given SIA configuration (carries clock + PE count).
     #[must_use]
     pub fn for_config(config: &SiaConfig) -> Self {
@@ -225,25 +204,6 @@ mod tests {
         assert!(r.effective_gops() > 0.0);
         r.layers.clear();
         assert_eq!(r.pe_utilization(), 0.0);
-    }
-
-    #[test]
-    fn streaming_fps_is_bottleneck_paced() {
-        let r = CycleReport {
-            layers: vec![
-                layer(1000, 0, true),
-                layer(99_900, 0, true),
-                layer(500, 0, true),
-            ],
-            clock_hz: 100_000_000,
-            pe_count: 64,
-        };
-        // bottleneck = 100_000 cycles = 1 ms ⇒ 1000 fps,
-        // while single-image latency is the sum (slower)
-        assert!((r.streaming_fps() - 1000.0).abs() < 1e-6);
-        assert!(r.streaming_fps() > 1e3 / r.total_ms());
-        let empty = CycleReport::for_config(&SiaConfig::pynq_z2());
-        assert_eq!(empty.streaming_fps(), 0.0);
     }
 
     #[test]

@@ -241,15 +241,6 @@ impl ExitCalibration {
         }
     }
 
-    /// The fitted entropy policy, for sweeps and comparisons.
-    #[must_use]
-    pub fn entropy_policy(&self) -> ExitPolicy {
-        ExitPolicy::Entropy {
-            threshold: self.entropy_threshold,
-            window: self.window,
-        }
-    }
-
     /// Fits margin and entropy thresholds from fixed-T logit trajectories.
     ///
     /// `runs[i]` is image `i`'s `logits_per_t` from a fixed-T run and

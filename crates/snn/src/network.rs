@@ -209,24 +209,6 @@ impl SnnNetwork {
             })
             .count()
     }
-
-    /// Human-readable names of the spiking stages, in order (used as the
-    /// x-axis of Figs. 6 and 8).
-    #[must_use]
-    pub fn stage_names(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        for it in &self.items {
-            match it {
-                SnnItem::InputConv(c) | SnnItem::Conv(c) => {
-                    let (oh, _) = c.geom.out_hw();
-                    names.push(format!("conv{}x{}@{}", c.geom.kernel, c.geom.kernel, oh));
-                }
-                SnnItem::BlockAdd(a) => names.push(format!("add@{}", a.h)),
-                _ => {}
-            }
-        }
-        names
-    }
 }
 
 impl fmt::Display for SnnNetwork {
@@ -309,7 +291,6 @@ mod tests {
             num_classes: 10,
         };
         assert_eq!(net.spiking_stage_count(), 3);
-        assert_eq!(net.stage_names().len(), 3);
         assert!(net.to_string().contains("3 spiking stages"));
     }
 

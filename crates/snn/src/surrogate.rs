@@ -336,21 +336,6 @@ impl SurrogateMlp {
         }
         correct as f32 / set.len().max(1) as f32
     }
-
-    /// Mean hidden spike rate on one input (activity accounting).
-    #[must_use]
-    pub fn spike_rate(&self, x: &[f32], timesteps: usize) -> f32 {
-        let trace = self.forward_trace(x, timesteps);
-        let mut total = 0.0f32;
-        let mut n = 0usize;
-        for layer in &trace.spikes {
-            for t in layer {
-                total += t.iter().sum::<f32>();
-                n += t.len();
-            }
-        }
-        total / n.max(1) as f32
-    }
 }
 
 #[cfg(test)]
@@ -431,30 +416,6 @@ mod tests {
         );
         let acc = net.accuracy(&test, 8);
         assert!(acc > 0.3, "surrogate training stuck at chance: {acc}");
-    }
-
-    #[test]
-    fn spike_rate_is_plausible_after_training() {
-        let data = SynthDataset::generate(
-            &SynthConfig {
-                image_size: 8,
-                noise_std: 0.04,
-                seed: 62,
-            },
-            100,
-            10,
-        );
-        let train = flat_set(&data.train);
-        let mut net = SurrogateMlp::new(3 * 64, &[32], 10, 2);
-        let cfg = SurrogateConfig {
-            epochs: 3,
-            timesteps: 8,
-            ..SurrogateConfig::default()
-        };
-        let _ = net.train(&train, &cfg);
-        let (img, _) = train.get(0);
-        let rate = net.spike_rate(img.data(), 8);
-        assert!((0.0..=1.0).contains(&rate));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Minimal JSON writer + parser (no dependencies).
 //!
 //! Covers exactly what the telemetry sinks need: objects, arrays, strings
-//! with escapes, integers, floats, booleans and null. The parser exists so
-//! `sia trace` and the round-trip tests can read JSONL metric files back.
+//! with escapes, integers, floats, booleans and null. The parser reads
+//! JSON back: metrics JSONL for `sia report`, `/predict` request bodies,
+//! calibration files and the round-trip tests.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

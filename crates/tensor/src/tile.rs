@@ -21,18 +21,6 @@ pub fn block<const N: usize, T>(s: &[T]) -> &[T; N] {
         .expect("slice shorter than block")
 }
 
-/// A `&mut [T; N]` view of the first `N` elements of `s`.
-///
-/// # Panics
-///
-/// Panics if `s` has fewer than `N` elements.
-#[inline]
-pub fn block_mut<const N: usize, T>(s: &mut [T]) -> &mut [T; N] {
-    s.get_mut(..N)
-        .and_then(|p| p.try_into().ok())
-        .expect("slice shorter than block")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,9 +29,6 @@ mod tests {
     fn block_views_see_the_prefix() {
         let v = [1i16, 2, 3, 4, 5];
         assert_eq!(block::<4, _>(&v), &[1, 2, 3, 4]);
-        let mut m = v;
-        block_mut::<2, _>(&mut m)[1] = 9;
-        assert_eq!(m, [1, 9, 3, 4, 5]);
     }
 
     #[test]
