@@ -142,7 +142,7 @@ pub fn lint_exit(net: &SnnNetwork, policy: ExitPolicy, timesteps: usize) -> Vec<
                     )
                     .with_suggestion(format!(
                         "set --exit-margin at most {max_margin:.4}, or fit a threshold \
-                         with `sia calibrate --exit`"
+                         with `sia calibrate <model.sia>`"
                     )),
                 );
             } else if threshold <= 0.0 {
@@ -182,7 +182,7 @@ pub fn lint_exit(net: &SnnNetwork, policy: ExitPolicy, timesteps: usize) -> Vec<
                     )
                     .with_suggestion(format!(
                         "set --exit-entropy at least {min_entropy:.4}, or fit a \
-                         threshold with `sia calibrate --exit`"
+                         threshold with `sia calibrate <model.sia>`"
                     )),
                 );
             } else if threshold >= 1.0 {

@@ -2,7 +2,7 @@
 //!
 //! Each PL-resident layer is planned with the accelerator compiler's own
 //! scheduler ([`sia_accel::plan_conv`]) and the resulting
-//! [`sia_accel::LayerFootprint`] is checked against the memory map of the
+//! [`sia_accel::memory::LayerFootprint`] is checked against the memory map of the
 //! target [`SiaConfig`] (paper Fig. 5 / §III):
 //!
 //! | rule | budget (PYNQ-Z2) | outcome when exceeded |

@@ -283,36 +283,41 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
     })
 }
 
+/// Distinct spike planes per `bench conv` case, timed in rotation.
+const CONV_PLANES: usize = 8;
+
 /// Micro-benchmarks the spiking conv kernels: the word-parallel
 /// event-driven scatter and the register-tiled dense kernel (the two
 /// production paths) against the byte-wise reference
 /// ([`sia_snn::conv_psums_int`], the one integer oracle), asserting
-/// bit-exactness of every kernel at every density before timing anything.
+/// bit-exactness of every kernel on every plane before timing anything.
 ///
-/// Two case families share one timing loop:
+/// Two case families share one timing loop, and every case's `min_ns`
+/// tracks the kernel [`sia_snn::KernelPolicy::Auto`] picks (recorded as
+/// `sparse_selected`), the policy every engine runs by default:
 ///
 /// * `dNNN` — a density ladder on a synthetic square layer (32 channels at
-///   16×16; 8 at 8×8 in smoke mode). `min_ns` tracks the kernel the
-///   resolved [`sia_snn::KernelPolicy`] picks. Non-smoke runs add a fine
-///   density grid around the calibrated scatter↔dense crossover (marked
-///   `fine: 1`); smoke keeps the fixed ladder so the committed
-///   `conv-smoke` baseline stays comparable run to run.
+///   16×16; 8 at 8×8 in smoke mode). Non-smoke runs add a fine density
+///   grid around `Auto`'s scatter↔dense crossover (marked `fine: 1`);
+///   smoke keeps the fixed ladder so the committed `conv-smoke` baseline
+///   stays comparable run to run.
 /// * `<cin>to<cout>k<K>s<S>_<HW>_dNNN` — the deployed ResNet's conv
 ///   geometries (every stage and both downsample forms) at 0 % (the
 ///   per-call floor) and 10 % density, plus a short ladder on the 8→8
-///   @16² stage, the one whose layers weigh both kernels. `min_ns` tracks
-///   [`sia_snn::KernelPolicy::Auto`]'s pick, the policy e2ebench and an
-///   uncalibrated `sia serve` run, recorded as `sparse_selected`.
+///   @16² stage, the one whose layers weigh both kernels.
 ///
-/// Timing is **interleaved**: every round times each (case, kernel) pair
-/// once, so no kernel enjoys a privately warmed cache or branch-predictor
-/// state; the slower byte reference runs fewer rounds.
-fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, String> {
+/// Each case holds [`CONV_PLANES`] distinct random planes with exactly the
+/// same number of set spikes, and round `r` times plane `r mod`
+/// [`CONV_PLANES`], so no kernel is timed on one plane whose branches the
+/// predictor has learnt. Timing is **interleaved**: every round times each
+/// (case, kernel) pair once, so no kernel enjoys a privately warmed cache;
+/// the slower byte reference runs fewer rounds.
+fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, String> {
     use sia_fixed::{QuantScale, Q8_8};
     use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
     use sia_snn::{
         conv_psums_int, conv_psums_int_plane, conv_psums_int_scatter, conv_psums_int_tiled,
-        Calibration, ConvScratch, KernelPolicy, SpikePlane,
+        ConvScratch, CostModel, KernelPolicy, SpikePlane,
     };
     use sia_tensor::Conv2dGeom;
 
@@ -348,9 +353,10 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     // Representative mid-network residual-stage geometry (scaled down in
     // smoke mode, where only the equivalence asserts matter) first, then
     // the deployed ResNet's geometries: `(cin, cout, hw, kernel, stride)`
-    // with each one's densities (percent).
+    // with each one's densities (percent). Smoke's 9 rounds time each of
+    // the 8 planes once after the warm-up round.
     let (ch, hw, iters, ref_iters) = if smoke {
-        (8, 8, 7u32, 7u32)
+        (8, 8, 9u32, 9u32)
     } else {
         (32, 16, 200, 20)
     };
@@ -369,31 +375,11 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
             .iter()
             .map(|&((cin, cout, hw, k, s), _)| conv_of(cin, cout, hw, k, s)),
     );
-    let geom = convs[0].geom;
-
-    // The policy whose choices the ladder's `min_ns` tracks: explicit flags
-    // win; otherwise a loaded host calibration; otherwise a fresh
-    // in-process measurement — so the bench always reports a *measured*
-    // crossover.
-    let resolved = crate::calibrate::resolve_policy(args)?;
-    let (policy, model) = match resolved {
-        KernelPolicy::Calibrated(m) => (resolved, m),
-        other => {
-            let cal = Calibration::measure(smoke);
-            let policy = if other == KernelPolicy::Auto {
-                cal.policy()
-            } else {
-                other
-            };
-            (policy, cal.model)
-        }
-    };
-    let crossover = model.crossover_density(&geom);
+    let crossover = CostModel::DEFAULT.crossover_density(&convs[0].geom);
 
     // Fixed density ladder, plus (full mode only) a fine grid around the
-    // measured crossover so BENCH_conv.json pins down where the policy
-    // flips. Smoke keeps the fixed list: baseline checks fail on missing
-    // cases, and the crossover moves from host to host.
+    // crossover so BENCH_conv.json pins down where the policy flips. Smoke
+    // keeps the fixed list: baseline checks fail on missing cases.
     let base = [1u32, 5, 10, 25, 50, 100];
     let mut densities: Vec<(u32, bool)> = base.iter().map(|&p| (p, false)).collect();
     if !smoke {
@@ -415,83 +401,93 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         name: String,
         /// Index into `convs`, which is also the conv's layer slot.
         conv: usize,
-        policy: KernelPolicy,
         fine: bool,
-        bytes: Vec<u8>,
-        plane: SpikePlane,
-        measured_density: f64,
+        /// `CONV_PLANES` spike planes, each as bytes and packed.
+        planes: Vec<(Vec<u8>, SpikePlane)>,
+        /// Set spikes in every one of the planes.
         spikes: u64,
     }
-    let make_case = |conv: usize, policy: KernelPolicy, pct: u32, fine: bool, name: String| {
+    let make_case = |conv: usize, pct: u32, fine: bool, name: String| {
         let g = convs[conv].geom;
         let n = g.in_channels * g.in_h * g.in_w;
-        let mut state = u64::from(pct) << 17 | 1;
-        let bytes: Vec<u8> = (0..n)
+        let spikes = n * pct as usize / 100;
+        let mut state = (u64::from(pct) << 17 | conv as u64) << 8 | 1;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let planes = (0..CONV_PLANES)
             .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                u8::from((state >> 33) % 100 < u64::from(pct))
+                // A partial Fisher–Yates shuffle picks exactly `spikes`
+                // distinct neurons.
+                let mut order: Vec<usize> = (0..n).collect();
+                let mut bytes = vec![0u8; n];
+                for i in 0..spikes {
+                    order.swap(i, i + next(n - i));
+                    bytes[order[i]] = 1;
+                }
+                let mut plane = SpikePlane::default();
+                plane.pack_from_bytes(g.in_channels, g.in_h, g.in_w, &bytes);
+                (bytes, plane)
             })
             .collect();
-        let set = bytes.iter().map(|&b| u32::from(b)).sum::<u32>();
-        let mut plane = SpikePlane::default();
-        plane.pack_from_bytes(g.in_channels, g.in_h, g.in_w, &bytes);
         Case {
             name,
             conv,
-            policy,
             fine,
-            measured_density: f64::from(set) / n as f64,
-            spikes: plane.count_ones(),
-            bytes,
-            plane,
+            planes,
+            spikes: spikes as u64,
         }
     };
     let mut cases_in: Vec<Case> = densities
         .iter()
-        .map(|&(pct, fine)| make_case(0, policy, pct, fine, format!("d{pct:03}")))
+        .map(|&(pct, fine)| make_case(0, pct, fine, format!("d{pct:03}")))
         .collect();
     for (i, &((cin, cout, hw, k, s), pcts)) in deployed.iter().enumerate() {
         for &pct in pcts {
             let name = format!("{cin}to{cout}k{k}s{s}_{hw}_d{pct:03}");
-            cases_in.push(make_case(i + 1, KernelPolicy::Auto, pct, false, name));
+            cases_in.push(make_case(i + 1, pct, false, name));
         }
     }
 
     // Bit-exactness gate: never time a kernel that disagrees with the
-    // byte-wise reference.
+    // byte-wise reference, on any plane it will be timed on.
     let mut scr = ConvScratch::new();
     for c in &cases_in {
         let conv = &convs[c.conv];
-        let reference = conv_psums_int(conv, &c.bytes);
-        let checks: [(&str, Vec<i16>); 3] = [
-            (
-                "scatter",
-                conv_psums_int_scatter(conv, &c.plane, &mut scr, c.conv).to_vec(),
-            ),
-            (
-                "tiled",
-                conv_psums_int_tiled(conv, &c.plane, &mut scr, c.conv).to_vec(),
-            ),
-            (
-                "policy",
-                conv_psums_int_plane(conv, &c.plane, c.policy, &mut scr, c.conv).to_vec(),
-            ),
-        ];
-        for (kernel, got) in checks {
-            if got != reference {
-                return Err(format!(
-                    "{kernel} kernel diverges from the byte reference in case {}",
-                    c.name
-                ));
+        for (p, (bytes, plane)) in c.planes.iter().enumerate() {
+            let reference = conv_psums_int(conv, bytes);
+            let checks: [(&str, Vec<i16>); 3] = [
+                (
+                    "scatter",
+                    conv_psums_int_scatter(conv, plane, &mut scr, c.conv).to_vec(),
+                ),
+                (
+                    "tiled",
+                    conv_psums_int_tiled(conv, plane, &mut scr, c.conv).to_vec(),
+                ),
+                (
+                    "auto",
+                    conv_psums_int_plane(conv, plane, KernelPolicy::Auto, &mut scr, c.conv)
+                        .to_vec(),
+                ),
+            ];
+            for (kernel, got) in checks {
+                if got != reference {
+                    return Err(format!(
+                        "{kernel} kernel diverges from the byte reference in case {} plane {p}",
+                        c.name
+                    ));
+                }
             }
         }
     }
 
     println!(
-        "conv {ch}x{hw}x{hw} k3 s1 p1 and the deployed geometries, {iters} iters/kernel, \
-         crossover {:.1}%{}",
+        "conv {ch}x{hw}x{hw} k3 s1 p1 and the deployed geometries, {iters} iters/kernel over \
+         {CONV_PLANES} planes/case, crossover {:.1}%{}",
         crossover * 100.0,
         if smoke { " (smoke)" } else { "" }
     );
@@ -509,17 +505,16 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
     for round in 0..iters {
         for (i, c) in cases_in.iter().enumerate() {
             let conv = &convs[c.conv];
+            let (bytes, plane) = &c.planes[round as usize % CONV_PLANES];
             scatter_s[i].push(time_ns(&mut || {
-                black_box(
-                    conv_psums_int_scatter(conv, black_box(&c.plane), &mut scr, c.conv).len(),
-                );
+                black_box(conv_psums_int_scatter(conv, black_box(plane), &mut scr, c.conv).len());
             }));
             tiled_s[i].push(time_ns(&mut || {
-                black_box(conv_psums_int_tiled(conv, black_box(&c.plane), &mut scr, c.conv).len());
+                black_box(conv_psums_int_tiled(conv, black_box(plane), &mut scr, c.conv).len());
             }));
             if round < ref_iters {
                 byte_min[i] = byte_min[i].min(time_ns(&mut || {
-                    black_box(conv_psums_int(conv, black_box(&c.bytes)).len());
+                    black_box(conv_psums_int(conv, black_box(bytes)).len());
                 }));
             }
         }
@@ -534,14 +529,15 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
 
     println!(
         "{:<22} {:>9} {:>7} {:>10} {:>10} {:>10} {:>11} {:>8}",
-        "case", "measured", "kernel", "prod ns", "scatter", "tiled", "byte ref", "x byte"
+        "case", "density", "kernel", "prod ns", "scatter", "tiled", "byte ref", "x byte"
     );
     let mut cases = Vec::new();
     for (i, c) in cases_in.iter().enumerate() {
         let (scatter_min, scatter_median, scatter_mad) = summarize_ns(&scatter_s[i]);
         let (tiled_min, tiled_median, tiled_mad) = summarize_ns(&tiled_s[i]);
         let g = convs[c.conv].geom;
-        let sparse_selected = c.spikes < c.policy.scatter_limit(&g);
+        let density = c.spikes as f64 / (g.in_channels * g.in_h * g.in_w) as f64;
+        let sparse_selected = c.spikes < KernelPolicy::Auto.scatter_limit(&g);
         let (prod_min, prod_median, prod_mad, kernel) = if sparse_selected {
             (scatter_min, scatter_median, scatter_mad, "scatter")
         } else {
@@ -551,12 +547,12 @@ fn bench_conv(args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, 
         println!(
             "{:<22} {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>11} {:>7.1}x",
             c.name,
-            100.0 * c.measured_density,
+            100.0 * density,
             byte_min[i],
             speedup_vs_byte,
         );
         let mut metrics = vec![
-            ("measured_density".to_string(), c.measured_density),
+            ("measured_density".to_string(), density),
             ("fine".to_string(), f64::from(u8::from(c.fine))),
         ];
         if c.conv == 0 {
@@ -622,7 +618,7 @@ fn bench_model(args: &Args, timesteps: usize) -> Result<sia_serve::LoadedModel, 
     sia_serve::load_bytes(&bytes, "resnet18-w4-untrained (in-memory)", timesteps)
 }
 
-/// End-to-end inference throughput through the [`BatchEvaluator`] on all
+/// End-to-end inference throughput through the [`sia_snn::BatchEvaluator`] on all
 /// three engine backends. The model rides the shared deployment-image
 /// pipeline ([`bench_model`]): an untrained quantized network by default
 /// (execution cost does not depend on trained weights), or `--model

@@ -9,7 +9,7 @@
 //! sia serve   model.sia [--port 8080] [--backend float|int|accel] [--threads 0]
 //!             [--queue 256]
 //! sia explore [--clock-mhz 100]
-//! sia calibrate [--smoke] [--out cal.json] [--check cal.json]
+//! sia calibrate model.sia [--timesteps 8] [--smoke] [--out exit.json]
 //! sia bench   [conv|gemm|eval|serve] [--out BENCH_conv.json] [--smoke] [--threads N]
 //!             [--check-baseline] [--update-baseline] [--baseline-dir DIR]
 //! sia report  metrics.jsonl [--html report.html] [--trace spans.json]
@@ -37,11 +37,12 @@
 //! warnings) or 2 (usage). `run` and `eval` run the same verification and
 //! refuse models with error-severity findings.
 //!
-//! `bench` runs one family from the unified registry (see [`bench`]):
+//! `bench` runs one family from the unified registry (see [`mod@bench`]):
 //! `conv` and `gemm` are the kernel micro-benchmarks (bit-exactness
 //! asserted before any timing), `eval` is end-to-end inference throughput
-//! through the [`BatchEvaluator`]. All three share the `sia_perf` JSON
-//! schema and the `--check-baseline`/`--update-baseline` regression gate.
+//! through the [`BatchEvaluator`] and `serve` is the HTTP load generator.
+//! All four share the `sia_perf` JSON schema and the
+//! `--check-baseline`/`--update-baseline` regression gate.
 //! `--smoke` shrinks any of them to a CI-friendly pass.
 //!
 //! `train` takes `--threads N` (shared pool workers for GEMM/conv and
@@ -131,19 +132,18 @@ USAGE:
               [--metrics [out.jsonl]] [--trace out.json]
   sia eval    <model.sia> [--backend float|int|accel] [--threads N]
               [--timesteps N] [--burn-in N] [--images N] [--events] [--smoke]
-              [--kernel-policy auto|sparse|dense|calibrated]
+              [--kernel-policy auto|sparse|dense]
               [--policy fixed|margin|entropy|calibrated] [--exit-margin X]
               [--exit-entropy X] [--exit-window N] [--exit-calibration FILE]
               [--policy-sweep] [--min-accuracy X] [--max-acc-drop X]
-              [--calibration FILE] [--metrics [out.jsonl]] [--trace out.json]
+              [--metrics [out.jsonl]] [--trace out.json]
   sia serve   <model.sia> [--host H] [--port N] [--backend float|int|accel]
               [--threads N] [--timesteps N] [--burn-in N] [--queue N]
               [--port-file FILE]
-              [--kernel-policy auto|sparse|dense|calibrated] [--calibration FILE]
+              [--kernel-policy auto|sparse|dense]
               [--policy fixed|margin|entropy|calibrated] [--exit-margin X]
               [--exit-entropy X] [--exit-window N] [--exit-calibration FILE]
-  sia calibrate [--smoke] [--out FILE] | sia calibrate --check FILE
-  sia calibrate --exit <model.sia> [--timesteps N] [--exit-window N]
+  sia calibrate <model.sia> [--timesteps N] [--burn-in N] [--exit-window N]
               [--max-acc-drop X] [--images N] [--smoke] [--out FILE]
   sia explore [--clock-mhz N]
   sia bench   [conv|gemm|eval|serve] [--out FILE.json] [--smoke] [--threads N]
@@ -206,18 +206,15 @@ USAGE:
   errors. Exit codes: 0 pass, 1 errors, 2 usage. `run` and `eval` refuse
   models whose check reports errors.
 
-  `calibrate` micro-benchmarks the sparse (event-driven scatter) and dense
-  (register-tiled) conv kernels on this host, fits an integer cost model
-  and writes results/calibration/<host_key>.json. `eval`/`serve`/`bench`
-  auto-load a matching calibration; --kernel-policy picks a kernel
-  explicitly (sparse|dense), `auto` reverts to the built-in coefficients and
-  `calibrated` makes the file mandatory (--calibration overrides the
-  path). --check validates a file without measuring (the CI gate).
+  Each spiking conv layer runs the event-driven scatter or the
+  register-tiled dense kernel, fixed once per layer from its geometry by
+  a built-in integer cost model (--kernel-policy auto, the default);
+  sparse|dense force one kernel everywhere. Every choice is bit-exact.
 
   Adaptive early exit: --policy margin|entropy stops integrating timesteps
   once the head's logits clear a confidence threshold (--exit-margin /
   --exit-entropy, checked every --exit-window timesteps after --burn-in).
-  `calibrate --exit` fits thresholds on held-out training data (accuracy
+  `calibrate` fits thresholds on held-out training data (accuracy
   floor --max-acc-drop below fixed-T) and writes
   results/calibration/exit.json; --policy calibrated loads it. `eval`
   prints avg executed T and exit rate; --policy-sweep prints the

@@ -9,7 +9,7 @@ use std::fmt;
 /// One row of Table IV.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ComparisonRow {
-    /// Citation tag ("[18]", … or "This work").
+    /// Citation tag ("\[18\]", … or "This work").
     pub paper: String,
     /// FPGA platform.
     pub platform: String,
@@ -24,7 +24,7 @@ pub struct ComparisonRow {
     /// DSP slices used (None where not reported).
     pub dsps: Option<u64>,
     /// Whether the PE-efficiency column is meaningful for this row
-    /// (Table IV prints N/A for [22], whose PE count is not comparable).
+    /// (Table IV prints N/A for \[22\], whose PE count is not comparable).
     pub pe_eff_reported: bool,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Step 2 of the paper's pipeline replaces each ReLU with a *quantized ReLU
 //! of L levels* whose step size `s^l` is trained (the QCFS formulation of
-//! Bu et al., ref. [12] in the paper):
+//! Bu et al., ref. \[12\] in the paper):
 //!
 //! ```text
 //! y = (s/L) · clip( floor(x·L/s + 1/2), 0, L )

@@ -12,7 +12,7 @@
 //! * [`roofline`] — the Fig. 5 memory-map roofline (PE-array peak vs
 //!   AXI stream bandwidth vs the MMIO driver path) and a per-layer
 //!   compute-/memory-/driver-/overhead-bound classification.
-//! * [`bench`] — one JSON schema for every `sia bench` family (warmup
+//! * [`mod@bench`] — one JSON schema for every `sia bench` family (warmup
 //!   discard, min-of-iters, median + MAD) plus a noise-aware baseline
 //!   checker for `--check-baseline` regression gates.
 //! * [`html`] — a self-contained single-file HTML report: inline

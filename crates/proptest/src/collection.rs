@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// Length specification for [`vec`]: a fixed size or a size range.
+/// Length specification for [`vec()`]: a fixed size or a size range.
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     lo: usize,
@@ -46,7 +46,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

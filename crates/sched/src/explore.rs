@@ -2,7 +2,7 @@
 //!
 //! One *virtual thread* runs at a time. Real OS threads execute the
 //! explored body, but every [`crate::ModelSync`] primitive funnels into
-//! [`RunCore::reach`], which parks the calling thread and hands control to
+//! `RunCore::reach`, which parks the calling thread and hands control to
 //! the controller (the thread that called [`Explorer::explore`]). The
 //! controller sees the complete set of parked threads, computes which are
 //! *enabled* (a `lock` on a held mutex or a `recv` on an empty open

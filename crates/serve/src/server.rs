@@ -65,9 +65,9 @@ pub struct ServeConfig {
     /// Requests admitted at once (running or waiting for an engine);
     /// beyond it `/predict` returns 503.
     pub queue_capacity: usize,
-    /// Psum kernel policy every pooled engine starts with (measured
-    /// calibration or a forced kernel; `Auto` = the cost model with its
-    /// default coefficients).
+    /// Psum kernel policy every pooled engine starts with (`Auto` = each
+    /// layer's kernel fixed from its geometry by the built-in cost model;
+    /// or a forced kernel).
     pub kernel_policy: sia_snn::KernelPolicy,
     /// Confidence-gated early-exit policy applied per served image
     /// ([`ExitPolicy::Fixed`] = run every timestep, the classic behaviour).

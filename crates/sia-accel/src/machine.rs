@@ -177,7 +177,7 @@ impl SiaMachine {
     }
 
     /// Selects the psum kernel policy for PS-side residual convolutions
-    /// (the same calibrated sparse/dense decision the functional runners
+    /// (the same per-layer sparse/dense decision the functional runners
     /// make — see [`sia_snn::KernelPolicy`]).
     pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
         self.policy = policy;

@@ -52,7 +52,7 @@ mod tests {
 }
 
 /// A binary event stream: one spike frame per timestep — the "event-driven
-/// data streams [transferred] directly to the SIA" of paper §IV (DVS-style
+/// data streams \[transferred\] directly to the SIA" of paper §IV (DVS-style
 /// input that skips the PS frame conversion entirely).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventStream {

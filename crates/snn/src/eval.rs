@@ -39,7 +39,7 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum EvalEncoding {
     /// Dense `C×H×W` images (PS-side frame conversion; networks converted
-    /// with [`crate::InputEncoding::Dense`]).
+    /// with [`crate::InputEncoding::DirectCurrent`]).
     Dense,
     /// Rate-code each image into a DVS-style event stream first (networks
     /// converted with [`crate::InputEncoding::EventDriven`]).

@@ -9,14 +9,12 @@
 //! adaptive policy with an unreachable threshold is bit-identical to it —
 //! chunking never changes arithmetic, only how far the run integrates.
 //!
-//! Thresholds are calibrated on held-out data (`sia calibrate --exit`):
+//! Thresholds are calibrated on held-out data (`sia calibrate`):
 //! [`ExitCalibration::fit`] replays the per-timestep logits of a fixed-T
 //! run, simulates every candidate threshold post-hoc (valid because the
 //! chunked traversal is bit-exact, so prefix logits match), and picks the
 //! threshold minimising average T subject to an accuracy floor. The result
-//! persists next to the kernel calibration JSON
-//! (`results/calibration/exit.json`), versioned like
-//! [`crate::calibrate::Calibration`].
+//! persists as versioned JSON (`results/calibration/exit.json`).
 
 use std::path::{Path, PathBuf};
 
@@ -178,11 +176,11 @@ pub fn simulate_exit(policy: ExitPolicy, logits_per_t: &[Vec<f32>], burn_in: usi
 }
 
 /// Exit-calibration file format version; any other version is rejected on
-/// load (re-run `sia calibrate --exit`).
+/// load (re-run `sia calibrate`).
 pub const EXIT_CALIBRATION_VERSION: u64 = 1;
 
 /// Default exit-calibration file under `dir` (the repo convention is
-/// `results/calibration/`, next to the kernel calibration).
+/// `results/calibration/`).
 #[must_use]
 pub fn default_exit_path(dir: &Path) -> PathBuf {
     dir.join("exit.json")
@@ -377,7 +375,7 @@ impl ExitCalibration {
             .ok_or("exit calibration missing 'version'")?;
         if version != EXIT_CALIBRATION_VERSION {
             return Err(format!(
-                "exit calibration version {version} unsupported (expected {EXIT_CALIBRATION_VERSION}); re-run `sia calibrate --exit`"
+                "exit calibration version {version} unsupported (expected {EXIT_CALIBRATION_VERSION}); re-run `sia calibrate`"
             ));
         }
         let model = root

@@ -32,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
 pub mod convert;
 pub mod encode;
 pub mod eval;
@@ -46,7 +45,6 @@ pub mod spikeplane;
 pub mod stats;
 pub mod surrogate;
 
-pub use calibrate::{host_key, Calibration, CALIBRATION_VERSION};
 pub use convert::{convert, ConvertOptions, InputEncoding};
 pub use encode::{rate_encode, EventStream};
 pub use eval::{

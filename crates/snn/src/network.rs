@@ -4,7 +4,7 @@
 //! integer set (INT8 weight codes, Q8.8 `G`, 16-bit `H`/θ — what the
 //! accelerator executes) and the float reference set (what the accuracy
 //! curves are measured against). The integer set is derived from the float
-//! set by [`crate::convert`], which documents the scaling scheme.
+//! set by [`mod@crate::convert`], which documents the scaling scheme.
 
 use sia_fixed::{QuantScale, Q8_8};
 use sia_tensor::Conv2dGeom;

@@ -1,8 +1,8 @@
 //! Reusable scratch buffers with growth accounting.
 //!
 //! The per-timestep hot loop must not allocate: every buffer it writes is
-//! resized through [`scratch_resize`] (or [`SpikePlane::reset`]
-//! (crate::spikeplane::SpikePlane::reset)), which reuses the existing
+//! resized through [`scratch_resize`] (or
+//! [`SpikePlane::reset`](crate::spikeplane::SpikePlane::reset)), which reuses the existing
 //! capacity and bumps a **thread-local growth counter** only when the
 //! underlying allocation actually had to grow. After a warm-up run every
 //! buffer has reached its high-water mark, so a steady-state inference run

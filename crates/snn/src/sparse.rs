@@ -35,7 +35,7 @@
 //!
 //! * **tap tables** — which `(ky, oy)` pairs an input row reaches, and which
 //!   `(kx, ox)` pairs an input column reaches, depend only on the layer's
-//!   geometry. Each layer entry lists them once ([`TapTable`], ascending in
+//!   geometry. Each layer entry lists them once (a `TapTable`, ascending in
 //!   `k`, for any stride, padding and kernel), so a spike's taps are a walk
 //!   over two short precomputed lists: no division, remainder or range
 //!   test per tap. The walk reads the plane's row words directly and skips
@@ -51,7 +51,7 @@
 //!   clock). Rows past `C_out` are zero lanes that add zeros into slack
 //!   accumulators nobody reads;
 //! * **masked identity** — `x.saturating_add(0) == x` exactly, so the
-//!   register-tiled dense kernel ([`dense_tiled_int`]) may visit *every*
+//!   register-tiled dense kernel ([`conv_psums_int_tiled`]) may visit *every*
 //!   tap branch-free and add `mask & weight`, where `mask` is `-1` for a
 //!   set spike bit and `0` otherwise. Silent taps contribute the saturating
 //!   identity, which is bit-equivalent to the reference's skip.
@@ -102,25 +102,22 @@ const TILE_OX: usize = 16;
 /// Which psum kernel the engines use for spiking convolutions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelPolicy {
-    /// Decide per layer from the [`CostModel`] with its default
-    /// coefficients ([`CostModel::DEFAULT`]; used when no calibration
-    /// file is available).
+    /// Decide per layer from the layer's geometry with
+    /// [`CostModel::DEFAULT`], as the SIA fixes each layer's dataflow when
+    /// its registers are programmed.
     #[default]
     Auto,
     /// Always the dense path (for verification and benching).
     ForceDense,
     /// Always the event-driven scatter (for verification and benching).
     ForceSparse,
-    /// Decide per layer from a measured-per-host [`CostModel`] (produced
-    /// by `sia calibrate`, see [`crate::calibrate`]).
-    Calibrated(CostModel),
 }
 
 impl KernelPolicy {
     /// The kernel decision this policy fixes for a layer of geometry `g`:
     /// a call whose plane has fewer set spikes than this runs the scatter,
     /// any other the tiled kernel. `u64::MAX` always scatters, `0` always
-    /// tiles. Under the cost-model policies a layer whose geometry misses
+    /// tiles. Under [`KernelPolicy::Auto`] a layer whose geometry misses
     /// the tiled kernel's fast path ([`tiled_is_candidate`]) always
     /// scatters.
     #[must_use]
@@ -129,16 +126,16 @@ impl KernelPolicy {
             KernelPolicy::Auto => CostModel::DEFAULT.scatter_limit(g),
             KernelPolicy::ForceDense => 0,
             KernelPolicy::ForceSparse => u64::MAX,
-            KernelPolicy::Calibrated(m) => m.scatter_limit(g),
         }
     }
 }
 
 /// Whether the tiled kernel's fast path covers every tile of `g`: stride
-/// 1, whole [`TILE_CO`]-channel groups and whole [`TILE_OX`]-column tiles.
-/// Anywhere else it runs its dynamic-lane edge branch, which loses to the
-/// scatter at every measured density (see `BENCH_conv.json`'s deployed
-/// geometries), so only these layers ever weigh it.
+/// 1, whole 4-channel groups (`TILE_CO`) and whole 16-column tiles
+/// (`TILE_OX`). Anywhere else it runs its dynamic-lane edge branch, which
+/// loses to the scatter at every measured density (see
+/// `BENCH_conv.json`'s deployed geometries), so only these layers ever
+/// weigh it.
 #[must_use]
 pub fn tiled_is_candidate(g: &Conv2dGeom) -> bool {
     let (_, ow) = g.out_hw();
@@ -157,7 +154,7 @@ pub fn scatter_lane_span(out_channels: usize) -> usize {
 
 /// Output elements the dense tiled kernel actually computes for `g`.
 ///
-/// [`dense_tiled_int`] holds full `TILE_CO × TILE_OX` register tiles even
+/// The tiled kernel holds full `TILE_CO × TILE_OX` register tiles even
 /// at partial edges — `nco`/`nox` only clamp the writeback — so the work is
 /// `ceil(C_out / TILE_CO) · TILE_CO` channel rows by
 /// `ceil(OW / TILE_OX) · TILE_OX` columns per output row.
@@ -167,9 +164,8 @@ pub fn dense_padded_outs(g: &Conv2dGeom) -> usize {
     g.out_channels.div_ceil(TILE_CO) * TILE_CO * oh * ow.div_ceil(TILE_OX) * TILE_OX
 }
 
-/// Kernel cost coefficients, in integer **picoseconds** so the derived
-/// policy stays `Copy + Eq` and every decision is exactly reproducible from
-/// the calibration file that stored it.
+/// Kernel cost coefficients, in integer **picoseconds** so every decision
+/// is an exact integer comparison, reproducible on any host.
 ///
 /// The model prices one conv call against the lanes the kernels *execute*,
 /// not the elements they produce — both production kernels run in fixed
@@ -178,7 +174,7 @@ pub fn dense_padded_outs(g: &Conv2dGeom) -> usize {
 /// * scatter ≈ `scatter_ps_per_lane · spikes·K²·ceil(C_out/LANES)·LANES`
 ///   `+ scatter_ps_per_out · 2·n_out` (psum clear + transpose sweeps),
 /// * dense ≈ `dense_ps_per_lane · padded_outs·C_in·K²` where `padded_outs`
-///   rounds `C_out` up to [`TILE_CO`] and `OW` up to [`TILE_OX`]
+///   rounds `C_out` up to `TILE_CO` (4) and `OW` up to `TILE_OX` (16)
 ///   ([`dense_padded_outs`]),
 ///
 /// and selects the scatter when its estimate is no larger. The model is
@@ -913,7 +909,7 @@ fn run_tiled_int<'a>(
 
 /// Direct entry to the word-parallel scatter (the production sparse path).
 /// Same contract as [`conv_psums_int_plane`] minus policy selection and tap
-/// accounting — used by `sia bench conv`, calibration and the proptests.
+/// accounting — used by `sia bench conv` and the proptests.
 ///
 /// # Panics
 ///
@@ -1219,13 +1215,6 @@ mod tests {
                 assert_eq!(wide, reference, "wide scatter case {i} rate {rate}");
                 let tiled = conv_psums_int_tiled(&conv, &plane, &mut scr, i).to_vec();
                 assert_eq!(tiled, reference, "tiled case {i} rate {rate}");
-                let cal = KernelPolicy::Calibrated(CostModel {
-                    scatter_ps_per_lane: 200,
-                    scatter_ps_per_out: 500,
-                    dense_ps_per_lane: 60,
-                });
-                let calibrated = conv_psums_int_plane(&conv, &plane, cal, &mut scr, i).to_vec();
-                assert_eq!(calibrated, reference, "calibrated case {i} rate {rate}");
             }
         }
     }
@@ -1244,11 +1233,9 @@ mod tests {
             limit > 0 && limit < neurons,
             "crossover {limit} not interior"
         );
-        // The stored count sits exactly where the modelled costs cross, and
-        // the calibrated policy stores exactly that count.
+        // The stored count sits exactly where the modelled costs cross.
         assert!(m.scatter_cost_ps(&g, limit - 1) <= m.dense_cost_ps(&g));
         assert!(m.scatter_cost_ps(&g, limit) > m.dense_cost_ps(&g));
-        assert_eq!(KernelPolicy::Calibrated(m).scatter_limit(&g), limit);
         assert_eq!(m.crossover_density(&g), limit as f64 / neurons as f64);
     }
 

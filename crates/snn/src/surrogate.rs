@@ -1,5 +1,5 @@
 //! Direct SNN training with surrogate gradients — the alternative the
-//! paper's background section contrasts against conversion (its ref. [10],
+//! paper's background section contrasts against conversion (its ref. \[10\],
 //! Neftci et al.). Implemented as a baseline so the trade-off the paper
 //! asserts ("most of these networks require hundreds of time steps" or
 //! heavy training) can be *measured* against the conversion pipeline.

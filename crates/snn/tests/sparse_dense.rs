@@ -11,7 +11,7 @@ use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
 use sia_snn::spikeplane::{or_pool_packed, SpikePlane};
 use sia_snn::{
     conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_plane,
-    conv_psums_int_scatter, conv_psums_int_tiled, or_pool, ConvScratch, CostModel, KernelPolicy,
+    conv_psums_int_scatter, conv_psums_int_tiled, or_pool, ConvScratch, KernelPolicy,
 };
 use sia_tensor::Conv2dGeom;
 
@@ -223,29 +223,6 @@ proptest! {
         let reference = conv_psums_f32(&conv, &bytes);
         let got = conv_psums_f32_plane(&conv, &plane, KernelPolicy::ForceSparse, &mut scr, 0).to_vec();
         prop_assert_eq!(&got, &reference, "f32 scatter");
-    }
-
-    #[test]
-    fn calibrated_policy_is_bit_exact_for_any_cost_model(
-        c in case_strategy(),
-        scatter_ps_per_lane in 1u32..=100_000,
-        scatter_ps_per_out in 0u32..=100_000,
-        dense_ps_per_lane in 1u32..=100_000,
-    ) {
-        // Whatever kernel an arbitrary cost model picks, the result is
-        // the same bits — calibration may only ever change speed.
-        let conv = make_conv(&c);
-        let bytes = spike_bytes(c.cin * c.hw * c.hw, c.rate, c.seed);
-        let plane = packed(&c, &bytes);
-        let reference = conv_psums_int(&conv, &bytes);
-        let mut scr = ConvScratch::new();
-        let policy = KernelPolicy::Calibrated(CostModel {
-            scatter_ps_per_lane,
-            scatter_ps_per_out,
-            dense_ps_per_lane,
-        });
-        let got = conv_psums_int_plane(&conv, &plane, policy, &mut scr, 0).to_vec();
-        prop_assert_eq!(&got, &reference, "policy {:?}", policy);
     }
 
     #[test]

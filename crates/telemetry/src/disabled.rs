@@ -135,7 +135,7 @@ pub fn global_snapshot() -> Snapshot {
 
 /// No-op.
 #[inline(always)]
-pub fn emit(_kind: &str, _fields: &[(&str, Value)]) {}
+pub fn emit(_kind: &str, _fields: &[(&str, Value<'_>)]) {}
 
 /// No-op.
 #[inline(always)]

@@ -71,7 +71,7 @@ pub fn take_jsonl() -> Vec<u8> {
 /// Emits one structured event: bumps the `events.<kind>` counter and, when
 /// a JSON-lines sink is installed, appends
 /// `{"ev":"<kind>","ts_us":…,<fields>}` as one line.
-pub fn emit(kind: &str, fields: &[(&str, Value)]) {
+pub fn emit(kind: &str, fields: &[(&str, Value<'_>)]) {
     thread_local! {
         static KEY: RefCell<String> = const { RefCell::new(String::new()) };
     }
@@ -124,7 +124,7 @@ pub fn emit(kind: &str, fields: &[(&str, Value)]) {
 /// its own ground truth: `sia report` reconciles the per-layer event sums
 /// against exactly these values.
 pub fn emit_counters(snapshot: &Snapshot) {
-    let fields: Vec<(&str, Value)> = snapshot
+    let fields: Vec<(&str, Value<'_>)> = snapshot
         .counters
         .iter()
         .map(|(name, value)| (name.as_str(), Value::U64(*value)))

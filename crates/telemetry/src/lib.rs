@@ -61,9 +61,11 @@ pub use disabled::{
     take_trace_events, uninstall_jsonl, HistogramSummary, Snapshot, SpanGuard, TraceEvent,
 };
 
-/// A typed field value carried by [`emit`]ted events.
+/// A typed field value carried by [`emit`]ted events. A string field
+/// borrows its text, so building an event allocates nothing; only a sink
+/// that writes the event copies it.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// Unsigned integer.
     U64(u64),
     /// Signed integer.
@@ -71,61 +73,55 @@ pub enum Value {
     /// Floating point.
     F64(f64),
     /// String.
-    Str(String),
+    Str(&'a str),
     /// Boolean.
     Bool(bool),
 }
 
-impl From<u64> for Value {
+impl From<u64> for Value<'_> {
     fn from(v: u64) -> Self {
         Value::U64(v)
     }
 }
 
-impl From<usize> for Value {
+impl From<usize> for Value<'_> {
     fn from(v: usize) -> Self {
         Value::U64(v as u64)
     }
 }
 
-impl From<u32> for Value {
+impl From<u32> for Value<'_> {
     fn from(v: u32) -> Self {
         Value::U64(u64::from(v))
     }
 }
 
-impl From<i64> for Value {
+impl From<i64> for Value<'_> {
     fn from(v: i64) -> Self {
         Value::I64(v)
     }
 }
 
-impl From<f64> for Value {
+impl From<f64> for Value<'_> {
     fn from(v: f64) -> Self {
         Value::F64(v)
     }
 }
 
-impl From<f32> for Value {
+impl From<f32> for Value<'_> {
     fn from(v: f32) -> Self {
         Value::F64(f64::from(v))
     }
 }
 
-impl From<bool> for Value {
+impl From<bool> for Value<'_> {
     fn from(v: bool) -> Self {
         Value::Bool(v)
     }
 }
 
-impl From<&str> for Value {
-    fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Self {
+impl<'a> From<&'a str> for Value<'a> {
+    fn from(v: &'a str) -> Self {
         Value::Str(v)
     }
 }

@@ -63,7 +63,13 @@ fn probes() {
     sia_telemetry::counter!("no_alloc.counter", 3);
     sia_telemetry::gauge!("no_alloc.gauge", 1.5);
     sia_telemetry::histogram!("no_alloc.histogram", 42);
-    sia_telemetry::emit("no_alloc.event", &[("n", sia_telemetry::Value::from(7u64))]);
+    sia_telemetry::emit(
+        "no_alloc.event",
+        &[
+            ("n", sia_telemetry::Value::from(7u64)),
+            ("name", sia_telemetry::Value::from("stage")),
+        ],
+    );
     let _outer = sia_telemetry::span!("no_alloc_outer");
     let _inner = sia_telemetry::span!("no_alloc_inner");
 }

@@ -1,6 +1,6 @@
 //! Cache-blocked, register-tiled GEMM backend.
 //!
-//! The naive `i-k-j` loops in [`crate::matmul`] re-stream the whole `B`
+//! The naive `i-k-j` loops in [`crate::matmul()`] re-stream the whole `B`
 //! matrix once per output row; for the GEMM shapes the paper's networks
 //! emit (e.g. the ResNet-18 stem at base 64: `64×576 · 576×1024`) that is
 //! the dominant memory traffic of training. This module applies the same
@@ -47,7 +47,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Mutex;
 
-/// Which GEMM implementation [`crate::matmul`] dispatches to.
+/// Which GEMM implementation [`crate::matmul()`] dispatches to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Kernel {
     /// Cache-blocked, register-tiled, pool-parallel kernels (default).

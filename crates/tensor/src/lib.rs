@@ -7,7 +7,7 @@
 //!
 //! * [`Tensor`] — an owned, contiguous, row-major (NCHW for 4-D) `f32`
 //!   tensor with shape tracking and elementwise/reduction ops,
-//! * [`matmul`] — the GEMM kernel used by convolution-as-im2col and
+//! * [`matmul()`] — the GEMM kernel used by convolution-as-im2col and
 //!   fully-connected layers,
 //! * [`im2col`]/[`conv`] — convolution lowering plus the three convolution
 //!   kernels needed for training (forward, ∂input, ∂weights),
