@@ -74,6 +74,8 @@ RUSTFLAGS="-C overflow-checks=on" \
 # runner): this catches order-of-magnitude regressions — an accidentally
 # disabled skip path, a dropped thread pool — not single-digit drift.
 # Refresh after an intentional change: sia bench <family> --smoke --update-baseline
+# (a smoke run writes the baseline and any --out file, never the committed
+# full-run BENCH_<family>.json).
 for family in conv gemm eval serve; do
     echo "==> $family bench (smoke, baseline-gated)"
     cargo run --release -p sia-cli -- bench "$family" --smoke \

@@ -143,6 +143,16 @@ impl Args {
     pub fn switch(&self, key: &str) -> bool {
         self.options.get(key).is_some_and(|v| v == "true")
     }
+
+    /// The first given `--key` not in `known` (the keys the subcommand
+    /// reads), if any.
+    #[must_use]
+    pub fn unknown_key(&self, known: &[&str]) -> Option<&str> {
+        self.options
+            .keys()
+            .map(String::as_str)
+            .find(|k| !known.contains(k))
+    }
 }
 
 #[cfg(test)]

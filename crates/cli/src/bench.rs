@@ -49,18 +49,15 @@ pub fn cmd_bench(args: &Args) -> Result<(), String> {
     };
     let report = run(args, smoke, threads)?;
     let doc = report.to_json();
-    let default_out = format!("BENCH_{which}.json");
-    let out_path = args.str_or("out", &default_out);
-    std::fs::write(&out_path, &doc).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!(
-        "results written to {out_path} (host: {} logical / {} physical cpus)",
-        report.host.logical_cpus, report.host.physical_cpus
-    );
-    if !smoke {
-        let mirror = format!("results/bench_{which}.json");
-        if std::fs::create_dir_all("results").is_ok() && std::fs::write(&mirror, &doc).is_ok() {
-            println!("results mirrored to {mirror}");
-        }
+    // A full run writes `--out` or `BENCH_<family>.json`; a smoke run only
+    // an explicit `--out`, so it never replaces a committed full run.
+    let default_out = (!smoke).then(|| format!("BENCH_{which}.json"));
+    if let Some(out_path) = args.options.get("out").cloned().or(default_out) {
+        std::fs::write(&out_path, &doc).map_err(|e| format!("writing {out_path}: {e}"))?;
+        println!(
+            "results written to {out_path} (host: {} logical / {} physical cpus)",
+            report.host.logical_cpus, report.host.physical_cpus
+        );
     }
     let dir = args.str_or("baseline-dir", "results/baselines");
     let baseline_path = format!("{dir}/{which}{}.json", if smoke { "-smoke" } else { "" });
@@ -135,7 +132,7 @@ fn sample<R>(warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> Vec<u64> {
 fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, String> {
     use sia_tensor::{
         matmul, matmul_a_bt, matmul_a_bt_reference, matmul_at_b, matmul_at_b_reference,
-        matmul_reference, pool, set_kernel, Kernel, Tensor,
+        matmul_reference, pool, Tensor,
     };
 
     // (name, M, K, N): im2col GEMM shapes from Table I — ResNet-18 and
@@ -189,7 +186,6 @@ fn bench_gemm(_args: &Args, smoke: bool, threads: usize) -> Result<BenchReport, 
         Ok(())
     };
     let prev_threads = pool::threads();
-    set_kernel(Kernel::Blocked);
     let mut cases = Vec::new();
     let host = HostInfo::detect();
     println!(
@@ -291,6 +287,9 @@ const CONV_PLANES: usize = 8;
 /// production paths) against the byte-wise reference
 /// ([`sia_snn::conv_psums_int`], the one integer oracle), asserting
 /// bit-exactness of every kernel on every plane before timing anything.
+/// The tiled kernel runs only on the cases whose layer it covers
+/// ([`sia_snn::sparse::tiled_is_candidate`]); the bench fails if no case
+/// does, so it never silently stops timing that kernel.
 ///
 /// Two case families share one timing loop, and every case's `min_ns`
 /// tracks the kernel [`sia_snn::KernelPolicy::Auto`] picks (recorded as
@@ -315,6 +314,7 @@ const CONV_PLANES: usize = 8;
 fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport, String> {
     use sia_fixed::{QuantScale, Q8_8};
     use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
+    use sia_snn::sparse::tiled_is_candidate;
     use sia_snn::{
         conv_psums_int, conv_psums_int_plane, conv_psums_int_scatter, conv_psums_int_tiled,
         ConvScratch, CostModel, KernelPolicy, SpikePlane,
@@ -401,6 +401,9 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
         name: String,
         /// Index into `convs`, which is also the conv's layer slot.
         conv: usize,
+        /// Whether the tiled kernel covers the conv (and so is checked and
+        /// timed on this case).
+        tiled: bool,
         fine: bool,
         /// `CONV_PLANES` spike planes, each as bytes and packed.
         planes: Vec<(Vec<u8>, SpikePlane)>,
@@ -436,6 +439,7 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
         Case {
             name,
             conv,
+            tiled: tiled_is_candidate(&g),
             fine,
             planes,
             spikes: spikes as u64,
@@ -451,6 +455,9 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
             cases_in.push(make_case(i + 1, pct, false, name));
         }
     }
+    if !cases_in.iter().any(|c| c.tiled) {
+        return Err("no conv bench case is a layer the tiled kernel covers".to_string());
+    }
 
     // Bit-exactness gate: never time a kernel that disagrees with the
     // byte-wise reference, on any plane it will be timed on.
@@ -459,14 +466,10 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
         let conv = &convs[c.conv];
         for (p, (bytes, plane)) in c.planes.iter().enumerate() {
             let reference = conv_psums_int(conv, bytes);
-            let checks: [(&str, Vec<i16>); 3] = [
+            let mut checks = vec![
                 (
                     "scatter",
                     conv_psums_int_scatter(conv, plane, &mut scr, c.conv).to_vec(),
-                ),
-                (
-                    "tiled",
-                    conv_psums_int_tiled(conv, plane, &mut scr, c.conv).to_vec(),
                 ),
                 (
                     "auto",
@@ -474,6 +477,12 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
                         .to_vec(),
                 ),
             ];
+            if c.tiled {
+                checks.push((
+                    "tiled",
+                    conv_psums_int_tiled(conv, plane, &mut scr, c.conv).to_vec(),
+                ));
+            }
             for (kernel, got) in checks {
                 if got != reference {
                     return Err(format!(
@@ -509,9 +518,11 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
             scatter_s[i].push(time_ns(&mut || {
                 black_box(conv_psums_int_scatter(conv, black_box(plane), &mut scr, c.conv).len());
             }));
-            tiled_s[i].push(time_ns(&mut || {
-                black_box(conv_psums_int_tiled(conv, black_box(plane), &mut scr, c.conv).len());
-            }));
+            if c.tiled {
+                tiled_s[i].push(time_ns(&mut || {
+                    black_box(conv_psums_int_tiled(conv, black_box(plane), &mut scr, c.conv).len());
+                }));
+            }
             if round < ref_iters {
                 byte_min[i] = byte_min[i].min(time_ns(&mut || {
                     black_box(conv_psums_int(conv, black_box(bytes)).len());
@@ -534,20 +545,23 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
     let mut cases = Vec::new();
     for (i, c) in cases_in.iter().enumerate() {
         let (scatter_min, scatter_median, scatter_mad) = summarize_ns(&scatter_s[i]);
-        let (tiled_min, tiled_median, tiled_mad) = summarize_ns(&tiled_s[i]);
         let g = convs[c.conv].geom;
         let density = c.spikes as f64 / (g.in_channels * g.in_h * g.in_w) as f64;
         let sparse_selected = c.spikes < KernelPolicy::Auto.scatter_limit(&g);
-        let (prod_min, prod_median, prod_mad, kernel) = if sparse_selected {
-            (scatter_min, scatter_median, scatter_mad, "scatter")
-        } else {
-            (tiled_min, tiled_median, tiled_mad, "tiled")
+        // Auto tiles only layers the tiled kernel covers, so a tiled pick
+        // always has samples.
+        let tiled = c.tiled.then(|| summarize_ns(&tiled_s[i]));
+        let (prod_min, prod_median, prod_mad, kernel) = match tiled {
+            Some((min, median, mad)) if !sparse_selected => (min, median, mad, "tiled"),
+            _ => (scatter_min, scatter_median, scatter_mad, "scatter"),
         };
+        let tiled_min = tiled.map(|(min, _, _)| min);
         let speedup_vs_byte = byte_min[i] as f64 / prod_min.max(1) as f64;
         println!(
-            "{:<22} {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {tiled_min:>10} {:>11} {:>7.1}x",
+            "{:<22} {:>8.1}% {kernel:>7} {prod_min:>10} {scatter_min:>10} {:>10} {:>11} {:>7.1}x",
             c.name,
             100.0 * density,
+            tiled_min.map_or_else(|| "-".to_string(), |t| t.to_string()),
             byte_min[i],
             speedup_vs_byte,
         );
@@ -564,7 +578,11 @@ fn bench_conv(_args: &Args, smoke: bool, _threads: usize) -> Result<BenchReport,
                 f64::from(u8::from(sparse_selected)),
             ),
             ("scatter_min_ns".to_string(), scatter_min as f64),
-            ("tiled_min_ns".to_string(), tiled_min as f64),
+        ]);
+        if let Some(t) = tiled_min {
+            metrics.push(("tiled_min_ns".to_string(), t as f64));
+        }
+        metrics.extend([
             ("byte_min_ns".to_string(), byte_min[i] as f64),
             ("speedup_vs_byte".to_string(), speedup_vs_byte),
         ]);

@@ -1,20 +1,6 @@
-//! `sia` — the command-line face of the reproduction.
-//!
-//! ```text
-//! sia train   --model resnet18 --width 4 --size 16 --epochs 8 --out model.sia
-//! sia info    model.sia
-//! sia check   model.sia [--timesteps 16] [--format text|json] [--deny <rules>]
-//! sia run     model.sia [--timesteps 16] [--burn-in 4] [--images 20] [--events]
-//! sia eval    model.sia [--backend float|int|accel] [--threads 4] [--timesteps 8]
-//! sia serve   model.sia [--port 8080] [--backend float|int|accel] [--threads 0]
-//!             [--queue 256]
-//! sia explore [--clock-mhz 100]
-//! sia calibrate model.sia [--timesteps 8] [--smoke] [--out exit.json]
-//! sia bench   [conv|gemm|eval|serve] [--out BENCH_conv.json] [--smoke] [--threads N]
-//!             [--check-baseline] [--update-baseline] [--baseline-dir DIR]
-//! sia report  metrics.jsonl [--html report.html] [--trace spans.json]
-//! sia help
-//! ```
+//! `sia` — the command-line face of the reproduction. `sia help` prints
+//! the usage of every subcommand; each accepts only the flags listed in
+//! `known_flags`, and rejects any other before doing any work.
 //!
 //! `train` runs the full Fig.-1 pipeline (FP32 training → L=8 quantized
 //! ReLU + INT8 weights → IF conversion) on the synthetic dataset and writes
@@ -90,6 +76,11 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(key) = known_flags(&args).and_then(|known| args.unknown_key(&known)) {
+        let cmd = &args.command;
+        eprintln!("error: unknown flag --{key} for `sia {cmd}` (see `sia help`)");
+        return ExitCode::from(2);
+    }
     let result = match args.command.as_str() {
         "train" => with_metrics(&args, cmd_train).map(|()| ExitCode::SUCCESS),
         "info" => cmd_info(&args).map(|()| ExitCode::SUCCESS),
@@ -150,7 +141,7 @@ USAGE:
               [--check-baseline] [--update-baseline] [--baseline-dir DIR]
               [--rel-slack PCT] [--mad-k K] [--allow-missing]
   sia bench   serve [--url HOST:PORT | --model model.sia] [--backend B]
-              [--images N] [--shutdown] [...]
+              [--requests N] [--shutdown] [...]
   sia report  <metrics.jsonl> [--html report.html] [--trace spans.json]
   sia help
 
@@ -177,7 +168,8 @@ USAGE:
   --url for a running one; with a model available it first asserts served
   predictions match the local engine bit-for-bit; --shutdown stops the
   target afterwards). Every family writes one JSON schema (warmup
-  discard, min-of-iters, median + MAD; default BENCH_<name>.json).
+  discard, min-of-iters, median + MAD) to one file: --out, or by default
+  BENCH_<name>.json for a full run and nothing for a --smoke run.
   --threads defaults to one worker per core, as does --threads 0; the
   report records the resolved count.
   --update-baseline records the run under --baseline-dir (default
@@ -207,9 +199,11 @@ USAGE:
   models whose check reports errors.
 
   Each spiking conv layer runs the event-driven scatter or the
-  register-tiled dense kernel, fixed once per layer from its geometry by
-  a built-in integer cost model (--kernel-policy auto, the default);
-  sparse|dense force one kernel everywhere. Every choice is bit-exact.
+  register-tiled dense kernel (3x3 stride-1 layers it tiles whole only),
+  fixed once per layer from its geometry by a built-in integer cost model
+  (--kernel-policy auto, the default); sparse always scatters, dense tiles
+  wherever the tiled kernel applies. Every choice is bit-exact. An unknown
+  flag is a usage error (exit 2).
 
   Adaptive early exit: --policy margin|entropy stops integrating timesteps
   once the head's logits clear a confidence threshold (--exit-margin /
@@ -223,6 +217,46 @@ USAGE:
   below the floor). Unsound thresholds (provably unreachable or trivially
   satisfied) are flagged by the `exit.*` static lints before the run.
 ";
+
+/// Every `--key` `args`'s subcommand (and bench family) reads; `None` for
+/// an unknown subcommand, which fails by name on its own. `eval`, `serve`
+/// and `bench serve` resolve their kernel and exit policies from
+/// `POLICY`; the commands run under [`with_metrics`] read `metrics trace`.
+fn known_flags(args: &Args) -> Option<Vec<&'static str>> {
+    const POLICY: &str =
+        "kernel-policy policy exit-margin exit-entropy exit-window exit-calibration";
+    const BENCH: &str =
+        "smoke threads out baseline-dir update-baseline check-baseline rel-slack mad-k allow-missing";
+    let keys: &[&str] = match args.command.as_str() {
+        "train" => &["out model width size epochs threads micro-batch levels events metrics trace"],
+        "info" | "help" => &[],
+        "check" => &["list-rules format timesteps deny model width size events"],
+        "run" => &["timesteps burn-in images events metrics trace"],
+        "eval" => &[
+            "backend timesteps burn-in smoke images threads events metrics trace",
+            "policy-sweep min-accuracy max-acc-drop",
+            POLICY,
+        ],
+        "serve" => &[
+            "host port backend threads timesteps burn-in queue port-file metrics trace",
+            POLICY,
+        ],
+        "explore" => &["clock-mhz"],
+        "calibrate" => &["timesteps burn-in exit-window max-acc-drop images smoke out"],
+        "bench" => match args.positional.first().map_or("conv", String::as_str) {
+            "eval" => &[BENCH, "model size kernel-policy"],
+            "serve" => &[
+                BENCH,
+                "model size requests timesteps url shutdown backend burn-in queue",
+                POLICY,
+            ],
+            _ => &[BENCH],
+        },
+        "report" => &["html trace"],
+        _ => return None,
+    };
+    Some(keys.iter().flat_map(|k| k.split_whitespace()).collect())
+}
 
 /// Runs `cmd` with the `--metrics`/`--trace` sinks installed around it.
 fn with_metrics(args: &Args, cmd: fn(&Args) -> Result<(), String>) -> Result<(), String> {

@@ -3,37 +3,12 @@
 //! calibrated` runs under the fitted margin, and the kernel policy accepts
 //! only the built-in choices.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
-
-fn run_sia(dir: &Path, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sia"))
-        .current_dir(dir)
-        .args(args)
-        .output()
-        .expect("spawn sia")
-}
-
-/// Runs `sia` and returns its stdout; it must exit 0.
-fn sia(dir: &Path, args: &[&str]) -> String {
-    let out = run_sia(dir, args);
-    assert!(
-        out.status.success(),
-        "sia {args:?} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sia-exit-calibration-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
+mod common;
+use common::{run_sia, scratch_dir, sia};
 
 #[test]
 fn calibrated_exit_policy_round_trips_through_the_cli() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("exit-calibration");
     sia(
         &dir,
         &[

@@ -4,25 +4,9 @@
 //! the `--metrics` capture each command wrote.
 #![cfg(feature = "telemetry")]
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
-
-fn run_sia(dir: &Path, args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_sia"))
-        .current_dir(dir)
-        .args(args)
-        .output()
-        .expect("spawn sia")
-}
-
-fn sia(dir: &Path, args: &[&str]) {
-    let out = run_sia(dir, args);
-    assert!(
-        out.status.success(),
-        "sia {args:?} failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
+mod common;
+use common::{run_sia, scratch_dir, sia};
+use std::path::Path;
 
 /// Runs `sia report <file>` and returns its stdout; it must exit 0.
 fn report(dir: &Path, file: &str) -> String {
@@ -46,15 +30,9 @@ fn event_names(path: &Path) -> Vec<String> {
         .collect()
 }
 
-fn scratch_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sia-trace-export-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
 #[test]
 fn trace_flag_exports_the_spans_each_command_ran() {
-    let dir = scratch_dir();
+    let dir = scratch_dir("trace-export");
     sia(
         &dir,
         &[

@@ -65,11 +65,6 @@ impl Conv2d {
     pub fn weights(&self) -> &Tensor {
         &self.weight.value
     }
-
-    /// Mutable access to the weights (for weight quantisation in place).
-    pub fn weights_mut(&mut self) -> &mut Tensor {
-        &mut self.weight.value
-    }
 }
 
 impl Layer for Conv2d {

@@ -63,11 +63,6 @@ impl Linear {
         &self.weight.value
     }
 
-    /// Mutable weight access (for weight quantisation in place).
-    pub fn weights_mut(&mut self) -> &mut Tensor {
-        &mut self.weight.value
-    }
-
     /// Read access to the bias vector.
     #[must_use]
     pub fn bias(&self) -> &Tensor {

@@ -259,17 +259,6 @@ pub fn spiking_stage_sizes(net: &SnnNetwork) -> (Vec<String>, Vec<u64>) {
     (names, sizes)
 }
 
-/// Integer head readout: accumulated INT8 evidence scaled back to float
-/// logits, time-averaged over the `t_done` post-burn-in timesteps. Shared
-/// by the integer runner and the cycle-level machine.
-#[must_use]
-pub fn head_readout_int(head: &SnnLinear, acc: &[i64], t_done: usize) -> Vec<f32> {
-    acc.iter()
-        .zip(&head.bias)
-        .map(|(&a, &b)| a as f32 * head.q.scale() / t_done as f32 + b)
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // The unified engine layer
 // ---------------------------------------------------------------------------

@@ -56,6 +56,16 @@
 //!   set spike bit and `0` otherwise. Silent taps contribute the saturating
 //!   identity, which is bit-equivalent to the reference's skip.
 //!
+//! ## One tiled micro-kernel
+//!
+//! The tiled kernel is one 3×3 stride-1 micro-kernel: two output rows ×
+//! four output channels × sixteen output columns per sweep, each weight
+//! broadcast feeding both rows — the software image of a PE row built for
+//! one 3-tap kernel row. It covers a layer only when every tile is whole
+//! ([`tiled_is_candidate`]: 3×3, stride 1, `C_out` a multiple of 4, `OW` a
+//! multiple of 16, `OH` even); every other layer always scatters, under
+//! every [`KernelPolicy`].
+//!
 //! ## One entry per conv layer
 //!
 //! Each engine's [`ConvScratch`] keeps one entry per conv layer, filled on
@@ -72,10 +82,9 @@
 //! * the kernel decision, fixed once from the layer's geometry and the
 //!   engine's [`KernelPolicy`] as one scatter limit
 //!   ([`KernelPolicy::scatter_limit`]): a call scatters iff its plane has
-//!   fewer set spikes than the limit, so each call costs one compare. The
-//!   tiled kernel is a candidate only where its fast path covers every
-//!   tile ([`tiled_is_candidate`]); every other layer's limit is
-//!   `u64::MAX` (always scatter).
+//!   fewer set spikes than the limit, so each call costs one compare. A
+//!   layer the tiled kernel does not cover ([`tiled_is_candidate`]) has
+//!   limit `u64::MAX` (always scatter).
 //!
 //! A layer that only ever scatters (limit `u64::MAX`) or only ever tiles
 //! (limit 0) holds one layout; only a layer where both kernels are
@@ -107,7 +116,8 @@ pub enum KernelPolicy {
     /// its registers are programmed.
     #[default]
     Auto,
-    /// Always the dense path (for verification and benching).
+    /// The tiled kernel wherever it applies ([`tiled_is_candidate`]), the
+    /// scatter elsewhere (for verification and benching).
     ForceDense,
     /// Always the event-driven scatter (for verification and benching).
     ForceSparse,
@@ -117,12 +127,12 @@ impl KernelPolicy {
     /// The kernel decision this policy fixes for a layer of geometry `g`:
     /// a call whose plane has fewer set spikes than this runs the scatter,
     /// any other the tiled kernel. `u64::MAX` always scatters, `0` always
-    /// tiles. Under [`KernelPolicy::Auto`] a layer whose geometry misses
-    /// the tiled kernel's fast path ([`tiled_is_candidate`]) always
-    /// scatters.
+    /// tiles. A layer the tiled kernel does not cover
+    /// ([`tiled_is_candidate`]) always scatters, under every policy.
     #[must_use]
     pub fn scatter_limit(self, g: &Conv2dGeom) -> u64 {
         match self {
+            _ if !tiled_is_candidate(g) => u64::MAX,
             KernelPolicy::Auto => CostModel::DEFAULT.scatter_limit(g),
             KernelPolicy::ForceDense => 0,
             KernelPolicy::ForceSparse => u64::MAX,
@@ -130,16 +140,20 @@ impl KernelPolicy {
     }
 }
 
-/// Whether the tiled kernel's fast path covers every tile of `g`: stride
-/// 1, whole 4-channel groups (`TILE_CO`) and whole 16-column tiles
-/// (`TILE_OX`). Anywhere else it runs its dynamic-lane edge branch, which
-/// loses to the scatter at every measured density (see
-/// `BENCH_conv.json`'s deployed geometries), so only these layers ever
-/// weigh it.
+/// Whether the tiled kernel covers `g`: exactly the shapes its paired-row
+/// micro-kernel sweeps in whole tiles — a 3×3 kernel at stride 1, whole
+/// 4-channel groups (`TILE_CO`), whole 16-column tiles (`TILE_OX`) and an
+/// even number of output rows. Any padding works: the mask plane carries
+/// it.
 #[must_use]
 pub fn tiled_is_candidate(g: &Conv2dGeom) -> bool {
-    let (_, ow) = g.out_hw();
-    g.stride == 1 && g.out_channels.is_multiple_of(TILE_CO) && ow > 0 && ow.is_multiple_of(TILE_OX)
+    let (oh, ow) = g.out_hw();
+    g.kernel == 3
+        && g.stride == 1
+        && g.out_channels.is_multiple_of(TILE_CO)
+        && ow > 0
+        && ow.is_multiple_of(TILE_OX)
+        && oh.is_multiple_of(2)
 }
 
 /// Output-channel lanes the scatter kernel actually sweeps per spike tap.
@@ -152,33 +166,20 @@ pub fn scatter_lane_span(out_channels: usize) -> usize {
     out_channels.div_ceil(LANES) * LANES
 }
 
-/// Output elements the dense tiled kernel actually computes for `g`.
-///
-/// The tiled kernel holds full `TILE_CO × TILE_OX` register tiles even
-/// at partial edges — `nco`/`nox` only clamp the writeback — so the work is
-/// `ceil(C_out / TILE_CO) · TILE_CO` channel rows by
-/// `ceil(OW / TILE_OX) · TILE_OX` columns per output row.
-#[must_use]
-pub fn dense_padded_outs(g: &Conv2dGeom) -> usize {
-    let (oh, ow) = g.out_hw();
-    g.out_channels.div_ceil(TILE_CO) * TILE_CO * oh * ow.div_ceil(TILE_OX) * TILE_OX
-}
-
 /// Kernel cost coefficients, in integer **picoseconds** so every decision
 /// is an exact integer comparison, reproducible on any host.
 ///
 /// The model prices one conv call against the lanes the kernels *execute*,
-/// not the elements they produce — both production kernels run in fixed
-/// blocks, so partial blocks cost a full block:
+/// not the elements they produce — the scatter runs in fixed blocks, so a
+/// partial block costs a full block:
 ///
 /// * scatter ≈ `scatter_ps_per_lane · spikes·K²·ceil(C_out/LANES)·LANES`
 ///   `+ scatter_ps_per_out · 2·n_out` (psum clear + transpose sweeps),
-/// * dense ≈ `dense_ps_per_lane · padded_outs·C_in·K²` where `padded_outs`
-///   rounds `C_out` up to `TILE_CO` (4) and `OW` up to `TILE_OX` (16)
-///   ([`dense_padded_outs`]),
+/// * dense ≈ `dense_ps_per_lane · n_out·C_in·K²` (the tiled kernel covers
+///   only layers it tiles whole, so it computes exactly `n_out` outputs),
 ///
 /// and selects the scatter when its estimate is no larger. The model is
-/// only consulted where the tiled kernel's fast path runs
+/// only consulted where the tiled kernel applies
 /// ([`tiled_is_candidate`]); [`CostModel::scatter_limit`] fixes the result
 /// per layer as a crossover spike count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -188,7 +189,7 @@ pub struct CostModel {
     pub scatter_ps_per_lane: u32,
     /// ps per output element of density-independent scatter overhead.
     pub scatter_ps_per_out: u32,
-    /// ps per dense tap lane (`dense_padded_outs(g)·C_in·K²` of them).
+    /// ps per dense tap lane (`n_out·C_in·K²` of them).
     pub dense_ps_per_lane: u32,
 }
 
@@ -221,16 +222,13 @@ impl CostModel {
     #[must_use]
     pub fn dense_cost_ps(&self, g: &Conv2dGeom) -> u128 {
         let k2 = (g.kernel * g.kernel) as u128;
-        u128::from(self.dense_ps_per_lane)
-            * dense_padded_outs(g) as u128
-            * g.in_channels as u128
-            * k2
+        u128::from(self.dense_ps_per_lane) * g.out_neurons() as u128 * g.in_channels as u128 * k2
     }
 
     /// The kernel decision for a layer of geometry `g`, as the fewest set
     /// spikes at which the layer runs the tiled kernel (calls below it
-    /// scatter): `u64::MAX` where the tiled kernel's fast path does not
-    /// run, otherwise the count at which the modelled scatter first costs
+    /// scatter): `u64::MAX` where the tiled kernel does not apply,
+    /// otherwise the count at which the modelled scatter first costs
     /// more than the dense kernel (zero when the scatter's fixed overhead
     /// alone exceeds the dense cost).
     #[must_use]
@@ -623,48 +621,26 @@ fn build_mask_plane(g: &Conv2dGeom, plane: &SpikePlane, mask: &mut Vec<i16>) {
     }
 }
 
-/// Register-tiled branchless INT8→INT16 dense kernel (im2col-free).
+/// Register-tiled branchless INT8→INT16 dense kernel (im2col-free), over
+/// a layer it tiles whole ([`tiled_is_candidate`]).
 ///
-/// Tiles `TILE_CO` output channels × `TILE_OX` output columns of one
-/// output row into an i16 register tile, then sweeps the *entire*
-/// reduction `(ci, ky, kx)` in reference order, adding `mask & weight`
-/// per lane (see [`build_mask_plane`] for why that is bit-exact). The
-/// reduction is never split across tiles — saturating addition is not
-/// associative, so each accumulator sees all of its taps in one sweep.
-/// Weights come from the same `[(ci,ky,kx), co]` transposition as the
-/// scatter, so `TILE_CO` adjacent channels are one contiguous load; writes
-/// land directly in canonical `[C_out, OH, OW]` (no transpose pass).
+/// Sweeps [`tile_k3_pair`] over every `TILE_CO`-channel group, output row
+/// pair and `TILE_OX`-column tile. Each tile runs the *entire* reduction
+/// `(ci, ky, kx)` in reference order, adding `mask & weight` per lane (see
+/// [`build_mask_plane`] for why that is bit-exact). The reduction is never
+/// split across tiles — saturating addition is not associative, so each
+/// accumulator sees all of its taps in one sweep. Weights come from the
+/// same `[(ci,ky,kx), co]` transposition as the scatter, so `TILE_CO`
+/// adjacent channels are one contiguous load; writes land directly in
+/// canonical `[C_out, OH, OW]` (no transpose pass).
 fn dense_tiled_int(g: &Conv2dGeom, wt: &[i16], mask: &[i16], out: &mut [i16]) {
     let (oh, ow) = g.out_hw();
-    let (k, cout, stride) = (g.kernel, g.out_channels, g.stride);
-    let mut co0 = 0;
-    while co0 < cout {
-        let nco = TILE_CO.min(cout - co0);
-        let mut oy = 0;
-        while oy < oh {
-            // Pair output rows whenever the 3×3 stride-1 micro-kernel
-            // applies: each weight broadcast then feeds two accumulator
-            // rows, nearly halving the per-tap scalar overhead.
-            let rows = if nco == TILE_CO && stride == 1 && k == 3 && oy + 2 <= oh {
-                2
-            } else {
-                1
-            };
-            let mut ox0 = 0;
-            while ox0 < ow {
-                let nox = TILE_OX.min(ow - ox0);
-                if rows == 2 && nox == TILE_OX {
-                    tile_k3_pair(g, wt, mask, oy, ox0, co0, out);
-                } else {
-                    for r in 0..rows {
-                        tile_one_row(g, wt, mask, oy + r, ox0, co0, nco, nox, out);
-                    }
-                }
-                ox0 += TILE_OX;
+    for co0 in (0..g.out_channels).step_by(TILE_CO) {
+        for oy in (0..oh).step_by(2) {
+            for ox0 in (0..ow).step_by(TILE_OX) {
+                tile_k3_pair(g, wt, mask, oy, ox0, co0, out);
             }
-            oy += rows;
         }
-        co0 += TILE_CO;
     }
 }
 
@@ -729,78 +705,6 @@ fn tile_k3_pair(
     }
     for (r, acc) in [&b0, &b1, &b2, &b3].into_iter().enumerate() {
         out[(co0 + r) * per_ch + base + ow..][..TILE_OX].copy_from_slice(acc);
-    }
-}
-
-/// General single-row tile: any kernel size, stride, and partial tile
-/// widths. Full tiles take the fixed-lane fast path; edge tiles and
-/// stride > 1 use dynamic lane counts and a strided mask walk.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn tile_one_row(
-    g: &Conv2dGeom,
-    wt: &[i16],
-    mask: &[i16],
-    oy: usize,
-    ox0: usize,
-    co0: usize,
-    nco: usize,
-    nox: usize,
-    out: &mut [i16],
-) {
-    let (oh, ow) = g.out_hw();
-    let (k, cout, cin, stride) = (g.kernel, g.out_channels, g.in_channels, g.stride);
-    let mw = g.in_w + 2 * g.padding;
-    let mh = g.in_h + 2 * g.padding;
-    let mut acc = [[0i16; TILE_OX]; TILE_CO];
-    if nco == TILE_CO && nox == TILE_OX && stride == 1 {
-        let mut a0 = [0i16; TILE_OX];
-        let mut a1 = [0i16; TILE_OX];
-        let mut a2 = [0i16; TILE_OX];
-        let mut a3 = [0i16; TILE_OX];
-        for ci in 0..cin {
-            let mch = &mask[ci * mh * mw..][..mh * mw];
-            for ky in 0..k {
-                let mrow = &mch[(oy + ky) * mw..][..mw];
-                let trow = (ci * k + ky) * k;
-                for kx in 0..k {
-                    let m = block::<TILE_OX, _>(&mrow[ox0 + kx..]);
-                    let ws = block::<TILE_CO, _>(&wt[(trow + kx) * cout + co0..]);
-                    let (w0, w1, w2, w3) = (ws[0], ws[1], ws[2], ws[3]);
-                    for j in 0..TILE_OX {
-                        a0[j] = a0[j].saturating_add(m[j] & w0);
-                        a1[j] = a1[j].saturating_add(m[j] & w1);
-                        a2[j] = a2[j].saturating_add(m[j] & w2);
-                        a3[j] = a3[j].saturating_add(m[j] & w3);
-                    }
-                }
-            }
-        }
-        acc = [a0, a1, a2, a3];
-    } else {
-        // Edge tiles and stride > 1: same order, dynamic lane counts and
-        // a strided mask walk.
-        for ci in 0..cin {
-            let mch = &mask[ci * mh * mw..][..mh * mw];
-            for ky in 0..k {
-                let mrow = &mch[(oy * stride + ky) * mw..][..mw];
-                let trow = (ci * k + ky) * k;
-                for kx in 0..k {
-                    let ws = &wt[(trow + kx) * cout + co0..][..nco];
-                    let mbase = ox0 * stride + kx;
-                    for (accr, &w) in acc[..nco].iter_mut().zip(ws) {
-                        for (j, a) in accr[..nox].iter_mut().enumerate() {
-                            *a = a.saturating_add(mrow[mbase + j * stride] & w);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let per_ch = oh * ow;
-    for (r, accr) in acc[..nco].iter().enumerate() {
-        let dst = &mut out[(co0 + r) * per_ch + oy * ow + ox0..][..nox];
-        dst.copy_from_slice(&accr[..nox]);
     }
 }
 
@@ -893,7 +797,6 @@ fn run_tiled_int<'a>(
     layer: usize,
 ) -> &'a [i16] {
     let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
     let ConvScratch {
         psum_i,
         layers,
@@ -902,7 +805,7 @@ fn run_tiled_int<'a>(
     } = scr;
     let wt = entry_mut(layers, layer).tiled_wt(conv);
     build_mask_plane(g, plane, mask_i);
-    scratch_resize(psum_i, g.out_channels * oh * ow, 0);
+    scratch_resize(psum_i, g.out_neurons(), 0);
     dense_tiled_int(g, wt, mask_i, psum_i);
     &scr.psum_i
 }
@@ -929,14 +832,21 @@ pub fn conv_psums_int_scatter<'a>(
 ///
 /// # Panics
 ///
-/// Panics if the plane shape mismatches the conv geometry.
+/// Panics if the plane shape mismatches the conv geometry, or if the tiled
+/// kernel does not cover it ([`tiled_is_candidate`]).
 pub fn conv_psums_int_tiled<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
     scr: &'a mut ConvScratch,
     layer: usize,
 ) -> &'a [i16] {
-    check_plane(&conv.geom, plane);
+    let g = &conv.geom;
+    check_plane(g, plane);
+    assert!(
+        tiled_is_candidate(g),
+        "the tiled kernel covers only 3x3 stride-1 layers with C_out % 4 == 0, \
+         OW % 16 == 0 and OH even, not {g}"
+    );
     run_tiled_int(conv, plane, scr, layer)
 }
 
@@ -1213,8 +1123,10 @@ mod tests {
                 assert_eq!(auto, reference, "auto case {i} rate {rate}");
                 let wide = conv_psums_int_scatter(&conv, &plane, &mut scr, i).to_vec();
                 assert_eq!(wide, reference, "wide scatter case {i} rate {rate}");
-                let tiled = conv_psums_int_tiled(&conv, &plane, &mut scr, i).to_vec();
-                assert_eq!(tiled, reference, "tiled case {i} rate {rate}");
+                if tiled_is_candidate(&conv.geom) {
+                    let tiled = conv_psums_int_tiled(&conv, &plane, &mut scr, i).to_vec();
+                    assert_eq!(tiled, reference, "tiled case {i} rate {rate}");
+                }
             }
         }
     }
@@ -1259,16 +1171,7 @@ mod tests {
         let per_spikes = |g: &Conv2dGeom| m.scatter_cost_ps(g, 64) - m.scatter_cost_ps(g, 0);
         assert_eq!(per_spikes(&g17), per_spikes(&g32));
 
-        // Dense: C_out=17 pads to 5 row tiles of TILE_CO=4 and OW=18 to 2
-        // column tiles of TILE_OX=16, so the modelled work strictly exceeds
-        // a naive n_out·C_in·K² element count.
-        let (oh, _) = g17.out_hw();
-        assert_eq!(dense_padded_outs(&g17), 20 * oh * 32);
-        let naive =
-            u128::from(m.dense_ps_per_lane) * (g17.out_neurons() * g17.in_channels * 9) as u128;
-        assert!(m.dense_cost_ps(&g17) > naive);
-
-        // Partial tiles run the tiled kernel's edge branch, so the model is
+        // The tiled kernel has no path for partial tiles, so the model is
         // never consulted there: the misaligned layer always scatters.
         assert!(!tiled_is_candidate(&g17));
         assert_eq!(m.scatter_limit(&g17), u64::MAX);
@@ -1277,32 +1180,46 @@ mod tests {
 
     #[test]
     fn default_auto_never_tiles_where_the_fast_path_misses() {
-        // The deployed downsample and deeper-stage geometries: stride 2
-        // (3×3 and 1×1) and OW ∈ {8, 4, 2}. Auto scatters at any density.
+        // The deployed downsample and deeper-stage geometries (stride 2,
+        // 3×3 and 1×1; OW ∈ {8, 4, 2}), then each whole-tile condition on
+        // its own: 5×5 and 1×1 kernels, a partial channel group, a partial
+        // column tile and (below) an odd output row count. Auto and
+        // ForceDense scatter there at any density.
         for (cin, cout, hw, k, stride, pad) in [
             (8usize, 16usize, 16usize, 3usize, 2usize, 1usize),
             (8, 16, 16, 1, 2, 0),
             (16, 16, 8, 3, 1, 1),
             (32, 32, 4, 3, 1, 1),
             (64, 64, 2, 3, 1, 1),
+            (8, 8, 16, 5, 1, 2),
+            (8, 8, 16, 1, 1, 0),
+            (8, 6, 16, 3, 1, 1),
+            (8, 8, 18, 3, 1, 1),
         ] {
             let g = test_conv(cin, cout, hw, k, stride, pad, 0).geom;
             assert!(!tiled_is_candidate(&g), "{g:?}");
-            assert_eq!(KernelPolicy::Auto.scatter_limit(&g), u64::MAX, "{g:?}");
+            for policy in [KernelPolicy::Auto, KernelPolicy::ForceDense] {
+                assert_eq!(policy.scatter_limit(&g), u64::MAX, "{policy:?} {g:?}");
+            }
         }
+        let odd_rows = Conv2dGeom {
+            in_h: 15,
+            ..test_conv(8, 8, 16, 3, 1, 1, 0).geom
+        };
+        assert!(!tiled_is_candidate(&odd_rows));
     }
 
     #[test]
     fn default_auto_tiles_the_deployed_16_column_layers() {
-        // 8→8 @16², the deployed first residual stage: the tiled kernel's
-        // fast path covers it, and Auto goes tiled at 10 % density while a
-        // silent plane still scatters.
+        // 8→8 @16², the deployed first residual stage: the tiled kernel
+        // covers it, and Auto goes tiled at 10 % density while a silent
+        // plane still scatters.
         let g = test_conv(8, 8, 16, 3, 1, 1, 0).geom;
         assert!(tiled_is_candidate(&g));
         let neurons = (8 * 16 * 16) as u64;
         let limit = KernelPolicy::Auto.scatter_limit(&g);
         assert!(0 < limit && limit <= neurons / 10, "limit {limit}");
-        // The forced policies ignore geometry.
+        // Where the tiled kernel applies, the forced policies pin one kernel.
         assert_eq!(KernelPolicy::ForceDense.scatter_limit(&g), 0);
         assert_eq!(KernelPolicy::ForceSparse.scatter_limit(&g), u64::MAX);
     }
@@ -1354,6 +1271,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "tiled kernel covers only")]
+    fn tiled_entry_rejects_layers_it_does_not_cover() {
+        // Stride 2: no paired-row tile exists for it.
+        let conv = test_conv(8, 16, 16, 3, 2, 1, 1);
+        let mut plane = SpikePlane::default();
+        plane.pack_from_bytes(8, 16, 16, &spikes(8 * 256, 10, 3));
+        let _ = conv_psums_int_tiled(&conv, &plane, &mut ConvScratch::new(), 0);
+    }
+
+    #[test]
     fn scatter_matches_dense_reference_f32() {
         let mut scr = ConvScratch::new();
         let conv = test_conv(3, 4, 6, 3, 1, 1, 9);
@@ -1395,8 +1322,12 @@ mod tests {
         let mut scr = ConvScratch::new();
         let _ = conv_psums_int_plane(&conv, &plane, KernelPolicy::ForceSparse, &mut scr, 0);
         assert_eq!(scr.take_taps(), (n_spikes * 9, (32 - n_spikes) * 9));
-        let _ = conv_psums_int_plane(&conv, &plane, KernelPolicy::ForceDense, &mut scr, 0);
-        assert_eq!(scr.take_taps(), (32 * 9, 0));
+        // The tiled kernel touches every tap, on a layer it covers.
+        let conv = test_conv(2, 4, 16, 3, 1, 1, 2);
+        let mut plane = SpikePlane::default();
+        plane.pack_from_bytes(2, 16, 16, &spikes(2 * 256, 25, 11));
+        let _ = conv_psums_int_plane(&conv, &plane, KernelPolicy::ForceDense, &mut scr, 1);
+        assert_eq!(scr.take_taps(), (512 * 9, 0));
         assert_eq!(scr.take_taps(), (0, 0));
     }
 

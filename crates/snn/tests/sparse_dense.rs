@@ -2,12 +2,14 @@
 //! geometries (kernel ∈ {1, 3, 5}, stride, padding, every scatter lane
 //! width) and spike densities from 0 to 100 %, the scatter path must match
 //! the dense reference loop
-//! **bit for bit** — including the saturating integer tap order — and the
-//! packed `or_pool` must match the byte-wise one.
+//! **bit for bit** — including the saturating integer tap order — as must
+//! the tiled kernel on every layer it covers, and the packed `or_pool`
+//! must match the byte-wise one.
 
 use proptest::prelude::*;
 use sia_fixed::{QuantScale, Q8_8};
 use sia_snn::network::{ConvInput, NeuronMode, SnnConv};
+use sia_snn::sparse::tiled_is_candidate;
 use sia_snn::spikeplane::{or_pool_packed, SpikePlane};
 use sia_snn::{
     conv_psums_f32, conv_psums_f32_plane, conv_psums_int, conv_psums_int_plane,
@@ -53,11 +55,11 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 
 /// Geometries that exercise the word-parallel fast paths: 8 to 32 output
 /// channels (16- or 32-lane scatter rows — 8 and 12 leave padding lanes,
-/// as the deployed 8-channel stage does — and
-/// paired-row tiles in the dense kernel) and ≥ 16 output columns
-/// (full-width register tiles), at spike rates from sparse (5 %) up to the
-/// depths where the saturating i16 accumulators hit the ±`i16::MAX` rails —
-/// the regime where any reassociation of the tap order becomes observable.
+/// as the deployed 8-channel stage does) on 16- to 20-pixel planes, some
+/// of them layers the tiled kernel covers, at spike rates from
+/// sparse (5 %) up to the depths where the saturating i16 accumulators
+/// hit the ±`i16::MAX` rails — the regime where any reassociation of the
+/// tap order becomes observable.
 fn hot_case_strategy() -> impl Strategy<Value = Case> {
     (
         8usize..=24,
@@ -124,6 +126,56 @@ fn lane_width_case_strategy() -> impl Strategy<Value = Case> {
             rate,
             seed,
         })
+}
+
+/// Layers the tiled kernel covers, and only those: 3×3 at stride 1,
+/// `C_out` ∈ {4, 8, …, 32}, `OW` ∈ {16, 32} (padding 1, or padding 0 on a
+/// plane two columns wider), up to 64 input channels, at every spike rate
+/// from silent to full. `pattern` picks the weights: 0 the seeded mix,
+/// 1 all +127, 2 all −127, 3 +127 except a final all-−127 input channel —
+/// at high rates and depths the last three pin the accumulators to the
+/// rails and pull them back off, where any reordering of the taps shows.
+fn candidate_case_strategy() -> impl Strategy<Value = (Case, u8)> {
+    (
+        1usize..=64,
+        1usize..=8,
+        prop_oneof![Just(16usize), Just(32)],
+        0usize..=1,
+        0u32..=100,
+        any::<u64>(),
+        0u8..=3,
+    )
+        .prop_map(|(cin, groups, ow, padding, rate, seed, pattern)| {
+            let c = Case {
+                cin,
+                cout: 4 * groups,
+                hw: ow + 2 - 2 * padding,
+                k: 3,
+                stride: 1,
+                padding,
+                rate,
+                seed,
+            };
+            (c, pattern)
+        })
+}
+
+/// Overwrites `conv`'s weights with rail-stress `pattern` (see
+/// [`candidate_case_strategy`]); pattern 0 keeps the seeded weights.
+fn apply_pattern(conv: &mut SnnConv, pattern: u8) {
+    let g = conv.geom;
+    let taps_per_co = g.in_channels * g.kernel * g.kernel;
+    for (i, w) in conv.weights.iter_mut().enumerate() {
+        // weight layout: co-major, ci next
+        let ci = (i % taps_per_co) / (g.kernel * g.kernel);
+        *w = match pattern {
+            0 => *w,
+            1 => 127,
+            2 => -127,
+            _ if ci + 1 == g.in_channels => -127,
+            _ => 127,
+        };
+    }
 }
 
 fn make_conv(c: &Case) -> SnnConv {
@@ -194,8 +246,8 @@ proptest! {
     fn word_parallel_kernels_are_bit_exact_on_hot_geometries(c in hot_case_strategy()) {
         // Direct entries, not the policy dispatcher: every kernel on the
         // menu must agree with the byte reference, including the wide
-        // scatter's 16-lane blocks and the dense kernel's paired-row
-        // register tiles (only reachable at cout ≥ 16, ow ≥ 16).
+        // scatter's 16-lane blocks and, on the layers it covers, the
+        // dense kernel's paired-row register tiles.
         let conv = make_conv(&c);
         let bytes = spike_bytes(c.cin * c.hw * c.hw, c.rate, c.seed);
         let plane = packed(&c, &bytes);
@@ -203,8 +255,29 @@ proptest! {
         let mut scr = ConvScratch::new();
         let got = conv_psums_int_scatter(&conv, &plane, &mut scr, 0).to_vec();
         prop_assert_eq!(&got, &reference, "scatter");
+        if tiled_is_candidate(&conv.geom) {
+            let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
+            prop_assert_eq!(&got, &reference, "tiled");
+        }
+    }
+
+    #[test]
+    fn tiled_kernel_is_bit_exact_on_every_layer_it_covers(cp in candidate_case_strategy()) {
+        let (c, pattern) = cp;
+        let mut conv = make_conv(&c);
+        apply_pattern(&mut conv, pattern);
+        prop_assert!(tiled_is_candidate(&conv.geom), "{:?}", conv.geom);
+        let bytes = spike_bytes(c.cin * c.hw * c.hw, c.rate, c.seed);
+        let plane = packed(&c, &bytes);
+        let reference = conv_psums_int(&conv, &bytes);
+        let mut scr = ConvScratch::new();
         let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
-        prop_assert_eq!(&got, &reference, "tiled");
+        prop_assert_eq!(&got, &reference, "tiled, pattern {}", pattern);
+        // ForceDense runs the tiled kernel on every call here.
+        let got = conv_psums_int_plane(&conv, &plane, KernelPolicy::ForceDense, &mut scr, 1)
+            .to_vec();
+        prop_assert_eq!(&got, &reference, "ForceDense, pattern {}", pattern);
+        prop_assert_eq!(scr.take_taps().1, 0, "ForceDense skipped taps");
     }
 
     #[test]
@@ -280,26 +353,16 @@ proptest! {
         let c = Case { cin, cout, hw, k: 3, stride: 1, padding: 1, rate, seed };
         let bytes = spike_bytes(cin * hw * hw, rate, seed);
         let plane = packed(&c, &bytes);
-        let taps_per_co = cin * c.k * c.k;
-        for pattern in ["pos", "neg", "mix"] {
+        for pattern in 1..=3 {
             let mut conv = make_conv(&c);
-            for (i, w) in conv.weights.iter_mut().enumerate() {
-                // weight layout: co-major, ci next — i / taps gives co,
-                // (i % taps) / k² gives ci
-                let ci = (i % taps_per_co) / (c.k * c.k);
-                *w = match pattern {
-                    "pos" => 127,
-                    "neg" => -127,
-                    _ => if ci + 1 == cin { -127 } else { 127 },
-                };
-            }
+            apply_pattern(&mut conv, pattern);
             let reference = conv_psums_int(&conv, &bytes);
             match pattern {
-                "pos" => prop_assert!(
+                1 => prop_assert!(
                     reference.contains(&i16::MAX),
                     "positive rail never hit — case is not a saturation probe"
                 ),
-                "neg" => prop_assert!(
+                2 => prop_assert!(
                     reference.contains(&i16::MIN),
                     "negative rail never hit — case is not a saturation probe"
                 ),
@@ -308,8 +371,10 @@ proptest! {
             let mut scr = ConvScratch::new();
             let got = conv_psums_int_scatter(&conv, &plane, &mut scr, 0).to_vec();
             prop_assert_eq!(&got, &reference, "scatter / {}", pattern);
-            let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
-            prop_assert_eq!(&got, &reference, "tiled / {}", pattern);
+            if tiled_is_candidate(&conv.geom) {
+                let got = conv_psums_int_tiled(&conv, &plane, &mut scr, 0).to_vec();
+                prop_assert_eq!(&got, &reference, "tiled / {}", pattern);
+            }
         }
     }
 }

@@ -37,41 +37,16 @@
 //!    (Only non-finite `B` values could tell the difference, via
 //!    `0·∞ = NaN`; network weights and activations are finite.)
 //!
-//! Because blocked and reference kernels agree bitwise, the global
-//! [`Kernel`] override never changes results, only speed.
+//! The public entry points ([`crate::matmul()`] and its two transposed
+//! flows) always run these kernels; the naive loops stay only as the
+//! oracle the proptests and `sia bench gemm` compare against.
 
 use crate::pool;
 use crate::tensor::Tensor;
 use crate::tile;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Which GEMM implementation [`crate::matmul()`] dispatches to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Kernel {
-    /// Cache-blocked, register-tiled, pool-parallel kernels (default).
-    Blocked,
-    /// The original naive `i-k-j` loops — the bit-exactness oracle.
-    Reference,
-}
-
-static KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the GEMM implementation process-wide. Both kernels are
-/// bit-identical, so this only affects speed (and telemetry).
-pub fn set_kernel(k: Kernel) {
-    KERNEL.store(k as u8, Ordering::Relaxed);
-}
-
-/// The currently selected GEMM implementation.
-#[must_use]
-pub fn kernel() -> Kernel {
-    match KERNEL.load(Ordering::Relaxed) {
-        0 => Kernel::Blocked,
-        _ => Kernel::Reference,
-    }
-}
 
 /// Register-tile rows (output rows per micro-kernel call).
 const MR: usize = 4;
@@ -83,10 +58,6 @@ const MC: usize = 64;
 const KC: usize = 384;
 /// Column block: one packed `KC×NC` panel stays L2-resident.
 const NC: usize = 256;
-
-/// The blocking parameters `(MR, NR, MC, KC, NC)`, exported so reports
-/// (e.g. the `sia bench gemm` JSON) record the tiling they measured.
-pub const TILING: (usize, usize, usize, usize, usize) = (MR, NR, MC, KC, NC);
 
 /// Below this many nominal FLOPs a GEMM stays single-threaded — spawning
 /// scoped workers costs more than the multiply.
@@ -635,14 +606,5 @@ mod tests {
         let b = Tensor::from_vec(vec![2, 1], vec![f32::INFINITY, 5.0]);
         assert!(matmul_blocked(1, 2, 1, a.data(), b.data()).data()[0].is_nan());
         assert_eq!(matmul_reference(&a, &b).data()[0], 5.0);
-    }
-
-    #[test]
-    fn kernel_override_round_trips() {
-        assert_eq!(kernel(), Kernel::Blocked);
-        set_kernel(Kernel::Reference);
-        assert_eq!(kernel(), Kernel::Reference);
-        set_kernel(Kernel::Blocked);
-        assert_eq!(kernel(), Kernel::Blocked);
     }
 }

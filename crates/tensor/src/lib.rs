@@ -12,9 +12,9 @@
 //! * [`im2col`]/[`conv`] — convolution lowering plus the three convolution
 //!   kernels needed for training (forward, ∂input, ∂weights),
 //! * [`pooling`] — max/average pooling with backward companions,
-//! * [`gemm`] — the cache-blocked, register-tiled GEMM backend (with the
-//!   naive loops retained as a bit-exactness oracle behind
-//!   [`gemm::Kernel::Reference`]),
+//! * [`gemm`] — the cache-blocked, register-tiled GEMM backend every
+//!   [`matmul()`] flow runs (the naive `*_reference` loops are kept as
+//!   its bit-exactness oracle),
 //! * [`pool`] — the shared scoped thread pool every data-parallel region
 //!   in the workspace runs on.
 //!
@@ -42,7 +42,6 @@ pub mod tensor;
 pub mod tile;
 
 pub use conv::{conv2d_backward_input, conv2d_backward_weights, conv2d_forward, Conv2dGeom};
-pub use gemm::{kernel, set_kernel, Kernel, TILING};
 pub use matmul::{
     matmul, matmul_a_bt, matmul_a_bt_reference, matmul_at_b, matmul_at_b_reference,
     matmul_reference,

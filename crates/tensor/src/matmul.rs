@@ -7,11 +7,10 @@
 //! * [`matmul_at_b`] — `C = Aᵀ·B` (weight gradients)
 //! * [`matmul_a_bt`] — `C = A·Bᵀ` (input gradients)
 //!
-//! Each entry point dispatches to the cache-blocked, register-tiled
-//! backend in [`crate::gemm`] (the default) or to the naive `i-k-j`
-//! reference loops kept here as the bit-exactness oracle, selected
-//! process-wide via [`crate::gemm::set_kernel`]. Both produce bit-identical
-//! results.
+//! Each entry point runs the cache-blocked, register-tiled backend in
+//! [`crate::gemm`]. The naive `i-k-j` reference loops kept here
+//! (`*_reference`) are the bit-exactness oracle the proptests and `sia
+//! bench gemm` compare it against; both produce bit-identical results.
 //!
 //! ## FLOP accounting
 //!
@@ -23,7 +22,7 @@
 //! number of `(row, p)` inner rows elided. Dividing effective work by
 //! wall-clock no longer inflates the achieved rate on sparse inputs.
 
-use crate::gemm::{self, Kernel};
+use crate::gemm;
 use crate::tensor::Tensor;
 
 /// Counts the exact zeros in `A` — each is an inner row the kernels skip —
@@ -65,10 +64,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let _span = sia_telemetry::span!("tensor.matmul");
     sia_telemetry::counter!("tensor.matmul.calls", 1);
     count_flops(a, m, k, n, true);
-    match gemm::kernel() {
-        Kernel::Blocked => gemm::matmul_blocked(m, k, n, a.data(), b.data()),
-        Kernel::Reference => matmul_reference(a, b),
-    }
+    gemm::matmul_blocked(m, k, n, a.data(), b.data())
 }
 
 /// The naive `i-k-j` reference `C = A·B` — the bit-exactness oracle for
@@ -115,10 +111,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     let _span = sia_telemetry::span!("tensor.matmul_at_b");
     sia_telemetry::counter!("tensor.matmul.calls", 1);
     count_flops(a, m, k, n, true);
-    match gemm::kernel() {
-        Kernel::Blocked => gemm::matmul_at_b_blocked(m, k, n, a.data(), b.data()),
-        Kernel::Reference => matmul_at_b_reference(a, b),
-    }
+    gemm::matmul_at_b_blocked(m, k, n, a.data(), b.data())
 }
 
 /// The naive reference `C = Aᵀ·B` — bit-exactness oracle.
@@ -164,10 +157,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     let _span = sia_telemetry::span!("tensor.matmul_a_bt");
     sia_telemetry::counter!("tensor.matmul.calls", 1);
     count_flops(a, m, n, k, false); // this flow has no zero-skip path
-    match gemm::kernel() {
-        Kernel::Blocked => gemm::matmul_a_bt_blocked(m, n, k, a.data(), b.data()),
-        Kernel::Reference => matmul_a_bt_reference(a, b),
-    }
+    gemm::matmul_a_bt_blocked(m, n, k, a.data(), b.data())
 }
 
 /// The naive reference `C = A·Bᵀ` — bit-exactness oracle.
