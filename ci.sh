@@ -49,6 +49,17 @@ echo "==> tier-1: release build + root tests"
 cargo build --release
 cargo test -q
 
+# The committed tables are the training-free table binaries' stdout, byte
+# for byte: a change to the cycle, resource or power model that moves a
+# number fails here until the same change regenerates the file
+# (cargo run --release -p sia-bench --bin <name> > results/<name>.txt).
+echo "==> committed tables match the table binaries"
+cargo build --release -q -p sia-bench --bins
+for table in table1_layer_latency table2_kernel_sweep table3_resources \
+    table4_comparison asic_projection ablation_event_driven ablation_pe_array; do
+    diff -u "results/$table.txt" <(cargo run --release -q -p sia-bench --bin "$table")
+done
+
 # Schedule exploration of the pool/serve concurrency protocols: the
 # production code (generic over SyncOps, instantiated at ModelSync) runs
 # under exhaustive bounded-preemption DFS plus a seeded random walk, and

@@ -6,7 +6,7 @@
 //! design one dense pass with DSP multipliers. The win the paper claims is
 //! utilisation efficiency (GOPS/PE, GOPS/DSP), not raw latency.
 
-use sia_accel::spiking_core::run_conv_pass;
+use sia_accel::spiking_core::{processed_segments, ConvPassStats};
 use sia_accel::SiaConfig;
 use sia_bench::{header, synthetic_spikes};
 use sia_hwmodel::dense::{dense_conv, dense_resources, DenseConfig, EventDrivenComparison};
@@ -14,16 +14,14 @@ use sia_hwmodel::resources::estimate;
 use sia_tensor::Conv2dGeom;
 
 fn sia_cycles(geom: &Conv2dGeom, rate: f64, cfg: &SiaConfig, timesteps: usize) -> u64 {
-    let weights: Vec<i8> = (0..geom.weight_count())
-        .map(|i| ((i * 41 % 255) as i32 - 127) as i8)
-        .collect();
     let mut total = 0u64;
     for t in 0..timesteps {
         let spikes = synthetic_spikes(geom.in_channels, geom.in_h, geom.in_w, rate, t as u64);
+        let processed = processed_segments(geom, &spikes, cfg);
         let mut start = 0;
         while start < geom.out_channels {
             let size = (geom.out_channels - start).min(cfg.pe_count());
-            total += run_conv_pass(geom, &weights, start, size, &spikes, cfg).cycles;
+            total += ConvPassStats::new(geom, cfg, processed, size).cycles;
             start += size;
         }
     }

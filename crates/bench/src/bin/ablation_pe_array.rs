@@ -4,7 +4,7 @@
 //! throughput and the measured latency of the reference conv layer
 //! (3×3, 64 kernels, 64 channels, 32×32 @ rate 0.16).
 
-use sia_accel::spiking_core::run_conv_pass;
+use sia_accel::spiking_core::{processed_segments, ConvPassStats};
 use sia_accel::{plan_conv, SiaConfig};
 use sia_bench::{header, synthetic_spikes};
 use sia_hwmodel::power::power_model;
@@ -24,14 +24,12 @@ fn layer_ms(cfg: &SiaConfig) -> f64 {
         padding: 1,
     };
     let spikes = synthetic_spikes(64, 32, 32, 0.16, 3);
-    let weights: Vec<i8> = (0..geom.weight_count())
-        .map(|i| ((i * 29 % 255) as i32 - 127) as i8)
-        .collect();
+    let processed = processed_segments(&geom, &spikes, cfg);
     let timesteps = 8;
     let (groups, _fp, traffic) = plan_conv(&geom, cfg, timesteps, 0);
     let mut compute = 0u64;
-    for &(start, size) in &groups {
-        compute += run_conv_pass(&geom, &weights, start, size, &spikes, cfg).cycles;
+    for &(_, size) in &groups {
+        compute += ConvPassStats::new(&geom, cfg, processed, size).cycles;
     }
     let cycles = compute.max(traffic.cycles(cfg) / timesteps as u64)
         + cfg.layer_overhead_cycles / timesteps as u64;

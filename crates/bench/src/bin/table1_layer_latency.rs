@@ -6,7 +6,7 @@
 //! ≈ 59 ms). Input spikes are synthetic at the measured average rates of
 //! Figs. 6/8 (0.12 for ResNet-18, 0.16 for VGG-11).
 
-use sia_accel::spiking_core::run_conv_pass;
+use sia_accel::spiking_core::{processed_segments, ConvPassStats};
 use sia_accel::{plan_conv, SiaConfig};
 use sia_bench::{header, print_vs, synthetic_spikes};
 use sia_tensor::Conv2dGeom;
@@ -14,13 +14,11 @@ use sia_tensor::Conv2dGeom;
 /// Per-timestep latency (ms) of one conv layer at the given input rate.
 fn conv_latency_ms(geom: &Conv2dGeom, rate: f64, cfg: &SiaConfig, timesteps: usize) -> f64 {
     let spikes = synthetic_spikes(geom.in_channels, geom.in_h, geom.in_w, rate, 0xAB);
-    let weights: Vec<i8> = (0..geom.weight_count())
-        .map(|i| ((i * 37 % 255) as i32 - 127) as i8)
-        .collect();
+    let processed = processed_segments(geom, &spikes, cfg);
     let (groups, _fp, traffic) = plan_conv(geom, cfg, timesteps, 0);
     let mut compute = 0u64;
-    for &(start, size) in &groups {
-        let pass = run_conv_pass(geom, &weights, start, size, &spikes, cfg);
+    for &(_, size) in &groups {
+        let pass = ConvPassStats::new(geom, cfg, processed, size);
         compute += pass.cycles + cfg.aggregation_pipeline_depth;
     }
     // per-timestep view: compute for one timestep, transfer and overhead

@@ -16,6 +16,7 @@ use sia_nn::trainer::TrainConfig;
 use sia_nn::vgg::Vgg;
 use sia_nn::Model;
 use sia_quant::{quantize_pipeline, QatConfig, QuantizedOutcome};
+use sia_snn::spikeplane::SpikePlane;
 use sia_snn::{convert, ConvertOptions, SnnNetwork};
 use std::sync::Arc;
 
@@ -159,14 +160,17 @@ pub fn vgg_pipeline(scale: RunScale) -> TrainedPipeline {
     finish(model, data, scale)
 }
 
-/// A random spike bitmap `[channels, h, w]` at the given rate (the measured
+/// A random spike plane `[channels, h, w]` at the given rate (the measured
 /// average rates of Figs. 6/8 drive the Table I/II latency benches).
 #[must_use]
-pub fn synthetic_spikes(channels: usize, h: usize, w: usize, rate: f64, seed: u64) -> Vec<u8> {
+pub fn synthetic_spikes(channels: usize, h: usize, w: usize, rate: f64, seed: u64) -> SpikePlane {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..channels * h * w)
+    let bytes: Vec<u8> = (0..channels * h * w)
         .map(|_| u8::from(rng.gen_bool(rate)))
-        .collect()
+        .collect();
+    let mut plane = SpikePlane::default();
+    plane.pack_from_bytes(channels, h, w, &bytes);
+    plane
 }
 
 /// Prints a two-column paper-vs-measured comparison line.
@@ -190,8 +194,7 @@ mod tests {
 
     #[test]
     fn synthetic_spikes_hit_requested_rate() {
-        let s = synthetic_spikes(16, 32, 32, 0.16, 1);
-        let rate = s.iter().map(|&v| v as f64).sum::<f64>() / s.len() as f64;
+        let rate = synthetic_spikes(16, 32, 32, 0.16, 1).density();
         assert!((rate - 0.16).abs() < 0.02, "rate {rate}");
     }
 

@@ -1,6 +1,7 @@
-//! `sia` — the command-line face of the reproduction. `sia help` prints
-//! the usage of every subcommand; each accepts only the flags listed in
-//! `known_flags`, and rejects any other before doing any work.
+//! `sia` — the command-line face of the reproduction. `sia help` (or a
+//! bare `sia --help`) prints the usage of every subcommand; each accepts
+//! only the flags listed in `known_flags`, and rejects any other before
+//! doing any work.
 //!
 //! `train` runs the full Fig.-1 pipeline (FP32 training → L=8 quantized
 //! ReLU + INT8 weights → IF conversion) on the synthetic dataset and writes
@@ -69,7 +70,13 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let tokens: Vec<String> = std::env::args().skip(1).collect();
+    // `Args::parse` would read a bare `--help` as an option of no command
+    if tokens == ["--help"] {
+        print!("{HELP}");
+        return ExitCode::SUCCESS;
+    }
+    let args = match Args::parse(tokens) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -92,7 +99,7 @@ fn main() -> ExitCode {
         "calibrate" => calibrate::cmd_calibrate(&args).map(|()| ExitCode::SUCCESS),
         "bench" => bench::cmd_bench(&args).map(|()| ExitCode::SUCCESS),
         "report" => report::cmd_report(&args).map(|()| ExitCode::SUCCESS),
-        "help" | "--help" => {
+        "help" => {
             print!("{HELP}");
             Ok(ExitCode::SUCCESS)
         }

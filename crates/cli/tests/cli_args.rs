@@ -1,9 +1,20 @@
-//! The command-line surface itself: a flag a command does not read is a
-//! usage error (exit 2, naming the flag) before any work starts, and a
-//! smoke bench leaves no report behind unless `--out` asks for one.
+//! The command-line surface itself: `sia help` and a bare `sia --help`
+//! print the usage and exit 0, a flag a command does not read is a usage
+//! error (exit 2, naming the flag) before any work starts, and a smoke
+//! bench leaves no report behind unless `--out` asks for one.
 
 mod common;
 use common::{run_sia, scratch_dir, sia};
+
+#[test]
+fn help_prints_the_usage_and_exits_zero() {
+    let dir = scratch_dir("cli-args-help");
+    for args in [&["help"][..], &["--help"]] {
+        let usage = sia(&dir, args);
+        assert!(usage.contains("USAGE:"), "sia {args:?}: {usage}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 #[test]
 fn flags_a_command_does_not_read_are_rejected_by_name() {

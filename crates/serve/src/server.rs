@@ -500,7 +500,7 @@ impl Server {
     fn handle_swap(&self, body: &[u8]) -> (u16, String) {
         let parsed = match std::str::from_utf8(body)
             .map_err(|e| e.to_string())
-            .and_then(json::parse)
+            .and_then(|text| json::parse(text).map_err(String::from))
         {
             Ok(v) => v,
             Err(e) => return (400, error_json(&format!("bad /models body: {e}"))),
@@ -968,6 +968,16 @@ mod tests {
         assert!(parse_images(b"{\"images\":[]}", dims).is_err());
         assert!(parse_images(b"{}", dims).is_err());
         assert!(parse_images(b"not json", dims).is_err());
+    }
+
+    #[test]
+    fn parse_images_rejects_nesting_past_the_json_depth_limit() {
+        // 300 000 nested arrays once overflowed the connection thread's
+        // stack and aborted the server; now the handler answers 400
+        let deep = "[".repeat(300_000) + &"]".repeat(300_000);
+        let body = format!("{{\"image\":{deep}}}");
+        let err = parse_images(body.as_bytes(), (1, 2, 2)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //!
 //! The model follows the block diagram of Fig. 2 component by component:
 //!
-//! * [`pe`] — one processing element: **3 multiplexers + one 8-bit adder**,
-//!   accumulating a kernel row (up to 3 taps) per clock cycle into a 16-bit
-//!   partial-sum register;
-//! * [`spiking_core`] — the **8×8 PE array**. Each PE holds one of up to 64
-//!   kernels (the 8 kB weight memory stores "up to 64 kernels"); the array
-//!   walks output pixels, broadcasting the input spike window to all PEs.
-//!   Rows whose spike taps are all zero are **skipped in zero cycles** —
-//!   the event-driven behaviour that gives spiking inference its speed;
+//! * [`spiking_core`] — the **8×8 PE array**'s cycle model. Each PE
+//!   (**3 multiplexers + one 8-bit adder**) holds one of up to 64 kernels
+//!   (the 8 kB weight memory stores "up to 64 kernels") and consumes a
+//!   kernel row in 3-tap segments, one per clock cycle. Segments whose
+//!   spike taps are all zero are **skipped in zero cycles** — the
+//!   event-driven behaviour that gives spiking inference its speed — so a
+//!   pass costs one count over the input spike plane: its non-zero
+//!   segments, plus one handoff cycle per output pixel;
 //! * [`aggregation`] — the aggregation core's fixed-point batch-norm
 //!   coefficients (`y·G + H` in Q8.8, paper Eq. 2); the machine's layer
 //!   epilogue applies them and runs the IF/LIF activation unit with
@@ -51,7 +51,6 @@ pub mod controller;
 pub mod image;
 pub mod machine;
 pub mod memory;
-pub mod pe;
 pub mod report;
 pub mod spiking_core;
 

@@ -6,9 +6,13 @@
 //! The machine is a backend of the shared [`sia_snn::Engine`] layer: the
 //! timestep × layer traversal, input encoding, validation and spike
 //! statistics all live in [`sia_snn::drive`], so agreement with the
-//! functional runners is structural — the machine adds only the hardware
-//! arithmetic (PE-array passes, ping-pong membrane memory, the
-//! controller's MMIO protocol) and the cycle/traffic accounting.
+//! functional runners is structural. A PL conv takes its partial sums from
+//! the shared integer kernels ([`conv_psums_int_plane`], pinned to
+//! `sia_snn::conv_psums_int`) and its cycles from one segment count over
+//! the input plane ([`crate::spiking_core`]); the machine adds the rest of
+//! the hardware — the controller's register protocol per kernel group, the
+//! aggregation epilogue over ping-pong membrane memory — and the
+//! cycle/traffic accounting.
 
 use crate::aggregation::BnCoefficients;
 use crate::compiler::Program;
@@ -16,7 +20,7 @@ use crate::config::SiaConfig;
 use crate::controller::Controller;
 use crate::memory::PingPongMembranes;
 use crate::report::{CycleReport, LayerCycles};
-use crate::spiking_core::{run_conv_pass_packed, PassRequest, PassScratch};
+use crate::spiking_core::{processed_segments, ConvPassStats};
 use sia_fixed::sat::add16;
 use sia_fixed::Q8_8;
 use sia_snn::encode::EventStream;
@@ -107,8 +111,6 @@ pub struct SiaMachine {
     run_timesteps: usize,
     // reusable scratch, retained across runs (zero-allocation hot loop)
     conv: ConvScratch,
-    pass: PassScratch,
-    psums: Vec<i16>,
     mems: Vec<i16>,
     residual: Vec<i16>,
     arenas: DriveScratch,
@@ -116,7 +118,7 @@ pub struct SiaMachine {
     /// `stage_taps` — psum-stage segments are reported by the closing
     /// `BlockAdd`, matching the functional runners' tap attribution.
     seg_taps: (u64, u64),
-    /// Psum kernel policy for the PS-side residual convolutions.
+    /// Psum kernel policy of every conv the machine runs.
     policy: KernelPolicy,
 }
 
@@ -166,8 +168,6 @@ impl SiaMachine {
             head_acc: Vec::new(),
             run_timesteps: 0,
             conv: ConvScratch::new(),
-            pass: PassScratch::default(),
-            psums: Vec::new(),
             mems: Vec::new(),
             residual: Vec::new(),
             arenas: DriveScratch::default(),
@@ -176,9 +176,12 @@ impl SiaMachine {
         }
     }
 
-    /// Selects the psum kernel policy for PS-side residual convolutions
-    /// (the same per-layer sparse/dense decision the functional runners
-    /// make — see [`sia_snn::KernelPolicy`]).
+    /// Selects the psum kernel policy of every conv the machine runs — the
+    /// PL convs and the PS-side downsample convs — the same per-layer
+    /// scatter/tiled decision the functional runners make (see
+    /// [`sia_snn::KernelPolicy`]). The kernels are bit-exact and the
+    /// segment count reads only the input plane, so the policy moves host
+    /// time, never results or cycle counts.
     pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
         self.policy = policy;
     }
@@ -270,20 +273,21 @@ struct PlConvCtx<'a> {
     cfg: &'a SiaConfig,
     controller: &'a mut Controller,
     state: &'a mut ActiveLayer,
-    pass: &'a mut PassScratch,
-    psums: &'a mut Vec<i16>,
+    conv: &'a mut ConvScratch,
+    policy: KernelPolicy,
     mems: &'a mut Vec<i16>,
     taps: &'a mut (u64, u64),
 }
 
-/// One PE-array pass sequence for one timestep of a PL conv layer: the PS
-/// programs the register file per kernel group, the controller validates
-/// and starts the pass, the cores run, aggregation spikes (or exports
-/// currents for a psum stage). Works entirely on the bit-packed input
-/// plane and the context's scratch buffers — the warm timestep loop
+/// One PE-array pass sequence for one timestep of PL conv layer `idx`: the
+/// PS programs the register file per kernel group, the controller
+/// validates and starts the pass, the cores run, aggregation spikes (or
+/// exports currents for a psum stage). Works entirely on the bit-packed
+/// input plane and the context's scratch buffers — the warm timestep loop
 /// allocates nothing.
 fn pl_conv_timestep(
     c: &SnnConv,
+    idx: usize,
     ctx: &mut PlConvCtx<'_>,
     plane: &SpikePlane,
     timesteps: usize,
@@ -302,6 +306,10 @@ fn pl_conv_timestep(
     if let PlOut::Spikes(o) = &mut out {
         o.reset(c.geom.out_channels, oh, ow);
     }
+    // every kernel group's psums, and the one segment count that prices
+    // each group's pass (see `spiking_core`)
+    let psums = conv_psums_int_plane(c, plane, ctx.policy, ctx.conv, idx);
+    let processed = processed_segments(&c.geom, plane, cfg);
     for &(start, size) in groups.iter() {
         // §III-C: the PS programs the register file and starts the pass; the
         // controller validates the image before the cores run. A compiled
@@ -311,18 +319,7 @@ fn pl_conv_timestep(
         ctx.controller
             .start(cfg.pe_count())
             .expect("compiled programs produce valid register images");
-        let pass = run_conv_pass_packed(
-            &PassRequest {
-                geom: &c.geom,
-                weights: &c.weights,
-                group_start: start,
-                group_size: size,
-            },
-            plane,
-            cfg,
-            ctx.pass,
-            ctx.psums,
-        );
+        let pass = ConvPassStats::new(&c.geom, cfg, processed, size);
         ctx.controller.finish(); // per-pass done interrupt
         cycles.compute_cycles += pass.cycles + cfg.aggregation_pipeline_depth;
         cycles.active_pe_cycles += pass.active_pe_cycles;
@@ -336,6 +333,7 @@ fn pl_conv_timestep(
         sia_telemetry::counter!("accel.pe.active_cycles", pass.active_pe_cycles);
         sia_telemetry::counter!("accel.pe.segments_processed", pass.processed_segments);
         sia_telemetry::counter!("accel.pe.segments_skipped", pass.skipped_segments);
+        let group = &psums[start * per_ch..(start + size) * per_ch];
         match &mut out {
             PlOut::Spikes(o) => {
                 let mem = mem.as_mut().expect("spiking conv has membranes");
@@ -345,7 +343,7 @@ fn pl_conv_timestep(
                 }
                 // aggregation tile (BN + IF/LIF), overlapped with the
                 // spiking core except the pipeline fill counted above
-                for (j, (&p, u)) in ctx.psums.iter().zip(ctx.mems.iter_mut()).enumerate() {
+                for (j, (&p, u)) in group.iter().zip(ctx.mems.iter_mut()).enumerate() {
                     let current = bn.apply(p, start + j / per_ch);
                     if step_int(u, current, c.theta, c.mode) {
                         o.set_linear(start * per_ch + j);
@@ -357,12 +355,14 @@ fn pl_conv_timestep(
                 }
             }
             PlOut::Currents(o) => {
-                for (j, &p) in ctx.psums.iter().enumerate() {
+                for (j, &p) in group.iter().enumerate() {
                     o[start * per_ch + j] = bn.apply(p, start + j / per_ch);
                 }
             }
         }
     }
+    // the stage reports PE segments, not the kernel's own tap accounting
+    let _ = ctx.conv.take_taps();
     if matches!(out, PlOut::Spikes(_)) {
         let mem = mem.as_mut().expect("spiking conv has membranes");
         mem.toggle();
@@ -581,10 +581,10 @@ impl Engine for SiaMachine {
             controller,
             active,
             run_timesteps,
-            pass,
-            psums,
+            conv,
             mems,
             seg_taps,
+            policy,
             ..
         } = self;
         let SnnItem::Conv(c) = &program.network.items[idx] else {
@@ -594,12 +594,12 @@ impl Engine for SiaMachine {
             cfg: config,
             controller,
             state: active[idx].as_mut().expect("begin_item ran"),
-            pass,
-            psums,
+            conv,
+            policy: *policy,
             mems,
             taps: seg_taps,
         };
-        pl_conv_timestep(c, &mut ctx, spikes, *run_timesteps, PlOut::Spikes(out));
+        pl_conv_timestep(c, idx, &mut ctx, spikes, *run_timesteps, PlOut::Spikes(out));
     }
 
     fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
@@ -611,10 +611,10 @@ impl Engine for SiaMachine {
             pending,
             pending_len,
             run_timesteps,
-            pass,
-            psums,
+            conv,
             mems,
             seg_taps,
+            policy,
             ..
         } = self;
         let SnnItem::ConvPsum(c) = &program.network.items[idx] else {
@@ -633,12 +633,19 @@ impl Engine for SiaMachine {
             cfg: config,
             controller,
             state: active[idx].as_mut().expect("begin_item ran"),
-            pass,
-            psums,
+            conv,
+            policy: *policy,
             mems,
             taps: seg_taps,
         };
-        pl_conv_timestep(c, &mut ctx, spikes, *run_timesteps, PlOut::Currents(frame));
+        pl_conv_timestep(
+            c,
+            idx,
+            &mut ctx,
+            spikes,
+            *run_timesteps,
+            PlOut::Currents(frame),
+        );
     }
 
     fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
@@ -1039,6 +1046,116 @@ mod tests {
             early.report.total_cycles(),
             fixed.report.total_cycles()
         );
+    }
+
+    /// Input conv, then a spiking 3×3 stride-1 conv with 4 output channels
+    /// over 16 output columns — a layer the tiled kernel covers — then the
+    /// head.
+    fn tiled_spec() -> NetworkSpec {
+        let geom = |cin: usize| Conv2dGeom {
+            in_channels: cin,
+            out_channels: 4,
+            in_h: 16,
+            in_w: 16,
+            kernel: 3,
+            stride: 1,
+            padding: 1,
+        };
+        let conv = |cin: usize, seed: usize| {
+            let n = 4 * cin * 9;
+            SpecItem::Conv(ConvSpec {
+                geom: geom(cin),
+                weights: Tensor::from_vec(
+                    vec![4, cin, 3, 3],
+                    (0..n)
+                        .map(|i| (((i * 31 + seed * 7) % 17) as f32 - 6.0) * 0.06)
+                        .collect(),
+                ),
+                bn: None,
+                act: Some(ActSpec {
+                    levels: 8,
+                    step: 0.5,
+                }),
+            })
+        };
+        NetworkSpec {
+            name: "tiled".into(),
+            input: (1, 16, 16),
+            items: vec![
+                conv(1, 1),
+                conv(4, 2),
+                SpecItem::GlobalAvgPool,
+                SpecItem::Linear(LinearSpec {
+                    in_features: 4,
+                    out_features: 10,
+                    weights: Tensor::from_vec(
+                        vec![10, 4],
+                        (0..40).map(|i| ((i % 7) as f32 - 3.0) * 0.1).collect(),
+                    ),
+                    bias: vec![0.0; 10],
+                }),
+            ],
+        }
+    }
+
+    #[test]
+    fn forced_kernel_policies_agree_end_to_end() {
+        let net = convert(&tiled_spec(), &ConvertOptions::default());
+        let SnnItem::Conv(c) = &net.items[1] else {
+            panic!("item 1 is the spiking conv")
+        };
+        assert!(sia_snn::sparse::tiled_is_candidate(&c.geom));
+        let img = Tensor::from_vec(
+            vec![1, 16, 16],
+            (0..256).map(|i| ((i * 13 % 29) as f32) / 29.0).collect(),
+        );
+        let int_run = |policy| {
+            let mut runner = IntRunner::new(&net);
+            runner.set_kernel_policy(policy);
+            sia_telemetry::reset();
+            let out = runner.run(&img, 8);
+            (out, sia_telemetry::snapshot())
+        };
+        let (sparse, sparse_taps) = int_run(KernelPolicy::ForceSparse);
+        let (dense, dense_taps) = int_run(KernelPolicy::ForceDense);
+        assert_eq!(dense.logits_per_t, sparse.logits_per_t);
+        assert_eq!(dense.stats.spikes, sparse.stats.spikes);
+        // the tiled stage's input plane is neither silent nor full
+        let input_spikes = sparse.stats.spikes[0];
+        assert!(
+            input_spikes > 0 && input_spikes < 8 * 4 * 256,
+            "{input_spikes}"
+        );
+        if cfg!(feature = "telemetry") {
+            // ForceDense tiled the stage: the tiled kernel skips no tap
+            assert_eq!(dense_taps.counter("snn.taps.skipped"), 0);
+            assert!(dense_taps.counter("snn.taps.processed") > 0);
+            assert!(sparse_taps.counter("snn.taps.skipped") > 0);
+        }
+        // the machine's PL convs follow its policy; results, cycles and the
+        // PE segments its stages report do not
+        let cfg = SiaConfig::pynq_z2();
+        let program = compile_for(&net, &cfg, 8).unwrap();
+        let mut costs = Vec::new();
+        for policy in [
+            KernelPolicy::ForceSparse,
+            KernelPolicy::ForceDense,
+            KernelPolicy::Auto,
+        ] {
+            let mut machine = SiaMachine::new(program.clone(), cfg.clone());
+            machine.set_kernel_policy(policy);
+            sia_telemetry::reset();
+            let hw = machine.run(&img, 8);
+            assert_eq!(hw.logits_per_t, sparse.logits_per_t, "{policy:?}");
+            assert_eq!(hw.stats.spikes, sparse.stats.spikes, "{policy:?}");
+            let snap = sia_telemetry::snapshot();
+            costs.push((
+                hw.report.total_cycles(),
+                snap.counter("snn.taps.processed"),
+                snap.counter("snn.taps.skipped"),
+            ));
+        }
+        assert!(costs.windows(2).all(|w| w[0] == w[1]), "{costs:?}");
     }
 
     #[test]

@@ -1507,21 +1507,6 @@ mod tests {
         assert_eq!(out.stats.timesteps, 6);
     }
 
-    #[test]
-    fn forced_kernel_policies_agree_end_to_end() {
-        let spec = one_layer_spec(0.8, 1.0, 8);
-        let net = convert(&spec, &ConvertOptions::default());
-        let img = Tensor::from_vec(vec![1, 2, 2], vec![0.2, 0.5, 0.8, 0.95]);
-        let mut dense = IntRunner::new(&net);
-        dense.set_kernel_policy(KernelPolicy::ForceDense);
-        let mut sparse = IntRunner::new(&net);
-        sparse.set_kernel_policy(KernelPolicy::ForceSparse);
-        let a = dense.run(&img, 8);
-        let b = sparse.run(&img, 8);
-        assert_eq!(a.logits_per_t, b.logits_per_t);
-        assert_eq!(a.stats.spikes, b.stats.spikes);
-    }
-
     fn lcg(seed: &mut u64) -> u64 {
         *seed = seed
             .wrapping_mul(6364136223846793005)

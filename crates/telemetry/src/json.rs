@@ -4,9 +4,61 @@
 //! with escapes, integers, floats, booleans and null. The parser reads
 //! JSON back: metrics JSONL for `sia report`, `/predict` request bodies,
 //! calibration files and the round-trip tests.
+//!
+//! The parser recurses once per array or object level, so it refuses
+//! documents nested deeper than [`MAX_DEPTH`] instead of letting hostile
+//! input overflow the stack.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// repo reads nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`parse`] rejected a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonError {
+    /// An array or object opened at byte `at` nests deeper than
+    /// [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the opening bracket.
+        at: usize,
+    },
+    /// Malformed input, described with its byte offset.
+    Syntax(String),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::TooDeep { at } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} levels at byte {at}")
+            }
+            JsonError::Syntax(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
+impl From<String> for JsonError {
+    fn from(msg: String) -> JsonError {
+        JsonError::Syntax(msg)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(msg: &str) -> JsonError {
+        JsonError::Syntax(msg.to_string())
+    }
+}
+
+type Parsed<T> = Result<T, JsonError>;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -93,14 +145,16 @@ pub fn write_f64(out: &mut String, v: f64) {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset on malformed input.
-pub fn parse(input: &str) -> Result<Json, String> {
+/// [`JsonError::TooDeep`] past [`MAX_DEPTH`] nested arrays/objects;
+/// [`JsonError::Syntax`], with the byte offset, on any other malformed
+/// input.
+pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
+        return Err(format!("trailing data at byte {pos}").into());
     }
     Ok(value)
 }
@@ -111,21 +165,23 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Parsed<()> {
     if *pos < bytes.len() && bytes[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected '{}' at byte {pos}", c as char))
+        Err(format!("expected '{}' at byte {pos}", c as char).into())
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Json> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError::TooDeep { at: *pos }),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -134,16 +190,16 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Parsed<Json> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
-        Err(format!("bad literal at byte {pos}"))
+        Err(format!("bad literal at byte {pos}").into())
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Parsed<Json> {
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
@@ -154,15 +210,15 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
+        .ok_or_else(|| format!("bad number at byte {start}").into())
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Parsed<String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
         match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -187,7 +243,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
+                    _ => return Err(format!("bad escape at byte {pos}").into()),
                 }
                 *pos += 1;
             }
@@ -203,7 +259,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Json> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -212,7 +268,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -220,12 +276,12 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
+            _ => return Err(format!("expected ',' or ']' at byte {pos}").into()),
         }
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Parsed<Json> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -238,7 +294,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -247,7 +303,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 *pos += 1;
                 return Ok(Json::Obj(map));
             }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
+            _ => return Err(format!("expected ',' or '}}' at byte {pos}").into()),
         }
     }
 }
@@ -329,6 +385,30 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&arrays(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { at: MAX_DEPTH })
+        );
+        let objects = |n: usize| "{\"a\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            parse(&objects(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { .. })
+        ));
+        // the `/predict` body that overflowed a server thread's stack
+        let body = format!("{{\"image\":{}}}", arrays(300_000));
+        assert_eq!(
+            parse(&body),
+            Err(JsonError::TooDeep {
+                at: 9 + MAX_DEPTH - 1
+            })
+        );
     }
 
     #[test]

@@ -14,32 +14,15 @@
 //!
 //! ## FLOP accounting
 //!
-//! Spiking workloads are sparse, and the kernels skip all-zero inner rows.
-//! The telemetry layer therefore reports two counters per call:
-//! `tensor.matmul.flops_nominal` (`2·m·k·n`, what a dense GEMM would cost)
-//! and `tensor.matmul.flops_effective` (the multiply-adds actually
-//! executed after zero-skips), plus `tensor.matmul.skipped_rows` — the
-//! number of `(row, p)` inner rows elided. Dividing effective work by
-//! wall-clock no longer inflates the achieved rate on sparse inputs.
+//! Each call adds `2·m·k·n` to `tensor.matmul.flops_nominal`: the blocked
+//! kernels execute every product, zeros included.
 
 use crate::gemm;
 use crate::tensor::Tensor;
 
-/// Counts the exact zeros in `A` — each is an inner row the kernels skip —
-/// and emits the nominal/effective FLOP split for one `m×k·k×n` GEMM.
-fn count_flops(a: &Tensor, m: usize, k: usize, n: usize, skippable: bool) {
-    let nominal = 2 * (m * k * n) as u64;
-    sia_telemetry::counter!("tensor.matmul.flops_nominal", nominal);
-    let skipped = if skippable {
-        a.data().iter().filter(|v| **v == 0.0).count() as u64
-    } else {
-        0
-    };
-    sia_telemetry::counter!("tensor.matmul.skipped_rows", skipped);
-    sia_telemetry::counter!(
-        "tensor.matmul.flops_effective",
-        nominal - 2 * skipped * n as u64
-    );
+/// Emits the FLOPs of one `m×k·k×n` GEMM.
+fn count_flops(m: usize, k: usize, n: usize) {
+    sia_telemetry::counter!("tensor.matmul.flops_nominal", 2 * (m * k * n) as u64);
 }
 
 /// `C[m×n] = A[m×k] · B[k×n]`.
@@ -63,7 +46,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(k, k2, "matmul inner dims: A is {m}x{k}, B is {k2}x{n}");
     let _span = sia_telemetry::span!("tensor.matmul");
     sia_telemetry::counter!("tensor.matmul.calls", 1);
-    count_flops(a, m, k, n, true);
+    count_flops(m, k, n);
     gemm::matmul_blocked(m, k, n, a.data(), b.data())
 }
 
@@ -110,7 +93,7 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(m, m2, "matmul_at_b outer dims: A is {m}x{k}, B is {m2}x{n}");
     let _span = sia_telemetry::span!("tensor.matmul_at_b");
     sia_telemetry::counter!("tensor.matmul.calls", 1);
-    count_flops(a, m, k, n, true);
+    count_flops(m, k, n);
     gemm::matmul_at_b_blocked(m, k, n, a.data(), b.data())
 }
 
@@ -156,7 +139,7 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(n, n2, "matmul_a_bt inner dims: A is {m}x{n}, B is {k}x{n2}");
     let _span = sia_telemetry::span!("tensor.matmul_a_bt");
     sia_telemetry::counter!("tensor.matmul.calls", 1);
-    count_flops(a, m, n, k, false); // this flow has no zero-skip path
+    count_flops(m, n, k);
     gemm::matmul_a_bt_blocked(m, n, k, a.data(), b.data())
 }
 

@@ -125,7 +125,8 @@ fn equal_mac_layers_have_comparable_compute() {
     // The Table I invariant: conv 64@32², 128@16², 256@8², 512@4² (C_in =
     // C_out) all have 37.7M MACs; at equal spike rates the event-driven
     // compute cycles must agree within a small factor.
-    use sia_accel::spiking_core::run_conv_pass;
+    use sia_accel::spiking_core::{processed_segments, ConvPassStats};
+    use sia_snn::spikeplane::SpikePlane;
     let cfg = SiaConfig::pynq_z2();
     let mut compute = Vec::new();
     for (ch, hw) in [(64usize, 32usize), (128, 16), (256, 8), (512, 4)] {
@@ -138,16 +139,16 @@ fn equal_mac_layers_have_comparable_compute() {
             stride: 1,
             padding: 1,
         };
-        let weights: Vec<i8> = (0..geom.weight_count())
-            .map(|i| ((i * 31 % 255) as i32 - 127) as i8)
-            .collect();
         // deterministic ~0.16-rate spikes
         let spikes: Vec<u8> = (0..ch * hw * hw).map(|i| u8::from(i % 6 == 0)).collect();
+        let mut plane = SpikePlane::default();
+        plane.pack_from_bytes(ch, hw, hw, &spikes);
+        let processed = processed_segments(&geom, &plane, &cfg);
         let mut cycles = 0u64;
         let mut start = 0;
         while start < ch {
             let size = (ch - start).min(cfg.pe_count());
-            cycles += run_conv_pass(&geom, &weights, start, size, &spikes, &cfg).cycles;
+            cycles += ConvPassStats::new(&geom, &cfg, processed, size).cycles;
             start += size;
         }
         compute.push(cycles);

@@ -5,27 +5,29 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sia_accel::spiking_core::run_conv_pass;
+use sia_accel::spiking_core::{processed_segments, ConvPassStats};
 use sia_accel::{plan_conv, SiaConfig};
+use sia_snn::spikeplane::SpikePlane;
 use sia_tensor::Conv2dGeom;
 
-fn spikes(c: usize, h: usize, w: usize, rate: f64, seed: u64) -> Vec<u8> {
+fn spikes(c: usize, h: usize, w: usize, rate: f64, seed: u64) -> SpikePlane {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..c * h * w)
+    let bytes: Vec<u8> = (0..c * h * w)
         .map(|_| u8::from(rng.gen_bool(rate)))
-        .collect()
+        .collect();
+    let mut plane = SpikePlane::default();
+    plane.pack_from_bytes(c, h, w, &bytes);
+    plane
 }
 
 fn per_timestep_ms(geom: &Conv2dGeom, rate: f64, cfg: &SiaConfig, timesteps: usize) -> f64 {
-    let weights: Vec<i8> = (0..geom.weight_count())
-        .map(|i| ((i * 37 % 255) as i32 - 127) as i8)
-        .collect();
     let s = spikes(geom.in_channels, geom.in_h, geom.in_w, rate, 0xCA1);
+    let processed = processed_segments(geom, &s, cfg);
     let (groups, _fp, traffic) = plan_conv(geom, cfg, timesteps, 0);
     let mut compute = 0u64;
-    for &(start, size) in &groups {
-        compute += run_conv_pass(geom, &weights, start, size, &s, cfg).cycles
-            + cfg.aggregation_pipeline_depth;
+    for &(_, size) in &groups {
+        compute +=
+            ConvPassStats::new(geom, cfg, processed, size).cycles + cfg.aggregation_pipeline_depth;
     }
     let cycles = compute.max(traffic.cycles(cfg) / timesteps as u64)
         + cfg.layer_overhead_cycles / timesteps as u64;
@@ -47,7 +49,7 @@ fn equal_mac_conv(ch: usize, hw: usize) -> Conv2dGeom {
 #[test]
 fn equal_mac_convs_stay_inside_the_table1_band() {
     // Paper: 0.89–0.95 ms per conv per timestep; documented model band:
-    // 0.45–1.0 ms (EXPERIMENTS.md reports 0.54–0.91× of the paper).
+    // 0.45–1.0 ms (EXPERIMENTS.md reports 0.52–0.90× of the paper).
     let cfg = SiaConfig::pynq_z2();
     for (ch, hw) in [(64usize, 32usize), (128, 16), (256, 8), (512, 4)] {
         let ms = per_timestep_ms(&equal_mac_conv(ch, hw), 0.16, &cfg, 8);
@@ -112,12 +114,13 @@ fn event_driven_saving_tracks_sparsity() {
     // pixel is rate-independent).
     let cfg = SiaConfig::pynq_z2();
     let geom = equal_mac_conv(64, 32);
-    let weights: Vec<i8> = (0..geom.weight_count())
-        .map(|i| ((i * 37 % 255) as i32 - 127) as i8)
-        .collect();
-    let dense = run_conv_pass(&geom, &weights, 0, 64, &spikes(64, 32, 32, 0.32, 1), &cfg);
-    let sparse = run_conv_pass(&geom, &weights, 0, 64, &spikes(64, 32, 32, 0.16, 1), &cfg);
-    let very_sparse = run_conv_pass(&geom, &weights, 0, 64, &spikes(64, 32, 32, 0.04, 1), &cfg);
+    let pass = |rate: f64| {
+        let s = spikes(64, 32, 32, rate, 1);
+        ConvPassStats::new(&geom, &cfg, processed_segments(&geom, &s, &cfg), 64)
+    };
+    let dense = pass(0.32);
+    let sparse = pass(0.16);
+    let very_sparse = pass(0.04);
     assert!(sparse.cycles < dense.cycles);
     assert!(very_sparse.cycles < sparse.cycles);
     assert!(
