@@ -40,6 +40,16 @@ cargo clippy -p sia-telemetry --no-default-features --all-targets -- -D warnings
 # it; a library API change that leaves it warning fails here.
 cargo clippy --manifest-path e2ebench/Cargo.toml --all-targets -- -D warnings
 
+# The end-to-end benchmark's own tests, right after its lint and before
+# anything slower (e2ebench/ is a workspace of its own, so the workspace
+# suite below does not reach it). Its reference-fingerprint test hashes
+# the integer logits on a fixed 512-image set: the one check a datapath
+# change that is fast but wrong, yet agrees with itself, cannot pass. It
+# also breaks as soon as the Engine or engine-factory API drifts from
+# what the benchmark builds against.
+echo "==> e2ebench tests (release)"
+cargo test --release -q --manifest-path e2ebench/Cargo.toml
+
 # Every intra-doc link must resolve: a link into a deleted or private item
 # fails here instead of rendering as dead text.
 echo "==> rustdoc -D warnings (workspace)"
@@ -146,15 +156,6 @@ wait "$SERVE_PID"
 echo "==> sia check gates on the shipped model configs"
 cargo run --release -p sia-cli -- check --model resnet18
 cargo run --release -p sia-cli -- check --model vgg11
-
-# The end-to-end benchmark's own tests (e2ebench/ is a workspace of its
-# own, so the workspace suite below does not reach it). Its reference-
-# fingerprint test hashes the integer logits on a fixed 512-image set: the
-# one check a fast but wrong kernel cannot pass. It also breaks as soon as
-# the Engine or engine-factory API drifts from what the benchmark builds
-# against.
-echo "==> e2ebench tests (release)"
-cargo test --release -q --manifest-path e2ebench/Cargo.toml
 
 echo "==> telemetry compiled out still passes"
 cargo test -q --no-default-features

@@ -3,8 +3,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use sia_tensor::Tensor;
+use std::sync::Arc;
 
-/// An in-memory labelled image set.
+/// An in-memory labelled image set. The images sit behind one shared
+/// handle, so [`LabelledSet::images`] hands them out without copying.
 ///
 /// # Examples
 ///
@@ -17,7 +19,7 @@ use sia_tensor::Tensor;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct LabelledSet {
-    images: Vec<Tensor>,
+    images: Arc<[Tensor]>,
     labels: Vec<usize>,
 }
 
@@ -30,7 +32,10 @@ impl LabelledSet {
     #[must_use]
     pub fn new(images: Vec<Tensor>, labels: Vec<usize>) -> Self {
         assert_eq!(images.len(), labels.len(), "images/labels length mismatch");
-        LabelledSet { images, labels }
+        LabelledSet {
+            images: images.into(),
+            labels,
+        }
     }
 
     /// Number of samples.
@@ -55,6 +60,13 @@ impl LabelledSet {
         (&self.images[i], self.labels[i])
     }
 
+    /// All images, in sample order: a new handle on the set's own
+    /// storage, not a copy.
+    #[must_use]
+    pub fn images(&self) -> Arc<[Tensor]> {
+        Arc::clone(&self.images)
+    }
+
     /// All labels.
     #[must_use]
     pub fn labels(&self) -> &[usize] {
@@ -67,7 +79,7 @@ impl LabelledSet {
     pub fn take(&self, n: usize) -> LabelledSet {
         let n = n.min(self.len());
         LabelledSet {
-            images: self.images[..n].to_vec(),
+            images: self.images[..n].into(),
             labels: self.labels[..n].to_vec(),
         }
     }

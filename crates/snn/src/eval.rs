@@ -223,7 +223,7 @@ type ItemResult = Result<(SnnOutput, u64), String>;
 /// the cursor/slot/condvar protocol on the production type itself;
 /// production code uses the [`StdSync`] default.
 struct Job<S: SyncOps = StdSync> {
-    images: Vec<Tensor>,
+    images: Arc<[Tensor]>,
     params: EvalBatch,
     cursor: S::AtomicUsize,
     slots: Vec<S::Mutex<Option<ItemResult>>>,
@@ -233,7 +233,7 @@ struct Job<S: SyncOps = StdSync> {
 }
 
 impl<S: SyncOps> Job<S> {
-    fn new(images: Vec<Tensor>, params: EvalBatch) -> Self {
+    fn new(images: Arc<[Tensor]>, params: EvalBatch) -> Self {
         let n = images.len();
         Job {
             images,
@@ -419,7 +419,9 @@ impl<S: SyncOps> EnginePool<S> {
 
     /// Runs one batch to completion and returns `(output, wall_us)` per
     /// item **in item-index order**. Blocks the calling thread; other
-    /// threads may submit concurrently.
+    /// threads may submit concurrently. The batch's images are shared with
+    /// the workers as they come: an `Arc<[Tensor]>` (such as
+    /// [`LabelledSet::images`]) is not copied; a `Vec<Tensor>` moves in.
     ///
     /// Each returned item's wall-clock µs is also recorded into the
     /// `snn.eval.image_us` histogram (on the calling thread, in item
@@ -431,9 +433,10 @@ impl<S: SyncOps> EnginePool<S> {
     /// itself survives with a freshly built engine.
     pub fn submit(
         &self,
-        images: Vec<Tensor>,
+        images: impl Into<Arc<[Tensor]>>,
         params: EvalBatch,
     ) -> Result<Vec<(SnnOutput, u64)>, PoolError> {
+        let images = images.into();
         let n = images.len();
         if n == 0 {
             return Ok(Vec::new());
@@ -622,9 +625,8 @@ impl BatchEvaluator {
         }
         let _span = sia_telemetry::span!("snn.batch_eval");
         let pool = EnginePool::new(factory, cfg.threads);
-        let images: Vec<Tensor> = (0..n).map(|i| set.get(i).0.clone()).collect();
         let results = pool
-            .submit(images, EvalBatch::from(cfg))
+            .submit(set.images(), EvalBatch::from(cfg))
             .unwrap_or_else(|e| panic!("{e}"));
         let outcome = reduce_outcome(cfg.timesteps, set, &results);
         if cfg.exit.is_adaptive() {
@@ -827,7 +829,6 @@ mod tests {
     fn persistent_pool_reuses_engines_across_batches() {
         let net = small_net();
         let set = small_set(4);
-        let images = |s: &LabelledSet| (0..s.len()).map(|i| s.get(i).0.clone()).collect();
         let params = EvalBatch {
             timesteps: 3,
             burn_in: 0,
@@ -844,7 +845,7 @@ mod tests {
         })
         .evaluate(IntEngineFactory::new(Arc::clone(&net)), &set);
         for _ in 0..3 {
-            let results = pool.submit(images(&set), params).unwrap();
+            let results = pool.submit(set.images(), params).unwrap();
             let outcome = reduce_outcome(3, &set, &results);
             assert_eq!(outcome, expected);
         }
@@ -869,8 +870,7 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
-                    let images = (0..set.len()).map(|i| set.get(i).0.clone()).collect();
-                    let results = pool.submit(images, params).unwrap();
+                    let results = pool.submit(set.images(), params).unwrap();
                     assert_eq!(reduce_outcome(3, &set, &results), expected);
                 });
             }

@@ -49,9 +49,11 @@ pub fn step_int(u: &mut i16, current: i16, theta: i16, mode: NeuronMode) -> bool
 /// test becomes a mask, and reset-by-subtraction subtracts `θ & mask`
 /// (`sub16(u, 0) == u`, so a silent neuron is untouched). Each word's
 /// spikes are then split into the plane's row words
-/// ([`SpikePlane::flat_writer`]). The cycle-level machine keeps
-/// stepping neuron by neuron through [`step_int`], so the two stay
-/// independent oracles of each other.
+/// ([`SpikePlane::flat_writer`]): at a row width that divides 64, as every
+/// deployed stage's does, that is `64 / W` whole rows, each placed with one
+/// shift and mask. The cycle-level machine keeps stepping neuron by neuron
+/// through [`step_int`], so the two stay independent oracles of each
+/// other.
 pub fn fire_int(
     mem: &mut [i16],
     current: &[i16],

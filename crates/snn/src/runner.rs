@@ -743,10 +743,14 @@ pub fn drive_policy<E: Engine>(
 // ---------------------------------------------------------------------------
 
 /// The aggregation core's batch-norm epilogue (paper Eq. 2) over one
-/// stage: `dst[i] = add16(mul(G, psums[i]), H)`, channel by channel over
-/// contiguous slices with each channel's `G` and `H` hoisted. `mul` is
+/// stage: `dst[i] = add16(mul(G, psums[i]), H)`. `mul` is
 /// [`Q8_8::mul_int`] for 16-bit psums, [`Q8_8::mul_int_wide`] for the
 /// dense input layer's 32-bit ones.
+///
+/// `g` and `h` hold either one coefficient per channel, swept channel by
+/// channel over contiguous slices with each channel's `G` and `H` hoisted,
+/// or one per output ([`bn_coefs`]), swept as one flat run: either way the
+/// inner loop is long enough to vectorise.
 fn bn_currents<P: Copy>(
     dst: &mut [i16],
     psums: &[P],
@@ -755,6 +759,12 @@ fn bn_currents<P: Copy>(
     mul: impl Fn(Q8_8, P) -> i16,
 ) {
     let per_ch = psums.len() / g.len();
+    if per_ch == 1 {
+        for (((d, &p), &g), &h) in dst.iter_mut().zip(psums).zip(g).zip(h) {
+            *d = add16(mul(g, p), h);
+        }
+        return;
+    }
     for (((dst, p), &g), &h) in dst
         .chunks_exact_mut(per_ch)
         .zip(psums.chunks_exact(per_ch))
@@ -765,6 +775,52 @@ fn bn_currents<P: Copy>(
             *d = add16(mul(g, p), h);
         }
     }
+}
+
+/// Channel planes shorter than this many outputs run batch-norm from
+/// per-output coefficient rows: a per-channel sweep over them would be
+/// too short to vectorise (the deployed ResNet's 4×4 stages have 16
+/// outputs per channel, its 2×2 stages 4).
+const BN_ROW_PLANE: usize = 64;
+
+/// One layer's per-output batch-norm coefficients: `G` and `H` repeated
+/// across each channel's plane.
+#[derive(Debug, Default)]
+struct BnRows {
+    g: Vec<Q8_8>,
+    h: Vec<i16>,
+}
+
+/// The coefficients [`bn_currents`] reads for `conv`, the conv of item
+/// `idx`: its own per-channel `G` and `H` where a channel plane holds at
+/// least [`BN_ROW_PLANE`] outputs, otherwise the item's per-output rows,
+/// built on its first call (like the conv kernels' layer entries).
+fn bn_coefs<'s>(
+    rows: &'s mut Vec<BnRows>,
+    idx: usize,
+    conv: &'s SnnConv,
+) -> (&'s [Q8_8], &'s [i16]) {
+    let per_ch = conv.out_neurons() / conv.geom.out_channels;
+    if per_ch >= BN_ROW_PLANE {
+        return (&conv.g, &conv.h);
+    }
+    scratch_reserve_default(rows, idx + 1);
+    let r = &mut rows[idx];
+    if r.g.is_empty() {
+        let n = conv.out_neurons();
+        scratch_resize(&mut r.g, n, Q8_8::ZERO);
+        scratch_resize(&mut r.h, n, 0);
+        for (((g, h), &cg), &ch) in
+            r.g.chunks_exact_mut(per_ch)
+                .zip(r.h.chunks_exact_mut(per_ch))
+                .zip(&conv.g)
+                .zip(&conv.h)
+        {
+            g.fill(cg);
+            h.fill(ch);
+        }
+    }
+    (&r.g, &r.h)
 }
 
 /// The identity branch of a residual add: `dst[i] = add16(pending[i],
@@ -820,6 +876,9 @@ pub struct IntRunner<'a> {
     /// Per item: membranes at an `i16` rail after its latest step (the
     /// count [`fire_int`] returns).
     rails: Vec<u64>,
+    /// Per item: per-output batch-norm rows, for convs with short channel
+    /// planes ([`bn_coefs`]).
+    bn_rows: Vec<BnRows>,
     conv: ConvScratch,
     policy: KernelPolicy,
     arenas: DriveScratch,
@@ -848,6 +907,7 @@ impl<'a> IntRunner<'a> {
             run_timesteps: 0,
             currents: Vec::new(),
             rails: vec![0; net.items.len()],
+            bn_rows: Vec::new(),
             conv: ConvScratch::new(),
             policy: KernelPolicy::Auto,
             arenas: DriveScratch::default(),
@@ -964,14 +1024,9 @@ impl Engine for IntRunner<'_> {
         };
         if t == 0 {
             let psums = conv_psums_dense_into(c, codes, &mut self.conv);
+            let (g, h) = bn_coefs(&mut self.bn_rows, idx, c);
             scratch_resize(&mut self.input_currents, psums.len(), 0);
-            bn_currents(
-                &mut self.input_currents,
-                psums,
-                &c.g,
-                &c.h,
-                Q8_8::mul_int_wide,
-            );
+            bn_currents(&mut self.input_currents, psums, g, h, Q8_8::mul_int_wide);
         }
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
@@ -990,8 +1045,9 @@ impl Engine for IntRunner<'_> {
             unreachable!("step_conv on a non-conv item")
         };
         let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx);
+        let (g, h) = bn_coefs(&mut self.bn_rows, idx, c);
         scratch_resize(&mut self.currents, psums.len(), 0);
-        bn_currents(&mut self.currents, psums, &c.g, &c.h, Q8_8::mul_int);
+        bn_currents(&mut self.currents, psums, g, h, Q8_8::mul_int);
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
         self.rails[idx] = fire_int(
@@ -1019,7 +1075,8 @@ impl Engine for IntRunner<'_> {
             scratch_resize(&mut self.pending, needed, 0);
         }
         let dst = &mut self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-        bn_currents(dst, psums, &c.g, &c.h, Q8_8::mul_int);
+        let (g, h) = bn_coefs(&mut self.bn_rows, idx, c);
+        bn_currents(dst, psums, g, h, Q8_8::mul_int);
     }
 
     fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
@@ -1041,7 +1098,8 @@ impl Engine for IntRunner<'_> {
         match &a.down {
             Some(d) => {
                 let psums = conv_psums_int_plane(d, skip, self.policy, &mut self.conv, idx);
-                bn_currents(&mut self.currents, psums, &d.g, &d.h, Q8_8::mul_int);
+                let (g, h) = bn_coefs(&mut self.bn_rows, idx, d);
+                bn_currents(&mut self.currents, psums, g, h, Q8_8::mul_int);
                 for (cur, &p) in self.currents.iter_mut().zip(pending) {
                     *cur = add16(p, *cur);
                 }
@@ -1602,6 +1660,70 @@ mod tests {
                 assert_eq!(got, want, "{channels}x{h}x{w} -> {out}");
             }
         }
+    }
+
+    /// A 1×1 conv whose channel planes are `per_ch` outputs long, with
+    /// batch-norm coefficients that reach both rails.
+    fn bn_conv(channels: usize, per_ch: usize, seed: &mut u64) -> SnnConv {
+        let mut c = crate::sparse::tests::test_conv(1, channels, 1, 1, 1, 0, 0);
+        c.geom.in_w = per_ch;
+        let mut rail = |i: usize| match i % 5 {
+            0 => i16::MIN,
+            1 => i16::MAX,
+            _ => lcg(seed) as u16 as i16,
+        };
+        c.g = (0..channels).map(|i| Q8_8::from_raw(rail(i))).collect();
+        c.h = (0..channels).map(|i| rail(i + 2)).collect();
+        c
+    }
+
+    #[test]
+    fn bn_currents_match_the_per_output_formula() {
+        // Channel planes shorter and longer than a vector, on both sides
+        // of the per-output-row limit, with psums and coefficients at both
+        // rails, for the 16-bit psums and the input layer's 32-bit ones.
+        let mut seed = 23u64;
+        let mut rows = Vec::new();
+        let planes = [1usize, 2, 3, 4, 16, 63, 64, 256];
+        let convs: Vec<SnnConv> = planes.iter().map(|&p| bn_conv(7, p, &mut seed)).collect();
+        for (idx, (&per_ch, c)) in planes.iter().zip(&convs).enumerate() {
+            let n = c.out_neurons();
+            let ch = |i: usize| (c.g[i / per_ch], c.h[i / per_ch]);
+            let psums: Vec<i16> = (0..n)
+                .map(|i| match i % 7 {
+                    0 => i16::MIN,
+                    1 => i16::MAX,
+                    _ => lcg(&mut seed) as u16 as i16,
+                })
+                .collect();
+            let wide: Vec<i32> = (0..n)
+                .map(|i| match i % 7 {
+                    0 => i32::MIN,
+                    1 => i32::MAX,
+                    _ => lcg(&mut seed) as u32 as i32 >> (i % 17),
+                })
+                .collect();
+            let (g, h) = bn_coefs(&mut rows, idx, c);
+            let mut got = vec![0i16; n];
+            bn_currents(&mut got, &psums, g, h, Q8_8::mul_int);
+            let want: Vec<i16> = (0..n)
+                .map(|i| add16(ch(i).0.mul_int(psums[i]), ch(i).1))
+                .collect();
+            assert_eq!(got, want, "plane {per_ch}");
+            bn_currents(&mut got, &wide, g, h, Q8_8::mul_int_wide);
+            let want: Vec<i16> = (0..n)
+                .map(|i| add16(ch(i).0.mul_int_wide(wide[i]), ch(i).1))
+                .collect();
+            assert_eq!(got, want, "plane {per_ch}, 32-bit psums");
+        }
+        // Only the short planes built rows, and later calls build none.
+        let built: Vec<usize> = rows.iter().map(|r| r.g.len()).collect();
+        assert_eq!(built, [7, 14, 21, 28, 112, 441]);
+        let before = crate::scratch::scratch_growth();
+        for (idx, c) in convs.iter().enumerate() {
+            let _ = bn_coefs(&mut rows, idx, c);
+        }
+        assert_eq!(crate::scratch::scratch_growth(), before);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! The `co` loop is innermost (contiguous in both the transposed weights
 //! and the channels-last psums) — its position is free because different
 //! `co` values write disjoint accumulators. A final value-preserving
-//! transpose restores the canonical `[C_out, OH, OW]` layout. The
+//! transpose restores the canonical `[C_out, OH, OW]` layout, moving
+//! blocks of eight output pixels (then four, then single ones) so that
+//! each channel's run of pixels lands with one contiguous store. The
 //! equivalence is enforced bit-for-bit by proptests
 //! (`crates/snn/tests/sparse_dense.rs`).
 //!
@@ -202,7 +204,10 @@ impl CostModel {
     /// repeated, which flatters the scatter: coefficients refitted to a
     /// run where the tap-table scatter beat the tiled kernel on the
     /// 8-channel layer up to ~8 % (`8to8k3s1_16_dNNN`) made the deployed
-    /// 16×16 stage slower in traced `eval-fixed` runs, so these stay.
+    /// 16×16 stage slower in traced `eval-fixed` runs, so these stay. The
+    /// psum transpose that `scatter_ps_per_out` prices has since moved to
+    /// blocks of output pixels and got cheaper; the coefficients were not
+    /// refitted for it, so every layer keeps the kernel decision it had.
     pub const DEFAULT: CostModel = CostModel {
         scatter_ps_per_lane: 250,
         scatter_ps_per_out: 800,
@@ -406,6 +411,8 @@ pub struct ConvScratch {
     psum_f: Vec<f32>,
     psum_cl_f: Vec<f32>,
     psum_d32: Vec<i32>,
+    /// The dense input layer's codes, widened and zero-padded.
+    codes_pad: Vec<i32>,
     psum_df: Vec<f32>,
     mask_i: Vec<i16>,
     layers: Vec<LayerEntry>,
@@ -603,22 +610,38 @@ fn scatter_int<const S: usize>(
 /// `weight` on set bits and `0` — the saturating-add identity — elsewhere,
 /// which is what makes the branchless kernel bit-exact with the
 /// skip-silent-taps reference (and density-independent in time: no
-/// data-dependent branch survives into the inner loop).
+/// data-dependent branch survives into the inner loop). Each row expands
+/// sixteen lanes at a time from a 16-bit slice of its row word
+/// ([`expand16`]).
 fn build_mask_plane(g: &Conv2dGeom, plane: &SpikePlane, mask: &mut Vec<i16>) {
     let mw = g.in_w + 2 * g.padding;
     let mh = g.in_h + 2 * g.padding;
     scratch_resize(mask, g.in_channels * mh * mw, 0);
-    for ci in 0..g.in_channels {
-        for iy in 0..g.in_h {
-            let base = (ci * mh + iy + g.padding) * mw + g.padding;
-            for (wi, &word) in plane.row(ci, iy).iter().enumerate() {
-                let n = (g.in_w - wi * 64).min(64);
-                for (j, m) in mask[base + wi * 64..][..n].iter_mut().enumerate() {
-                    *m = 0i16.wrapping_sub(((word >> j) & 1) as i16);
+    let wpr = plane.words_per_row();
+    for (words, mch) in plane.channel_words().zip(mask.chunks_exact_mut(mh * mw)) {
+        let mrows = mch[g.padding * mw..].chunks_exact_mut(mw);
+        for (row, mrow) in words.chunks_exact(wpr).zip(mrows) {
+            let mut bits = row
+                .iter()
+                .flat_map(|&word| (0..4).map(move |k| (word >> (16 * k)) as u16));
+            let (whole, tail) = mrow[g.padding..][..g.in_w].as_chunks_mut::<16>();
+            for (lanes, b) in whole.iter_mut().zip(&mut bits) {
+                *lanes = expand16(b);
+            }
+            if !tail.is_empty() {
+                if let Some(b) = bits.next() {
+                    tail.copy_from_slice(&expand16(b)[..tail.len()]);
                 }
             }
         }
     }
+}
+
+/// Sixteen mask lanes from sixteen spike bits: lane `l` is `−1` where bit
+/// `l` is set, `0` elsewhere (one vector compare per call).
+#[inline(always)]
+fn expand16(bits: u16) -> [i16; 16] {
+    std::array::from_fn(|l| -i16::from(bits & (1 << l) != 0))
 }
 
 /// Register-tiled branchless INT8→INT16 dense kernel (im2col-free), over
@@ -709,16 +732,44 @@ fn tile_k3_pair(
 }
 
 /// Channels-last rows of `span ≥ cout` lanes → canonical `[C_out, OH, OW]`
-/// `out` (value-preserving; padding lanes are dropped). Inlined, so the
-/// integer scatter's rows keep their compile-time width.
+/// `out` (value-preserving; padding lanes are dropped). Output pixels move
+/// in blocks ([`transpose_blocks`]) of eight, then of four, and the last
+/// few one by one. Inlined, so the integer scatter's rows keep their
+/// compile-time width.
 #[inline(always)]
 fn transpose_cl<A: Copy>(cl: &[A], out: &mut [A], cout: usize, span: usize) {
     let per_ch = out.len() / cout;
-    for (p, row) in cl.chunks_exact(span).enumerate() {
-        for (co, &v) in row[..cout].iter().enumerate() {
+    let p = transpose_blocks::<A, 8>(cl, out, cout, span, 0);
+    let p = transpose_blocks::<A, 4>(cl, out, cout, span, p);
+    for p in p..per_ch {
+        for (co, &v) in cl[p * span..][..cout].iter().enumerate() {
             out[co * per_ch + p] = v;
         }
     }
+}
+
+/// Moves the whole blocks of `B` output pixels from pixel `p0` on, and
+/// returns the first pixel it left: each block's `B` rows are read once,
+/// then each channel's run of `B` lands with one contiguous store instead
+/// of `B` scattered ones.
+#[inline(always)]
+fn transpose_blocks<A: Copy, const B: usize>(
+    cl: &[A],
+    out: &mut [A],
+    cout: usize,
+    span: usize,
+    p0: usize,
+) -> usize {
+    let per_ch = out.len() / cout;
+    let end = p0 + (per_ch - p0) / B * B;
+    for p in (p0..end).step_by(B) {
+        let rows: [&[A]; B] = std::array::from_fn(|k| &cl[(p + k) * span..][..cout]);
+        for (co, run) in out[p..].chunks_mut(per_ch).take(cout).enumerate() {
+            let px: [A; B] = std::array::from_fn(|k| rows[k][co]);
+            run[..B].copy_from_slice(&px);
+        }
+    }
+    end
 }
 
 fn gather_f32(conv: &SnnConv, plane: &SpikePlane, out: &mut [f32]) {
@@ -923,26 +974,21 @@ pub fn conv_psums_f32_plane<'a>(
     psum_f
 }
 
-/// Output columns `ox` whose input column `ox·stride + kx − pad` lies in
-/// `[0, in_w)`, as a `lo..hi` range.
-fn valid_cols(kx: usize, g: &Conv2dGeom, ow: usize) -> (usize, usize) {
-    let lo = g.padding.saturating_sub(kx).div_ceil(g.stride);
-    let hi = if g.in_w + g.padding > kx {
-        ((g.in_w + g.padding - kx - 1) / g.stride + 1).min(ow)
-    } else {
-        0
-    };
-    (lo.min(hi), hi)
-}
-
 /// Scratch-buffer variant of [`crate::runner::conv_psums_dense`] (dense
 /// INT8 first-layer codes, 32-bit accumulation) — same values, zero
 /// steady-state allocation.
 ///
-/// The 32-bit sums of `i8 · i8` products cannot overflow, so their order
-/// is free: the loop walks `(co, ci, ky, kx)` and adds `w · code` across
-/// each output row's valid columns at once (contiguous input columns at
-/// stride 1), instead of gathering every output's taps one by one.
+/// The codes are widened once per call into a zero-padded `i32` plane
+/// (`in_h + 2·pad` rows of `in_w + 2·pad` columns per channel), so every
+/// tap reads inside it and the padding adds zeros. The 32-bit sums of
+/// `i8 · i8` products cannot overflow, so their order is free: the loop
+/// walks `(co, ci, ky, kx)` and adds `w · code` across a whole output
+/// plane at once, a fixed-length sweep with no range test, instead of
+/// gathering every output's taps one by one. At stride 1 the output rows
+/// are laid out as wide as the padded rows while they accumulate, so the
+/// sweep is one contiguous run over the plane; the columns past `OW` read
+/// past their row, and are dropped when the rows are packed to `OW` at the
+/// end. At any other stride each output row is one strided sweep.
 ///
 /// # Panics
 ///
@@ -955,46 +1001,61 @@ pub fn conv_psums_dense_into<'a>(
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
     let (k, s, pad) = (g.kernel, g.stride, g.padding);
-    let plane_len = g.in_h * g.in_w;
     assert_eq!(
         codes.len(),
-        g.in_channels * plane_len,
+        g.in_channels * g.in_h * g.in_w,
         "input codes mismatch conv geometry"
     );
-    scratch_resize(&mut scr.psum_d32, g.out_channels * oh * ow, 0);
-    for (co, out) in scr.psum_d32.chunks_exact_mut(oh * ow).enumerate() {
-        for (ci, plane) in codes.chunks_exact(plane_len).enumerate() {
+    let (ph, pw) = (g.in_h + 2 * pad, g.in_w + 2 * pad);
+    let ConvScratch {
+        psum_d32,
+        codes_pad,
+        ..
+    } = scr;
+    scratch_resize(codes_pad, g.in_channels * ph * pw, 0);
+    for (r, src) in codes.chunks_exact(g.in_w.max(1)).enumerate() {
+        let (ci, iy) = (r / g.in_h, r % g.in_h);
+        let dst = &mut codes_pad[(ci * ph + iy + pad) * pw + pad..][..g.in_w];
+        for (d, &c) in dst.iter_mut().zip(src) {
+            *d = i32::from(c);
+        }
+    }
+    // Output row pitch while accumulating.
+    let pitch = if s == 1 { pw } else { ow };
+    // Stride 1: the last row's columns past `OW` are never needed, so the
+    // sweep stops there and stays inside the padded plane.
+    let sweep = (oh - 1) * pitch + ow;
+    scratch_resize(psum_d32, g.out_channels * oh * pitch, 0);
+    for (co, out) in psum_d32.chunks_exact_mut(oh * pitch).enumerate() {
+        for (ci, plane) in codes_pad.chunks_exact(ph * pw).enumerate() {
             for ky in 0..k {
                 for kx in 0..k {
-                    let (lo, hi) = valid_cols(kx, g, ow);
-                    if lo == hi {
+                    let w = i32::from(conv.weight(co, ci, ky, kx));
+                    if s == 1 {
+                        let src = &plane[ky * pw + kx..][..sweep];
+                        for (o, &c) in out[..sweep].iter_mut().zip(src) {
+                            *o += w * c;
+                        }
                         continue;
                     }
-                    let w = i32::from(conv.weight(co, ci, ky, kx));
-                    let first = lo * s + kx - pad;
                     for (oy, orow) in out.chunks_exact_mut(ow).enumerate() {
-                        let Some(iy) = (oy * s + ky).checked_sub(pad).filter(|&iy| iy < g.in_h)
-                        else {
-                            continue;
-                        };
-                        let irow = &plane[iy * g.in_w..][..g.in_w];
-                        let orow = &mut orow[lo..hi];
-                        if s == 1 {
-                            // Contiguous on both sides: one vector sweep.
-                            for (o, &c) in orow.iter_mut().zip(&irow[first..][..hi - lo]) {
-                                *o += w * i32::from(c);
-                            }
-                        } else {
-                            for (o, &c) in orow.iter_mut().zip(irow[first..].iter().step_by(s)) {
-                                *o += w * i32::from(c);
-                            }
+                        let src = plane[(oy * s + ky) * pw + kx..].iter().step_by(s);
+                        for (o, &c) in orow.iter_mut().zip(src) {
+                            *o += w * c;
                         }
                     }
                 }
             }
         }
     }
-    &scr.psum_d32
+    if pitch != ow {
+        // Rows move down to their packed place, first to last.
+        for row in 0..g.out_channels * oh {
+            psum_d32.copy_within(row * pitch..row * pitch + ow, row * ow);
+        }
+        psum_d32.truncate(g.out_channels * oh * ow);
+    }
+    psum_d32
 }
 
 /// Float twin of [`conv_psums_dense_into`] (reference tap order: `f32`
@@ -1035,7 +1096,7 @@ pub fn conv_psums_dense_f32_into<'a>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::network::{ConvInput, NeuronMode};
     use sia_fixed::{QuantScale, Q8_8};
@@ -1357,6 +1418,116 @@ mod tests {
                 crate::runner::conv_psums_dense(&conv, &codes).as_slice(),
                 "case {i}"
             );
+        }
+    }
+
+    /// The element-wise transpose the blocked one replaced: its oracle.
+    fn transpose_by_elements<A: Copy>(cl: &[A], out: &mut [A], cout: usize, span: usize) {
+        let per_ch = out.len() / cout;
+        for (p, row) in cl.chunks_exact(span).enumerate() {
+            for (co, &v) in row[..cout].iter().enumerate() {
+                out[co * per_ch + p] = v;
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_transpose_matches_the_element_wise_one() {
+        // Pixel counts below, at and around whole blocks; every scatter
+        // lane width (16, 32, 48, 64) and the 16-lane blocks past 64
+        // channels; and the float scatter's unpadded rows.
+        for per_ch in [1usize, 4, 7, 8, 9, 16, 64, 65] {
+            for cout in [1usize, 8, 16, 24, 32, 40, 48, 64, 72, 96] {
+                let span = scatter_lane_span(cout);
+                let cl: Vec<i16> = (0..per_ch * span)
+                    .map(|i| (i as u32).wrapping_mul(0x9E37_79B1) as i16)
+                    .collect();
+                let mut got = vec![0i16; cout * per_ch];
+                let mut want = vec![1i16; cout * per_ch];
+                transpose_cl(&cl, &mut got, cout, span);
+                transpose_by_elements(&cl, &mut want, cout, span);
+                assert_eq!(got, want, "P={per_ch} C_out={cout} span={span}");
+                let clf: Vec<f32> = cl[..per_ch * cout].iter().map(|&v| f32::from(v)).collect();
+                let mut gotf = vec![0.0f32; cout * per_ch];
+                let mut wantf = vec![1.0f32; cout * per_ch];
+                transpose_cl(&clf, &mut gotf, cout, cout);
+                transpose_by_elements(&clf, &mut wantf, cout, cout);
+                assert_eq!(gotf, wantf, "f32 P={per_ch} C_out={cout}");
+            }
+        }
+    }
+
+    /// The bit-by-bit mask expansion the 16-lane one replaced: its oracle.
+    fn mask_plane_by_bits(g: &Conv2dGeom, plane: &SpikePlane) -> Vec<i16> {
+        let mw = g.in_w + 2 * g.padding;
+        let mh = g.in_h + 2 * g.padding;
+        let mut mask = vec![0i16; g.in_channels * mh * mw];
+        for ci in 0..g.in_channels {
+            for iy in 0..g.in_h {
+                let base = (ci * mh + iy + g.padding) * mw + g.padding;
+                for (wi, &word) in plane.row(ci, iy).iter().enumerate() {
+                    let n = (g.in_w - wi * 64).min(64);
+                    for (j, m) in mask[base + wi * 64..][..n].iter_mut().enumerate() {
+                        *m = 0i16.wrapping_sub(((word >> j) & 1) as i16);
+                    }
+                }
+            }
+        }
+        mask
+    }
+
+    #[test]
+    fn mask_expansion_matches_the_bit_by_bit_one() {
+        // Row widths of whole 16-lane steps (16, 32, 64, 128) and with a
+        // tail (1, 5, 20, 63, 70, 130), at paddings 0–2, over a stale
+        // buffer.
+        let mut mask = vec![7i16; 4096];
+        for (i, in_w) in [16usize, 32, 64, 128, 1, 5, 20, 63, 70, 130]
+            .into_iter()
+            .enumerate()
+        {
+            for pad in 0..3 {
+                let g = Conv2dGeom {
+                    in_w,
+                    in_h: 3,
+                    ..test_conv(2, 4, 3, 3, 1, pad, 0).geom
+                };
+                let bytes = spikes(2 * 3 * in_w, 45, i as u64 * 7 + pad as u64);
+                let mut plane = SpikePlane::default();
+                plane.pack_from_bytes(2, 3, in_w, &bytes);
+                build_mask_plane(&g, &plane, &mut mask);
+                assert_eq!(mask, mask_plane_by_bits(&g, &plane), "W={in_w} pad={pad}");
+            }
+        }
+    }
+
+    #[test]
+    fn padded_input_conv_matches_the_reference() {
+        // K 1, 3 and 5 at strides 1–3 and paddings 0–2 on non-square
+        // images, codes spanning both INT8 rails, over one scratch whose
+        // padded plane changes shape from call to call.
+        let mut scr = ConvScratch::new();
+        for k in [1usize, 3, 5] {
+            for stride in 1..=3 {
+                for pad in 0..=2 {
+                    for (in_h, in_w) in [(7usize, 5usize), (5, 9), (6, 11)] {
+                        let mut conv = test_conv(3, 4, in_h, k, stride, pad, k + stride);
+                        conv.geom.in_w = in_w;
+                        let codes: Vec<i8> = (0..3 * in_h * in_w)
+                            .map(|j| match j % 11 {
+                                0 => i8::MIN,
+                                1 => i8::MAX,
+                                _ => ((j * 37 + k) % 256) as u8 as i8,
+                            })
+                            .collect();
+                        assert_eq!(
+                            conv_psums_dense_into(&conv, &codes, &mut scr),
+                            crate::runner::conv_psums_dense(&conv, &codes).as_slice(),
+                            "K={k} s={stride} p={pad} {in_h}x{in_w}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

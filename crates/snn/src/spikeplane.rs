@@ -14,7 +14,11 @@
 //!   ([`SpikePlane::extract_bits`]),
 //! * moving a stage's bits to and from flat 64-neuron words, whatever its
 //!   row width, for epilogues that step neurons a word at a time
-//!   ([`SpikePlane::flat_words`], [`SpikePlane::flat_writer`]),
+//!   ([`SpikePlane::flat_words`], [`SpikePlane::flat_writer`]). Where the
+//!   row width divides 64 (every deployed stage: 16, 8, 4 or 2 columns), a
+//!   flat word is exactly `64 / W` whole rows, each placed or gathered
+//!   with one shift and mask; other widths stream their bits through a
+//!   128-bit accumulator,
 //! * a packed 2×2 OR-pool ([`or_pool_packed`]) that reduces two input words
 //!   to one output word with shift/mask arithmetic.
 //!
@@ -121,7 +125,8 @@ impl SpikePlane {
     /// The plane's bits in canonical flat `[C, H, W]` order, 64 neurons per
     /// word (LSB = lowest index; the final word's unused bits are zero):
     /// epilogues that step a stage in flat 64-neuron words read a
-    /// row-packed plane through this.
+    /// row-packed plane through this. A row width that divides 64 gathers
+    /// `64 / W` whole rows per word, one shift each.
     pub fn flat_words(&self) -> FlatWords<'_> {
         FlatWords {
             words: &self.words,
@@ -131,8 +136,9 @@ impl SpikePlane {
 
     /// The inverse of [`SpikePlane::flat_words`]: a writer that takes the
     /// plane's bits as flat `[C, H, W]` words, 64 neurons per word, and
-    /// splits each into the rows it spans. Every bit is overwritten once
-    /// `ceil(len / 64)` words have been pushed; bits past
+    /// splits each into the rows it spans (at a row width that divides 64,
+    /// `64 / W` whole rows, each one shift and mask). Every bit is
+    /// overwritten once `ceil(len / 64)` words have been pushed; bits past
     /// [`SpikePlane::len`] are ignored.
     pub fn flat_writer(&mut self) -> FlatWriter<'_> {
         FlatWriter {
@@ -290,12 +296,36 @@ impl SpikePlane {
     }
 }
 
-/// Row-word bookkeeping of the flat-word views: bits stream between row
-/// words and flat words through a 128-bit accumulator, whatever the row
-/// width. It holds the bits gathered but not yet placed, and where the walk
-/// is within its row.
+/// Row-word bookkeeping of the flat-word views.
+///
+/// Where the row width divides 64 (every row is one word), a flat word is
+/// exactly `64 / w` whole rows, and each row moves between the two with one
+/// shift and mask. Any other width streams its bits through a 128-bit
+/// accumulator that holds the bits gathered but not yet placed, and where
+/// the walk is within its row.
 #[derive(Clone, Debug)]
-struct FlatRows {
+enum FlatRows {
+    /// `w` divides 64: `per = 64 / w` rows to a flat word.
+    Whole {
+        w: usize,
+        per: usize,
+    },
+    Stream(Stream),
+}
+
+impl FlatRows {
+    fn new(w: usize, words_per_row: usize) -> Self {
+        if w > 0 && 64 % w == 0 {
+            FlatRows::Whole { w, per: 64 / w }
+        } else {
+            FlatRows::Stream(Stream::new(w, words_per_row))
+        }
+    }
+}
+
+/// The streaming walk of [`FlatRows`], for row widths that do not divide 64.
+#[derive(Clone, Debug)]
+struct Stream {
     words_per_row: usize,
     /// Valid bits in each row's final word.
     tail: usize,
@@ -306,9 +336,9 @@ struct FlatRows {
     avail: usize,
 }
 
-impl FlatRows {
+impl Stream {
     fn new(w: usize, words_per_row: usize) -> Self {
-        FlatRows {
+        Stream {
             words_per_row,
             tail: w - 64 * words_per_row.saturating_sub(1),
             col: 0,
@@ -349,13 +379,27 @@ impl Iterator for FlatWords<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<u64> {
-        let r = &mut self.rows;
+        // Ghost bits are zero, so no row word needs a mask.
+        let r = match &mut self.rows {
+            FlatRows::Whole { w, per } => {
+                if self.words.is_empty() {
+                    return None;
+                }
+                let (rows, rest) = self.words.split_at((*per).min(self.words.len()));
+                self.words = rest;
+                let flat = rows
+                    .iter()
+                    .enumerate()
+                    .fold(0, |flat, (i, &row)| flat | row << (i * *w));
+                return Some(flat);
+            }
+            FlatRows::Stream(r) => r,
+        };
         while r.avail < 64 {
             let Some((&word, rest)) = self.words.split_first() else {
                 break;
             };
             self.words = rest;
-            // Ghost bits are zero, so the word needs no mask.
             r.acc |= u128::from(word) << r.avail;
             r.avail += r.word_bits();
             r.advance();
@@ -385,10 +429,21 @@ impl FlatWriter<'_> {
         if self.words.is_empty() {
             return;
         }
-        let r = &mut self.rows;
+        let words = std::mem::take(&mut self.words);
+        let r = match &mut self.rows {
+            FlatRows::Whole { w, per } => {
+                let (rows, rest) = words.split_at_mut((*per).min(words.len()));
+                let mask = mask_lo(*w);
+                for (i, row) in rows.iter_mut().enumerate() {
+                    *row = (flat >> (i * *w)) & mask;
+                }
+                self.words = rest;
+                return;
+            }
+            FlatRows::Stream(r) => r,
+        };
         r.acc |= u128::from(flat) << r.avail;
         r.avail += 64;
-        let words = std::mem::take(&mut self.words);
         let mut done = 0;
         for word in words.iter_mut() {
             let n = r.word_bits();
@@ -637,6 +692,51 @@ mod tests {
                 writer.push(u64::MAX);
             }
             assert_eq!(q, p, "w={w}");
+        }
+    }
+
+    #[test]
+    fn whole_row_path_matches_the_streaming_walk() {
+        // Every width that divides 64 takes the whole-row path; the
+        // streaming walk it replaced there is its oracle, reading and
+        // writing, at row counts that leave the last flat word partial
+        // and whole.
+        let mut seed = 19u64;
+        for w in [1usize, 2, 4, 8, 16, 32, 64] {
+            for (c, h) in [(1usize, 1usize), (3, 5), (8, 16), (64, 2), (7, 9)] {
+                let bytes = lcg_bytes(c * h * w, 40, &mut seed);
+                let mut p = SpikePlane::default();
+                p.pack_from_bytes(c, h, w, &bytes);
+                assert!(matches!(FlatRows::new(w, 1), FlatRows::Whole { .. }));
+                let stream = || FlatRows::Stream(Stream::new(w, 1));
+                let whole: Vec<u64> = p.flat_words().collect();
+                let streamed: Vec<u64> = FlatWords {
+                    words: &p.words,
+                    rows: stream(),
+                }
+                .collect();
+                assert_eq!(whole, streamed, "{c}x{h}x{w}");
+                let mut by_rows = SpikePlane::new(c, h, w);
+                let mut by_stream = SpikePlane::new(c, h, w);
+                for q in [&mut by_rows, &mut by_stream] {
+                    q.words.iter_mut().for_each(|word| *word = u64::MAX);
+                }
+                let mut a = by_rows.flat_writer();
+                let mut b = FlatWriter {
+                    words: &mut by_stream.words,
+                    rows: stream(),
+                };
+                for (i, &word) in whole.iter().chain(&[u64::MAX]).enumerate() {
+                    let ghost = match (c * h * w) % 64 {
+                        r if r != 0 && i + 1 == whole.len() => u64::MAX << r,
+                        _ => 0,
+                    };
+                    a.push(word | ghost);
+                    b.push(word | ghost);
+                }
+                assert_eq!(by_rows, p, "{c}x{h}x{w}");
+                assert_eq!(by_stream, p, "{c}x{h}x{w}");
+            }
         }
     }
 
