@@ -743,14 +743,11 @@ pub fn drive_policy<E: Engine>(
 // ---------------------------------------------------------------------------
 
 /// The aggregation core's batch-norm epilogue (paper Eq. 2) over one
-/// stage: `dst[i] = add16(mul(G, psums[i]), H)`. `mul` is
+/// stage: `dst[i] = add16(mul(g[i], psums[i]), h[i])`, one flat sweep
+/// over the stage's per-output coefficient rows ([`bn_coefs`]), so it
+/// vectorises whatever the size of a channel plane. `mul` is
 /// [`Q8_8::mul_int`] for 16-bit psums, [`Q8_8::mul_int_wide`] for the
 /// dense input layer's 32-bit ones.
-///
-/// `g` and `h` hold either one coefficient per channel, swept channel by
-/// channel over contiguous slices with each channel's `G` and `H` hoisted,
-/// or one per output ([`bn_coefs`]), swept as one flat run: either way the
-/// inner loop is long enough to vectorise.
 fn bn_currents<P: Copy>(
     dst: &mut [i16],
     psums: &[P],
@@ -758,30 +755,10 @@ fn bn_currents<P: Copy>(
     h: &[i16],
     mul: impl Fn(Q8_8, P) -> i16,
 ) {
-    let per_ch = psums.len() / g.len();
-    if per_ch == 1 {
-        for (((d, &p), &g), &h) in dst.iter_mut().zip(psums).zip(g).zip(h) {
-            *d = add16(mul(g, p), h);
-        }
-        return;
-    }
-    for (((dst, p), &g), &h) in dst
-        .chunks_exact_mut(per_ch)
-        .zip(psums.chunks_exact(per_ch))
-        .zip(g)
-        .zip(h)
-    {
-        for (d, &p) in dst.iter_mut().zip(p) {
-            *d = add16(mul(g, p), h);
-        }
+    for (((d, &p), &g), &h) in dst.iter_mut().zip(psums).zip(g).zip(h) {
+        *d = add16(mul(g, p), h);
     }
 }
-
-/// Channel planes shorter than this many outputs run batch-norm from
-/// per-output coefficient rows: a per-channel sweep over them would be
-/// too short to vectorise (the deployed ResNet's 4×4 stages have 16
-/// outputs per channel, its 2×2 stages 4).
-const BN_ROW_PLANE: usize = 64;
 
 /// One layer's per-output batch-norm coefficients: `G` and `H` repeated
 /// across each channel's plane.
@@ -791,23 +768,15 @@ struct BnRows {
     h: Vec<i16>,
 }
 
-/// The coefficients [`bn_currents`] reads for `conv`, the conv of item
-/// `idx`: its own per-channel `G` and `H` where a channel plane holds at
-/// least [`BN_ROW_PLANE`] outputs, otherwise the item's per-output rows,
-/// built on its first call (like the conv kernels' layer entries).
-fn bn_coefs<'s>(
-    rows: &'s mut Vec<BnRows>,
-    idx: usize,
-    conv: &'s SnnConv,
-) -> (&'s [Q8_8], &'s [i16]) {
-    let per_ch = conv.out_neurons() / conv.geom.out_channels;
-    if per_ch >= BN_ROW_PLANE {
-        return (&conv.g, &conv.h);
-    }
+/// The per-output coefficient rows [`bn_currents`] reads for `conv`, the
+/// conv of item `idx`, built from its per-channel `G` and `H` on the
+/// item's first call (like the conv kernels' layer entries).
+fn bn_coefs<'s>(rows: &'s mut Vec<BnRows>, idx: usize, conv: &SnnConv) -> (&'s [Q8_8], &'s [i16]) {
     scratch_reserve_default(rows, idx + 1);
     let r = &mut rows[idx];
     if r.g.is_empty() {
         let n = conv.out_neurons();
+        let per_ch = n / conv.geom.out_channels;
         scratch_resize(&mut r.g, n, Q8_8::ZERO);
         scratch_resize(&mut r.h, n, 0);
         for (((g, h), &cg), &ch) in
@@ -876,8 +845,7 @@ pub struct IntRunner<'a> {
     /// Per item: membranes at an `i16` rail after its latest step (the
     /// count [`fire_int`] returns).
     rails: Vec<u64>,
-    /// Per item: per-output batch-norm rows, for convs with short channel
-    /// planes ([`bn_coefs`]).
+    /// Per item: its conv's per-output batch-norm rows ([`bn_coefs`]).
     bn_rows: Vec<BnRows>,
     conv: ConvScratch,
     policy: KernelPolicy,
@@ -1679,9 +1647,9 @@ mod tests {
 
     #[test]
     fn bn_currents_match_the_per_output_formula() {
-        // Channel planes shorter and longer than a vector, on both sides
-        // of the per-output-row limit, with psums and coefficients at both
-        // rails, for the 16-bit psums and the input layer's 32-bit ones.
+        // Channel planes shorter and longer than a vector, with psums and
+        // coefficients at both rails, for the 16-bit psums and the input
+        // layer's 32-bit ones.
         let mut seed = 23u64;
         let mut rows = Vec::new();
         let planes = [1usize, 2, 3, 4, 16, 63, 64, 256];
@@ -1716,9 +1684,9 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "plane {per_ch}, 32-bit psums");
         }
-        // Only the short planes built rows, and later calls build none.
+        // Every conv built its rows once, and later calls build none.
         let built: Vec<usize> = rows.iter().map(|r| r.g.len()).collect();
-        assert_eq!(built, [7, 14, 21, 28, 112, 441]);
+        assert_eq!(built, [7, 14, 21, 28, 112, 441, 448, 1792]);
         let before = crate::scratch::scratch_growth();
         for (idx, c) in convs.iter().enumerate() {
             let _ = bn_coefs(&mut rows, idx, c);
