@@ -6,26 +6,21 @@
 //! design one dense pass with DSP multipliers. The win the paper claims is
 //! utilisation efficiency (GOPS/PE, GOPS/DSP), not raw latency.
 
-use sia_accel::spiking_core::{processed_segments, ConvPassStats};
-use sia_accel::SiaConfig;
+use sia_accel::spiking_core::layer_passes;
+use sia_accel::{plan_conv, SiaConfig};
 use sia_bench::{header, synthetic_spikes};
 use sia_hwmodel::dense::{dense_conv, dense_resources, DenseConfig, EventDrivenComparison};
 use sia_hwmodel::resources::estimate;
 use sia_tensor::Conv2dGeom;
 
 fn sia_cycles(geom: &Conv2dGeom, rate: f64, cfg: &SiaConfig, timesteps: usize) -> u64 {
-    let mut total = 0u64;
-    for t in 0..timesteps {
-        let spikes = synthetic_spikes(geom.in_channels, geom.in_h, geom.in_w, rate, t as u64);
-        let processed = processed_segments(geom, &spikes, cfg);
-        let mut start = 0;
-        while start < geom.out_channels {
-            let size = (geom.out_channels - start).min(cfg.pe_count());
-            total += ConvPassStats::new(geom, cfg, processed, size).cycles;
-            start += size;
-        }
-    }
-    total
+    let (groups, _fp, _traffic) = plan_conv(geom, cfg, timesteps, 0);
+    (0..timesteps)
+        .map(|t| {
+            let spikes = synthetic_spikes(geom.in_channels, geom.in_h, geom.in_w, rate, t as u64);
+            layer_passes(geom, &spikes, &groups, cfg).cycles
+        })
+        .sum()
 }
 
 fn main() {

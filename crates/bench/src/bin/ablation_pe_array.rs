@@ -4,7 +4,7 @@
 //! throughput and the measured latency of the reference conv layer
 //! (3×3, 64 kernels, 64 channels, 32×32 @ rate 0.16).
 
-use sia_accel::spiking_core::{processed_segments, ConvPassStats};
+use sia_accel::spiking_core::layer_passes;
 use sia_accel::{plan_conv, SiaConfig};
 use sia_bench::{header, synthetic_spikes};
 use sia_hwmodel::power::power_model;
@@ -24,13 +24,9 @@ fn layer_ms(cfg: &SiaConfig) -> f64 {
         padding: 1,
     };
     let spikes = synthetic_spikes(64, 32, 32, 0.16, 3);
-    let processed = processed_segments(&geom, &spikes, cfg);
     let timesteps = 8;
     let (groups, _fp, traffic) = plan_conv(&geom, cfg, timesteps, 0);
-    let mut compute = 0u64;
-    for &(_, size) in &groups {
-        compute += ConvPassStats::new(&geom, cfg, processed, size).cycles;
-    }
+    let compute = layer_passes(&geom, &spikes, &groups, cfg).cycles;
     let cycles = compute.max(traffic.cycles(cfg) / timesteps as u64)
         + cfg.layer_overhead_cycles / timesteps as u64;
     cycles as f64 / cfg.clock_hz as f64 * 1e3

@@ -6,7 +6,7 @@
 //! ≈ 59 ms). Input spikes are synthetic at the measured average rates of
 //! Figs. 6/8 (0.12 for ResNet-18, 0.16 for VGG-11).
 
-use sia_accel::spiking_core::{processed_segments, ConvPassStats};
+use sia_accel::spiking_core::layer_passes;
 use sia_accel::{plan_conv, SiaConfig};
 use sia_bench::{header, print_vs, synthetic_spikes};
 use sia_tensor::Conv2dGeom;
@@ -14,13 +14,8 @@ use sia_tensor::Conv2dGeom;
 /// Per-timestep latency (ms) of one conv layer at the given input rate.
 fn conv_latency_ms(geom: &Conv2dGeom, rate: f64, cfg: &SiaConfig, timesteps: usize) -> f64 {
     let spikes = synthetic_spikes(geom.in_channels, geom.in_h, geom.in_w, rate, 0xAB);
-    let processed = processed_segments(geom, &spikes, cfg);
     let (groups, _fp, traffic) = plan_conv(geom, cfg, timesteps, 0);
-    let mut compute = 0u64;
-    for &(_, size) in &groups {
-        let pass = ConvPassStats::new(geom, cfg, processed, size);
-        compute += pass.cycles + cfg.aggregation_pipeline_depth;
-    }
+    let compute = layer_passes(geom, &spikes, &groups, cfg).cycles;
     // per-timestep view: compute for one timestep, transfer and overhead
     // amortised over the T-step inference (ping-pong overlaps them)
     let transfer_per_t = traffic.cycles(cfg) / timesteps as u64;

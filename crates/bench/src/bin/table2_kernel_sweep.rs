@@ -3,7 +3,7 @@
 //! demonstration. The PE's three multiplexers consume wider kernel rows in
 //! ⌈K/3⌉ segments per row, and the event-driven skip applies per segment.
 
-use sia_accel::spiking_core::{processed_segments, ConvPassStats};
+use sia_accel::spiking_core::layer_passes;
 use sia_accel::{plan_conv, SiaConfig};
 use sia_bench::{header, print_vs, synthetic_spikes};
 use sia_tensor::Conv2dGeom;
@@ -19,13 +19,8 @@ fn latency_ms(kernel: usize, in_channels: usize, cfg: &SiaConfig, timesteps: usi
         padding: kernel / 2,
     };
     let spikes = synthetic_spikes(in_channels, 32, 32, 0.16, 0x7E);
-    let processed = processed_segments(&geom, &spikes, cfg);
     let (groups, _fp, traffic) = plan_conv(&geom, cfg, timesteps, 0);
-    let mut compute = 0u64;
-    for &(_, size) in &groups {
-        compute +=
-            ConvPassStats::new(&geom, cfg, processed, size).cycles + cfg.aggregation_pipeline_depth;
-    }
+    let compute = layer_passes(&geom, &spikes, &groups, cfg).cycles;
     let transfer_per_t = traffic.cycles(cfg) / timesteps as u64;
     let cycles = compute.max(transfer_per_t) + cfg.layer_overhead_cycles / timesteps as u64;
     cycles as f64 / cfg.clock_hz as f64 * 1e3

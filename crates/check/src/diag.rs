@@ -151,7 +151,7 @@ impl CheckReport {
     }
 
     /// `true` when the model has no error-severity findings — the gate
-    /// `sia run`/`sia eval` enforce.
+    /// `sia eval` and `sia serve` enforce.
     #[must_use]
     pub fn passed(&self) -> bool {
         self.error_count() == 0

@@ -5,11 +5,12 @@
 //!
 //! `train` runs the full Fig.-1 pipeline (FP32 training → L=8 quantized
 //! ReLU + INT8 weights → IF conversion) on the synthetic dataset and writes
-//! a deployment image; `run` loads one, compiles it for the PYNQ-Z2
-//! configuration and classifies held-out images on the cycle-level SIA.
-//! `eval` classifies a whole held-out split through the [`BatchEvaluator`]
-//! on any of the three engine backends, with `--threads N` worker threads
-//! (results are bit-identical for every thread count).
+//! a deployment image. `eval` classifies a held-out split through the
+//! [`BatchEvaluator`] on any of the three engine backends, with
+//! `--threads N` worker threads (results are bit-identical for every
+//! thread count); on the cycle-level SIA (`--backend accel`, compiled for
+//! the image's own configuration) it then runs the split's last image once
+//! more and prints that run's modelled latency, spike rate and energy.
 //!
 //! `serve` keeps the same engines resident behind an HTTP front end
 //! (`/predict`, `/healthz`, `/metrics`, `/models`; see [`sia_serve`]): each
@@ -21,7 +22,7 @@
 //! `check` statically verifies a model against the SIA — the
 //! interval-analysis overflow pass plus the hardware-budget lints from
 //! [`sia_check`] — and exits 0 (pass), 1 (errors, including `--deny`-promoted
-//! warnings) or 2 (usage). `run` and `eval` run the same verification and
+//! warnings) or 2 (usage). `eval` and `serve` run the same verification and
 //! refuse models with error-severity findings.
 //!
 //! `bench` runs one family from the unified registry (see [`mod@bench`]):
@@ -36,13 +37,14 @@
 //! trainer shards) and `--micro-batch M` (data-parallel gradient shard
 //! size); trained weights are bit-identical for every thread count.
 //!
-//! `train` and `run` take `--metrics <out.jsonl>` to stream structured
-//! telemetry events (or bare `--metrics` to print the counter/gauge table
-//! on exit) and `--trace <out.json>` to export a Chrome `trace_event`
-//! flamegraph; `report` (see [`report`]) summarises a previously written
-//! JSONL file — event counts, training curve, spike sparsity — and turns
-//! its `accel.layer` events into per-layer attribution with a roofline
-//! classification, reconciled exactly against the run's counters.
+//! `train`, `eval` and `serve` take `--metrics <out.jsonl>` to stream
+//! structured telemetry events (or bare `--metrics` to print the
+//! counter/gauge table on exit) and `--trace <out.json>` to export a Chrome
+//! `trace_event` flamegraph; `report` (see [`report`]) summarises a
+//! previously written JSONL file — event counts, training curve, spike
+//! sparsity — and turns its `accel.layer` events into per-layer
+//! attribution with a roofline classification, reconciled exactly against
+//! the run's counters.
 
 #![forbid(unsafe_code)]
 
@@ -52,7 +54,7 @@ mod calibrate;
 mod report;
 
 use args::{ArgError, Args};
-use sia_accel::{compile_for, write_image, SiaConfig, SiaEngineFactory, SiaMachine};
+use sia_accel::{compile_for, write_image, MachineRun, SiaConfig, SiaEngineFactory, SiaMachine};
 use sia_dataset::{SynthConfig, SynthDataset};
 use sia_hwmodel::energy_report;
 use sia_nn::resnet::ResNet;
@@ -63,8 +65,8 @@ use sia_quant::{quantize_pipeline, QatConfig};
 use sia_serve::{Backend, LoadedModel, ModelRegistry, ServeConfig, Server};
 use sia_snn::encode::rate_encode;
 use sia_snn::{
-    convert, BatchEvaluator, ConvertOptions, EvalConfig, EvalEncoding, FloatEngineFactory,
-    InputEncoding, IntEngineFactory, SnnItem,
+    convert, drive_policy, BatchEvaluator, ConvertOptions, EngineInput, EvalConfig, EvalEncoding,
+    FloatEngineFactory, InputEncoding, IntEngineFactory, SnnItem,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -92,10 +94,8 @@ fn main() -> ExitCode {
         "train" => with_metrics(&args, cmd_train).map(|()| ExitCode::SUCCESS),
         "info" => cmd_info(&args).map(|()| ExitCode::SUCCESS),
         "check" => cmd_check(&args),
-        "run" => with_metrics(&args, cmd_run).map(|()| ExitCode::SUCCESS),
         "eval" => with_metrics(&args, cmd_eval).map(|()| ExitCode::SUCCESS),
         "serve" => with_metrics(&args, cmd_serve).map(|()| ExitCode::SUCCESS),
-        "explore" => cmd_explore(&args).map(|()| ExitCode::SUCCESS),
         "calibrate" => calibrate::cmd_calibrate(&args).map(|()| ExitCode::SUCCESS),
         "bench" => bench::cmd_bench(&args).map(|()| ExitCode::SUCCESS),
         "report" => report::cmd_report(&args).map(|()| ExitCode::SUCCESS),
@@ -126,8 +126,6 @@ USAGE:
   sia check   <model.sia> [--timesteps N] [--format text|json] [--deny <rules>]
   sia check   --model resnet18|vgg11 [--width N] [--size N] [--events] [...]
   sia check   --list-rules
-  sia run     <model.sia> [--timesteps N] [--burn-in N] [--images N] [--events]
-              [--metrics [out.jsonl]] [--trace out.json]
   sia eval    <model.sia> [--backend float|int|accel] [--threads N]
               [--timesteps N] [--burn-in N] [--images N] [--events] [--smoke]
               [--kernel-policy auto|sparse|dense]
@@ -143,7 +141,6 @@ USAGE:
               [--exit-entropy X] [--exit-window N] [--exit-calibration FILE]
   sia calibrate <model.sia> [--timesteps N] [--burn-in N] [--exit-window N]
               [--max-acc-drop X] [--images N] [--smoke] [--out FILE]
-  sia explore [--clock-mhz N]
   sia bench   [conv|gemm|eval|serve] [--out FILE.json] [--smoke] [--threads N]
               [--check-baseline] [--update-baseline] [--baseline-dir DIR]
               [--rel-slack PCT] [--mad-k K] [--allow-missing]
@@ -156,6 +153,10 @@ USAGE:
   --metrics            print the counter/gauge/histogram table on exit
   --trace out.json     export spans as Chrome trace_event JSON
                        (open in chrome://tracing or ui.perfetto.dev)
+
+  `eval --backend accel` ends with one more cycle-level run of the
+  split's last image under the same settings and prints its modelled
+  per-inference latency, spike rate and energy.
 
   `serve` answers POST /predict with predictions bit-identical to
   `sia eval` on the same model/backend/timesteps; each request runs on
@@ -202,7 +203,7 @@ USAGE:
   `check` statically verifies a model against the SIA (fixed-point interval
   analysis + hardware budget lints). --deny takes a comma-separated list of
   rule ids or prefixes (e.g. `--deny sat,budget.weight-sram`) promoted to
-  errors. Exit codes: 0 pass, 1 errors, 2 usage. `run` and `eval` refuse
+  errors. Exit codes: 0 pass, 1 errors, 2 usage. `eval` and `serve` refuse
   models whose check reports errors.
 
   Each spiking conv layer runs the event-driven scatter or the
@@ -238,7 +239,6 @@ fn known_flags(args: &Args) -> Option<Vec<&'static str>> {
         "train" => &["out model width size epochs threads micro-batch levels events metrics trace"],
         "info" | "help" => &[],
         "check" => &["list-rules format timesteps deny model width size events"],
-        "run" => &["timesteps burn-in images events metrics trace"],
         "eval" => &[
             "backend timesteps burn-in smoke images threads events metrics trace",
             "policy-sweep min-accuracy max-acc-drop",
@@ -248,7 +248,6 @@ fn known_flags(args: &Args) -> Option<Vec<&'static str>> {
             "host port backend threads timesteps burn-in queue port-file metrics trace",
             POLICY,
         ],
-        "explore" => &["clock-mhz"],
         "calibrate" => &["timesteps burn-in exit-window max-acc-drop images smoke out"],
         "bench" => match args.positional.first().map_or("conv", String::as_str) {
             "eval" => &[BENCH, "model size kernel-policy"],
@@ -395,7 +394,7 @@ fn cmd_check(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-// `run`/`eval`/`serve` all load through `sia_serve::load_for_run` /
+// `eval`/`calibrate`/`serve` all load through `sia_serve::load_for_run` /
 // `ModelRegistry`, which enforce the shared encoding guard and the
 // static-verification gate (`sia_serve::enforce_static_checks`) with the
 // canonical messages — the three near-duplicate load paths this binary
@@ -551,7 +550,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         println!("static check: pass ({} warning(s))", report.warning_count());
     } else {
         println!(
-            "static check: FAIL — {} error(s); `sia run` will refuse this model \
+            "static check: FAIL — {} error(s); `sia eval` will refuse this model \
              (see `sia check {out}`)",
             report.error_count()
         );
@@ -601,44 +600,35 @@ fn cmd_info(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("usage: sia run <model.sia>")?;
-    let timesteps = args.usize_or("timesteps", 16).map_err(err)?;
-    let burn_in = args.usize_or("burn-in", 4).map_err(err)?;
-    let n_images = args.usize_or("images", 20).map_err(err)?;
-    let use_events = args.switch("events");
-    let model = sia_serve::load_for_run(path, use_events, timesteps)?;
-    let (net, cfg) = (&*model.network, &model.config);
-    let data = data_for(net.input.1);
-    let program = compile_for(net, cfg, timesteps).map_err(|e| e.to_string())?;
-    let mut machine = SiaMachine::new(program, cfg.clone());
-    let n = n_images.min(data.test.len());
-    let mut correct = 0usize;
-    let mut last_run = None;
-    for i in 0..n {
-        let (img, label) = data.test.get(i);
-        let run = if use_events {
-            machine.run_events(&rate_encode(img, timesteps, 1.0), timesteps, burn_in)
-        } else {
-            machine.run_with(img, timesteps, burn_in)
-        };
-        if run.predicted() == label {
-            correct += 1;
+/// The cycle-level SIA's closing lines of `sia eval --backend accel`: one
+/// more machine run of `image` under the eval's own settings, priced in
+/// modelled latency and energy.
+fn print_machine_run(
+    model: &LoadedModel,
+    eval: EvalConfig,
+    policy: sia_snn::KernelPolicy,
+    image: &sia_tensor::Tensor,
+) -> Result<(), String> {
+    let (timesteps, burn_in) = (eval.timesteps, eval.burn_in);
+    let program =
+        compile_for(&model.network, &model.config, timesteps).map_err(|e| e.to_string())?;
+    let mut machine = SiaMachine::new(program, model.config.clone());
+    machine.set_kernel_policy(policy);
+    let events;
+    let input = match eval.encoding {
+        EvalEncoding::Dense => EngineInput::Image(image),
+        EvalEncoding::Events { value_per_event } => {
+            events = rate_encode(image, timesteps, value_per_event);
+            EngineInput::Events(&events)
         }
-        last_run = Some(run);
-    }
-    println!("{correct}/{n} correct at T={timesteps} (burn-in {burn_in}) on the cycle-level SIA");
-    if let Some(run) = last_run {
-        println!(
-            "per-inference: {:.3} ms, overall spike rate {:.3}",
-            run.report.total_ms(),
-            run.stats.overall_rate()
-        );
-        println!("energy: {}", energy_report(cfg, &run.report));
-    }
+    };
+    let run: MachineRun = drive_policy(&mut machine, input, timesteps, burn_in, eval.exit).into();
+    println!(
+        "per-inference: {:.3} ms, overall spike rate {:.3}",
+        run.report.total_ms(),
+        run.stats.overall_rate()
+    );
+    println!("energy: {}", energy_report(&model.config, &run.report));
     Ok(())
 }
 
@@ -770,13 +760,14 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     }
     let exit = calibrate::resolve_exit_policy(args)?;
     warn_exit_policy(&model.network, exit, timesteps);
-    let evaluator = BatchEvaluator::new(EvalConfig {
+    let eval = EvalConfig {
         timesteps,
         burn_in,
         threads,
         encoding,
         exit,
-    });
+    };
+    let evaluator = BatchEvaluator::new(eval);
     let t0 = std::time::Instant::now();
     let outcome = evaluate_backend(&evaluator, backend, &model, timesteps, policy, &set)?;
     let wall = t0.elapsed();
@@ -805,6 +796,9 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
         outcome.total as f64 / wall.as_secs_f64().max(1e-9)
     );
     println!("{}", outcome.stats);
+    if backend == Backend::Accel && !set.is_empty() {
+        print_machine_run(&model, eval, policy, set.get(set.len() - 1).0)?;
+    }
     if let Some(min) = args.options.get("min-accuracy") {
         let min: f32 = min
             .parse()
@@ -840,38 +834,6 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
                 fixed.accuracy()
             ));
         }
-    }
-    Ok(())
-}
-
-fn cmd_explore(args: &Args) -> Result<(), String> {
-    let mhz = args.usize_or("clock-mhz", 100).map_err(err)? as u64;
-    println!(
-        "{:<8} {:>8} {:>6} {:>9} {:>9} {:>10}",
-        "array", "LUTs", "DSPs", "peakGOPS", "GOPS/W", "fits Z7020"
-    );
-    for dim in [4usize, 8, 12, 16] {
-        let cfg = SiaConfig {
-            pe_rows: dim,
-            pe_cols: dim,
-            clock_hz: mhz * 1_000_000,
-            ..SiaConfig::pynq_z2()
-        };
-        let r = sia_hwmodel::resources::estimate(&cfg);
-        let m = sia_hwmodel::metrics(&cfg);
-        println!(
-            "{:<8} {:>8} {:>6} {:>9.1} {:>9.2} {:>10}",
-            format!("{dim}x{dim}"),
-            r.luts,
-            r.dsps,
-            m.gops,
-            m.gops_per_watt,
-            if r.fits(&sia_hwmodel::resources::PYNQ_Z2_AVAILABLE) {
-                "yes"
-            } else {
-                "NO"
-            }
-        );
     }
     Ok(())
 }

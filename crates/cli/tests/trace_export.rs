@@ -56,7 +56,7 @@ fn trace_flag_exports_the_spans_each_command_ran() {
 
     let eval = |backend: &str, images: &str| {
         let (trace, metrics) = (format!("{backend}.json"), format!("{backend}.jsonl"));
-        sia(
+        let stdout = sia(
             &dir,
             &[
                 "eval",
@@ -73,11 +73,19 @@ fn trace_flag_exports_the_spans_each_command_ran() {
                 &metrics,
             ],
         );
-        event_names(&dir.join(trace))
+        (event_names(&dir.join(trace)), stdout)
     };
-    let int = eval("int", "4");
+    let (int, stdout) = eval("int", "4");
     assert!(int.iter().any(|n| n == "int_run"), "eval trace: {int:?}");
-    eval("accel", "2");
+    assert!(!stdout.contains("per-inference"), "{stdout}");
+    // the accel eval closes with one more machine run of the last image
+    let (_, stdout) = eval("accel", "2");
+    for line in ["per-inference: ", "overall spike rate ", "energy: "] {
+        assert!(
+            stdout.contains(line),
+            "accel eval lacks `{line}`:\n{stdout}"
+        );
+    }
 
     let train = report(&dir, "train.jsonl");
     assert!(train.contains("training curve"), "{train}");

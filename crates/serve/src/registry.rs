@@ -1,16 +1,16 @@
 //! Deployment-image loading, verification and hot-swap bookkeeping.
 //!
-//! One loader for every consumer of a `model.sia` image — `sia run`,
-//! `sia eval`, `sia check`, `sia bench eval` and the serving front end all
-//! route through here instead of each re-implementing read → parse →
-//! verify. A [`ModelRegistry`] keys loaded images by **content hash**
+//! One loader for every consumer of a `model.sia` image — `sia eval`,
+//! `sia calibrate`, `sia check`, `sia bench eval` and the serving front
+//! end all route through here instead of each re-implementing read →
+//! parse → verify. A [`ModelRegistry`] keys loaded images by **content hash**
 //! (FNV-1a 64 over the raw bytes), so re-loading identical bytes is a
 //! no-op and `/models` can state exactly which artifact is serving.
 //!
 //! Hot-swap safety: [`load_bytes`] refuses images whose static
 //! verification ([`sia_check::check_network`]) reports error-severity
 //! findings — a registry can never swap a known-broken model into the
-//! serving path, with the same message `sia run`/`sia eval` print.
+//! serving path, with the same message `sia eval` prints.
 
 use sia_accel::{read_image, SiaConfig};
 use sia_sched::{MutexApi, StdSync, SyncOps};
@@ -81,7 +81,7 @@ pub fn expects_events(net: &SnnNetwork) -> bool {
 
 /// The shared encoding guard: rejects feeding dense frames to an
 /// event-input model or vice versa, with the one canonical message
-/// (`cmd_run`, `cmd_eval` and the serving path all print this).
+/// (`cmd_eval` and the serving path both print this).
 ///
 /// # Errors
 ///
@@ -209,7 +209,7 @@ pub fn load_file(path: &str, timesteps: usize) -> Result<LoadedModel, String> {
     load_bytes(&bytes, path, timesteps)
 }
 
-/// The `sia run`/`sia eval` loader: read → parse → encoding guard →
+/// The `sia eval`/`sia calibrate` loader: read → parse → encoding guard →
 /// static-verification gate, in exactly that order, with the canonical
 /// error message at each step.
 ///

@@ -11,10 +11,6 @@
 //!   event-driven behaviour that gives spiking inference its speed — so a
 //!   pass costs one count over the input spike plane: its non-zero
 //!   segments, plus one handoff cycle per output pixel;
-//! * [`aggregation`] — the aggregation core's fixed-point batch-norm
-//!   coefficients (`y·G + H` in Q8.8, paper Eq. 2); the machine's layer
-//!   epilogue applies them and runs the IF/LIF activation unit with
-//!   reset-by-subtraction, selected by the mode bit;
 //! * [`memory`] — the exact on-chip memory map of §III-D (128 B spike
 //!   input, 8 kB weights, 64 kB membrane potentials in **U1/U2 ping-pong**,
 //!   128 kB residual parameters, 56 kB outputs) with capacity checking;
@@ -28,6 +24,11 @@
 //! * [`machine`] — the top-level executor producing **bit-exact** spike
 //!   trains (proven against `sia-snn`'s integer runner) together with
 //!   per-layer cycle and transfer counts, the basis of Tables I, II and IV.
+//!   It runs each PL conv's kernel groups as its [`Program`] lists them,
+//!   and its layer epilogue is the aggregation core: fixed-point batch
+//!   norm on the conv's own coefficients (`y·G + H` in Q8.8, paper Eq. 2),
+//!   then the IF/LIF activation with reset-by-subtraction, selected by the
+//!   mode bit, over U1/U2 banks built once per machine.
 //!
 //! # Examples
 //!
@@ -43,7 +44,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod aggregation;
 pub mod axi;
 pub mod compiler;
 pub mod config;

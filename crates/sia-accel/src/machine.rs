@@ -9,20 +9,25 @@
 //! functional runners is structural. A PL conv takes its partial sums from
 //! the shared integer kernels ([`conv_psums_int_plane`], pinned to
 //! `sia_snn::conv_psums_int`) and its cycles from one segment count over
-//! the input plane ([`crate::spiking_core`]); the machine adds the rest of
-//! the hardware — the controller's register protocol per kernel group, the
-//! aggregation epilogue over ping-pong membrane memory — and the
-//! cycle/traffic accounting.
+//! the input plane ([`crate::spiking_core::layer_passes`]); the machine
+//! adds the rest of the hardware — the controller's register protocol per
+//! kernel group, the aggregation epilogue (batch-norm `y·G + H`, then the
+//! IF/LIF step) over ping-pong membrane memory — and the cycle/traffic
+//! accounting.
+//!
+//! Everything network-static comes from the [`Program`], once: each
+//! spiking item's U1/U2 banks are built with the machine and only
+//! precharged per run, each PL conv runs the kernel groups its
+//! [`crate::LayerProgram`] lists, and batch-norm reads the conv's own
+//! `G`/`H`.
 
-use crate::aggregation::BnCoefficients;
 use crate::compiler::Program;
 use crate::config::SiaConfig;
 use crate::controller::Controller;
 use crate::memory::PingPongMembranes;
 use crate::report::{CycleReport, LayerCycles};
-use crate::spiking_core::{processed_segments, ConvPassStats};
+use crate::spiking_core::layer_passes;
 use sia_fixed::sat::add16;
-use sia_fixed::Q8_8;
 use sia_snn::encode::EventStream;
 use sia_snn::neuron::step_int;
 use sia_snn::scratch::scratch_resize;
@@ -76,16 +81,14 @@ impl MachineRun {
     }
 }
 
-/// Per-layer execution state while the driver sweeps the layer's timesteps:
-/// the accounting row plus the hardware blocks the layer occupies.
-#[derive(Clone, Debug)]
-struct ActiveLayer {
-    cycles: LayerCycles,
-    mem: Option<PingPongMembranes>,
-    bn: Option<BnCoefficients>,
-    /// Kernel groups `(start_channel, size)` — §III-B: output channels are
-    /// processed in groups of at most `pe_count`.
-    groups: Vec<(usize, usize)>,
+/// The spiking unit of an item with membranes — input conv, spiking conv,
+/// residual join: its threshold θ and neuron count.
+fn spiking_unit(item: &SnnItem) -> Option<(i16, usize)> {
+    match item {
+        SnnItem::InputConv(c) | SnnItem::Conv(c) => Some((c.theta, c.out_neurons())),
+        SnnItem::BlockAdd(a) => Some((a.theta, a.neurons())),
+        _ => None,
+    }
 }
 
 /// The accelerator executor.
@@ -94,13 +97,14 @@ pub struct SiaMachine {
     program: Program,
     config: SiaConfig,
     controller: Controller,
+    /// The U1/U2 membrane banks of every spiking item, sized to the layer
+    /// when the machine is built and precharged by `begin_item`; `None`
+    /// for items without membranes (a psum stage's currents bypass them).
+    membranes: Vec<Option<PingPongMembranes>>,
     // per-run state, reset by `begin_run`
+    /// One accounting row per program item, pushed by `begin_item` at the
+    /// run's first chunk and closed by `end_item` after the traversal.
     report: CycleReport,
-    /// One slot per program item, filled by `begin_item` at the run's
-    /// first chunk and drained by `end_item` after the traversal — layers
-    /// stay live across timestep chunks (their ping-pong membrane banks
-    /// carry state from chunk to chunk).
-    active: Vec<Option<ActiveLayer>>,
     /// Flat per-timestep psum currents awaiting the closing `BlockAdd`
     /// (`run_timesteps` frames of `pending_len` each).
     pending: Vec<i16>,
@@ -156,12 +160,18 @@ impl SiaMachine {
                 ),
             ],
         );
+        let membranes = program
+            .network
+            .items
+            .iter()
+            .map(|item| spiking_unit(item).map(|(_, neurons)| PingPongMembranes::new(neurons * 4)))
+            .collect();
         SiaMachine {
             program,
             config,
             controller: Controller::new(),
+            membranes,
             report: CycleReport::default(),
-            active: Vec::new(),
             pending: Vec::new(),
             pending_len: 0,
             input_currents: Vec::new(),
@@ -258,21 +268,24 @@ impl SiaMachine {
 }
 
 /// Where a PL conv timestep delivers its result: spikes into a packed
-/// plane (spiking stage) or batch-normed currents into a pending-psum
-/// frame (psum stage).
+/// plane through the layer's membrane banks (spiking stage) or
+/// batch-normed currents into a pending-psum frame (psum stage).
 enum PlOut<'a> {
-    Spikes(&'a mut SpikePlane),
+    Spikes(&'a mut SpikePlane, &'a mut PingPongMembranes),
     Currents(&'a mut [i16]),
 }
 
 /// The machine state one PL conv timestep works with: configuration, the
-/// controller, the layer's hardware blocks, and the reusable scratch
-/// buffers (bundled so the pass sequence stays a free function without an
-/// unwieldy parameter list).
+/// controller, the layer's kernel groups and accounting row, and the
+/// reusable scratch buffers (bundled so the pass sequence stays a free
+/// function without an unwieldy parameter list).
 struct PlConvCtx<'a> {
     cfg: &'a SiaConfig,
     controller: &'a mut Controller,
-    state: &'a mut ActiveLayer,
+    /// Kernel groups `(start_channel, size)` — §III-B: output channels are
+    /// processed in groups of at most `pe_count`.
+    groups: &'a [(usize, usize)],
+    cycles: &'a mut LayerCycles,
     conv: &'a mut ConvScratch,
     policy: KernelPolicy,
     mems: &'a mut Vec<i16>,
@@ -296,21 +309,25 @@ fn pl_conv_timestep(
     let (oh, ow) = c.geom.out_hw();
     let per_ch = oh * ow;
     let cfg = ctx.cfg;
-    let ActiveLayer {
-        cycles,
-        mem,
-        bn,
-        groups,
-    } = ctx.state;
-    let bn = bn.as_ref().expect("conv layers carry BN coefficients");
-    if let PlOut::Spikes(o) = &mut out {
+    // the aggregation core's batch norm `y·G + H` of output channel `ch`
+    let bn = |p: i16, ch: usize| add16(c.g[ch].mul_int(p), c.h[ch]);
+    if let PlOut::Spikes(o, _) = &mut out {
         o.reset(c.geom.out_channels, oh, ow);
     }
-    // every kernel group's psums, and the one segment count that prices
-    // each group's pass (see `spiking_core`)
+    // every kernel group's psums, and the price of every group's pass
     let psums = conv_psums_int_plane(c, plane, ctx.policy, ctx.conv, idx);
-    let processed = processed_segments(&c.geom, plane, cfg);
-    for &(start, size) in groups.iter() {
+    let pass = layer_passes(&c.geom, plane, ctx.groups, cfg);
+    let cycles = &mut *ctx.cycles;
+    cycles.compute_cycles += pass.cycles;
+    cycles.active_pe_cycles += pass.active_pe_cycles;
+    cycles.ops += pass.ops;
+    cycles.nominal_ops += pass.nominal_ops;
+    ctx.taps.0 += pass.processed_segments;
+    ctx.taps.1 += pass.skipped_segments;
+    sia_telemetry::counter!("accel.pe.active_cycles", pass.active_pe_cycles);
+    sia_telemetry::counter!("accel.pe.segments_processed", pass.processed_segments);
+    sia_telemetry::counter!("accel.pe.segments_skipped", pass.skipped_segments);
+    for &(start, size) in ctx.groups {
         // §III-C: the PS programs the register file and starts the pass; the
         // controller validates the image before the cores run. A compiled
         // program can never produce a bad image.
@@ -319,33 +336,18 @@ fn pl_conv_timestep(
         ctx.controller
             .start(cfg.pe_count())
             .expect("compiled programs produce valid register images");
-        let pass = ConvPassStats::new(&c.geom, cfg, processed, size);
         ctx.controller.finish(); // per-pass done interrupt
-        cycles.compute_cycles += pass.cycles + cfg.aggregation_pipeline_depth;
-        cycles.active_pe_cycles += pass.active_pe_cycles;
-        cycles.ops += pass.active_pe_cycles * cfg.ops_per_pe_cycle;
-        // what a dense schedule would have cost: every segment, processed
-        // or skipped, at the full group width
-        cycles.nominal_ops +=
-            (pass.processed_segments + pass.skipped_segments) * size as u64 * cfg.ops_per_pe_cycle;
-        ctx.taps.0 += pass.processed_segments;
-        ctx.taps.1 += pass.skipped_segments;
-        sia_telemetry::counter!("accel.pe.active_cycles", pass.active_pe_cycles);
-        sia_telemetry::counter!("accel.pe.segments_processed", pass.processed_segments);
-        sia_telemetry::counter!("accel.pe.segments_skipped", pass.skipped_segments);
         let group = &psums[start * per_ch..(start + size) * per_ch];
         match &mut out {
-            PlOut::Spikes(o) => {
-                let mem = mem.as_mut().expect("spiking conv has membranes");
+            PlOut::Spikes(o, mem) => {
                 scratch_resize(ctx.mems, size * per_ch, 0);
                 for (j, m) in ctx.mems.iter_mut().enumerate() {
                     *m = mem.read(start * per_ch + j);
                 }
                 // aggregation tile (BN + IF/LIF), overlapped with the
-                // spiking core except the pipeline fill counted above
+                // spiking core except the pipeline fill priced above
                 for (j, (&p, u)) in group.iter().zip(ctx.mems.iter_mut()).enumerate() {
-                    let current = bn.apply(p, start + j / per_ch);
-                    if step_int(u, current, c.theta, c.mode) {
+                    if step_int(u, bn(p, start + j / per_ch), c.theta, c.mode) {
                         o.set_linear(start * per_ch + j);
                         cycles.spikes += 1;
                     }
@@ -356,15 +358,14 @@ fn pl_conv_timestep(
             }
             PlOut::Currents(o) => {
                 for (j, &p) in group.iter().enumerate() {
-                    o[start * per_ch + j] = bn.apply(p, start + j / per_ch);
+                    o[start * per_ch + j] = bn(p, start + j / per_ch);
                 }
             }
         }
     }
     // the stage reports PE segments, not the kernel's own tap accounting
     let _ = ctx.conv.take_taps();
-    if matches!(out, PlOut::Spikes(_)) {
-        let mem = mem.as_mut().expect("spiking conv has membranes");
+    if let PlOut::Spikes(_, mem) = out {
         mem.toggle();
         sia_telemetry::counter!("accel.pingpong.switches", 1);
     }
@@ -391,9 +392,6 @@ impl Engine for SiaMachine {
 
     fn begin_run(&mut self, timesteps: usize) {
         self.report = CycleReport::for_config(&self.config);
-        self.active.clear();
-        self.active
-            .resize_with(self.program.network.items.len(), || None);
         self.pending.clear();
         self.pending_len = 0;
         self.input_currents.clear();
@@ -405,83 +403,46 @@ impl Engine for SiaMachine {
     fn begin_item(&mut self, idx: usize, _timesteps: usize) {
         let lp = &self.program.layers[idx];
         let cfg = &self.config;
+        let item = &self.program.network.items[idx];
         let mut cycles = LayerCycles {
             name: lp.name.clone(),
             transfer_cycles: lp.traffic.cycles(cfg),
+            overhead_cycles: cfg.layer_overhead_cycles,
             overlapped: lp.on_pl,
             ..LayerCycles::default()
         };
-        let (mem, bn, groups) = match &self.program.network.items[idx] {
+        match item {
             SnnItem::InputConv(c) => {
                 // dense frame conversion runs on the PS once per image
                 cycles.compute_cycles += (c.geom.macs() as f64 * cfg.ps_cycles_per_mac) as u64;
-                cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                let neurons = c.out_neurons();
-                let mut mem = PingPongMembranes::new(cfg.membrane_mem_bytes.max(neurons * 4));
-                mem.precharge(c.theta / 2, neurons);
-                (Some(mem), None, Vec::new())
-            }
-            SnnItem::Conv(c) | SnnItem::ConvPsum(c) => {
-                cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                let mut groups = Vec::new();
-                let mut start = 0;
-                while start < c.geom.out_channels {
-                    let size = (c.geom.out_channels - start).min(cfg.pe_count());
-                    groups.push((start, size));
-                    start += size;
-                }
-                let bn = BnCoefficients {
-                    g: c.g.clone(),
-                    h: c.h.clone(),
-                };
-                let mem = if matches!(&self.program.network.items[idx], SnnItem::Conv(_)) {
-                    let neurons = c.out_neurons();
-                    let mut mem = PingPongMembranes::new(cfg.membrane_mem_bytes.max(neurons * 4));
-                    mem.precharge(c.theta / 2, neurons);
-                    Some(mem)
-                } else {
-                    None // psum stage: currents bypass the membrane banks
-                };
-                (mem, Some(bn), groups)
-            }
-            SnnItem::BlockAdd(a) => {
-                cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                let mut mem = PingPongMembranes::new(cfg.membrane_mem_bytes.max(a.neurons() * 4));
-                mem.precharge(a.theta / 2, a.neurons());
-                let identity_bn = BnCoefficients {
-                    g: vec![Q8_8::ONE],
-                    h: vec![0],
-                };
-                (Some(mem), Some(identity_bn), Vec::new())
             }
             SnnItem::MaxPoolOr { channels, h, w } => {
                 // one OR gate per output per timestep, fully parallel in
                 // the PL: a handful of cycles, dominated by streaming
                 cycles.compute_cycles += (channels * h * w / 4) as u64 / 16;
-                (None, None, Vec::new())
+                cycles.overhead_cycles = 0;
             }
             SnnItem::Head(l) => {
-                cycles.overhead_cycles = cfg.layer_overhead_cycles;
-                cycles.overlapped = false; // driver-paced
-                                           // per-timestep PS compute is priced in `end_item`, once the
-                                           // executed timestep count (early exit!) is known
+                // driver-paced; per-timestep PS compute is priced in
+                // `end_item`, once the executed timestep count (early
+                // exit!) is known
+                cycles.overlapped = false;
                 scratch_resize(&mut self.head_acc, l.out, 0);
-                (None, None, Vec::new())
             }
-            SnnItem::BlockStart => (None, None, Vec::new()),
-        };
-        self.active[idx] = Some(ActiveLayer {
-            cycles,
-            mem,
-            bn,
-            groups,
-        });
+            SnnItem::BlockStart => cycles.overhead_cycles = 0,
+            SnnItem::Conv(_) | SnnItem::ConvPsum(_) | SnnItem::BlockAdd(_) => {}
+        }
+        if let Some((theta, neurons)) = spiking_unit(item) {
+            let mem = self.membranes[idx].as_mut().expect("`new` built the banks");
+            mem.precharge(theta / 2, neurons);
+        }
+        debug_assert_eq!(self.report.layers.len(), idx, "items begin in order");
+        self.report.layers.push(cycles);
     }
 
     fn end_item(&mut self, idx: usize, executed: usize) {
         let lp = &self.program.layers[idx];
-        let state = self.active[idx].take().expect("begin_item ran");
-        let mut cycles = state.cycles;
+        let cycles = &mut self.report.layers[idx];
         if let SnnItem::Head(l) = &self.program.network.items[idx] {
             // one INT8 GEMV over the spike accumulators per executed
             // timestep — an early exit skips the remaining readouts
@@ -533,7 +494,6 @@ impl Engine for SiaMachine {
                 ),
             ],
         );
-        self.report.layers.push(cycles);
     }
 
     fn step_input_conv(&mut self, idx: usize, codes: &[i8], t: usize, out: &mut SpikePlane) {
@@ -550,15 +510,16 @@ impl Engine for SiaMachine {
         }
         let SiaMachine {
             program,
-            active,
+            membranes,
+            report,
             input_currents,
             ..
         } = self;
         let SnnItem::InputConv(c) = &program.network.items[idx] else {
             unreachable!("step_input_conv on a non-input item")
         };
-        let ActiveLayer { cycles, mem, .. } = active[idx].as_mut().expect("begin_item ran");
-        let mem = mem.as_mut().expect("input conv has membranes");
+        let cycles = &mut report.layers[idx];
+        let mem = membranes[idx].as_mut().expect("input conv has membranes");
         let (oh, ow) = c.geom.out_hw();
         out.reset(c.geom.out_channels, oh, ow);
         for (i, &cur) in input_currents.iter().enumerate() {
@@ -579,7 +540,8 @@ impl Engine for SiaMachine {
             program,
             config,
             controller,
-            active,
+            membranes,
+            report,
             run_timesteps,
             conv,
             mems,
@@ -590,16 +552,19 @@ impl Engine for SiaMachine {
         let SnnItem::Conv(c) = &program.network.items[idx] else {
             unreachable!("step_conv on a non-conv item")
         };
+        let mem = membranes[idx].as_mut().expect("spiking conv has membranes");
+        let dst = PlOut::Spikes(out, mem);
         let mut ctx = PlConvCtx {
             cfg: config,
             controller,
-            state: active[idx].as_mut().expect("begin_item ran"),
+            groups: &program.layers[idx].kernel_groups,
+            cycles: &mut report.layers[idx],
             conv,
             policy: *policy,
             mems,
             taps: seg_taps,
         };
-        pl_conv_timestep(c, idx, &mut ctx, spikes, *run_timesteps, PlOut::Spikes(out));
+        pl_conv_timestep(c, idx, &mut ctx, spikes, *run_timesteps, dst);
     }
 
     fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
@@ -607,7 +572,7 @@ impl Engine for SiaMachine {
             program,
             config,
             controller,
-            active,
+            report,
             pending,
             pending_len,
             run_timesteps,
@@ -632,7 +597,8 @@ impl Engine for SiaMachine {
         let mut ctx = PlConvCtx {
             cfg: config,
             controller,
-            state: active[idx].as_mut().expect("begin_item ran"),
+            groups: &program.layers[idx].kernel_groups,
+            cycles: &mut report.layers[idx],
             conv,
             policy: *policy,
             mems,
@@ -652,7 +618,8 @@ impl Engine for SiaMachine {
         let SiaMachine {
             program,
             config,
-            active,
+            membranes,
+            report,
             pending,
             pending_len,
             conv,
@@ -700,20 +667,17 @@ impl Engine for SiaMachine {
                 }
             }
         }
-        let ActiveLayer {
-            cycles, mem, bn, ..
-        } = active[idx].as_mut().expect("begin_item ran");
-        let mem = mem.as_mut().expect("block add has membranes");
-        let bn = bn.as_ref().expect("block add carries identity BN");
+        let cycles = &mut report.layers[idx];
+        let mem = membranes[idx].as_mut().expect("block add has membranes");
         scratch_resize(mems, n, 0);
         for (i, m) in mems.iter_mut().enumerate() {
             *m = mem.read(i);
         }
         out.reset(a.channels, a.h, a.w);
-        // aggregation tile over the accumulated currents (identity BN)
+        // aggregation tile over the accumulated currents (batch norm is
+        // the identity here)
         for (i, (&total, u)) in residual.iter().zip(mems.iter_mut()).enumerate() {
-            let current = bn.apply(total, 0);
-            if step_int(u, current, a.theta, a.mode) {
+            if step_int(u, total, a.theta, a.mode) {
                 out.set_linear(i);
                 cycles.spikes += 1;
             }
@@ -1168,6 +1132,43 @@ mod tests {
         let a = m4.run(&img, 4);
         let b = m8.run(&img, 8);
         assert!(a.report.total_cycles() < b.report.total_cycles());
+    }
+
+    #[test]
+    fn machine_runs_the_kernel_groups_its_program_lists() {
+        let net = convert(&full_spec(), &ConvertOptions::default());
+        let cfg = SiaConfig::pynq_z2();
+        let program = compile_for(&net, &cfg, 8).unwrap();
+        let img = image();
+        let mut machine = SiaMachine::new(program.clone(), cfg.clone());
+        let base = machine.run(&img, 8);
+        let base_starts = machine.layers_started();
+        // a spiking conv and a psum conv, each one 8-kernel group on the
+        // 64-PE array, re-tiled by hand into two groups
+        assert!(matches!(net.items[2], SnnItem::Conv(_)));
+        assert!(matches!(net.items[3], SnnItem::ConvPsum(_)));
+        for idx in [2, 3] {
+            assert_eq!(program.layers[idx].kernel_groups, [(0, 8)]);
+            let mut retiled = program.clone();
+            retiled.layers[idx].kernel_groups = vec![(0, 3), (3, 5)];
+            let mut machine = SiaMachine::new(retiled, cfg.clone());
+            let run = machine.run(&img, 8);
+            assert_eq!(run.logits_per_t, base.logits_per_t, "item {idx}");
+            assert_eq!(run.stats, base.stats, "item {idx}");
+            // one more pass per timestep: one more controller start, and a
+            // pass over a plane costs the same cycles at any group size
+            assert_eq!(machine.layers_started(), base_starts + 8, "item {idx}");
+            for (i, (l, b)) in run
+                .report
+                .layers
+                .iter()
+                .zip(&base.report.layers)
+                .enumerate()
+            {
+                let extra = if i == idx { b.compute_cycles } else { 0 };
+                assert_eq!(l.compute_cycles, b.compute_cycles + extra, "{idx}: {i}");
+            }
+        }
     }
 }
 

@@ -15,8 +15,10 @@
 //! every (output pixel, input channel, kernel row) that hold a spike
 //! ([`processed_segments`]). Each kernel group of the pass then costs
 //! S + OH·OW cycles and S × its size active-PE cycles
-//! ([`ConvPassStats::new`]). The partial sums themselves are the shared
-//! integer kernels' (`sia_snn::conv_psums_int_plane`).
+//! ([`ConvPassStats::new`]); [`layer_passes`] prices one timestep of a
+//! layer, every kernel group's pass plus its aggregation pipeline fill.
+//! The partial sums themselves are the shared integer kernels'
+//! (`sia_snn::conv_psums_int_plane`).
 
 use crate::config::SiaConfig;
 use sia_snn::spikeplane::SpikePlane;
@@ -64,6 +66,56 @@ impl ConvPassStats {
             processed_segments: processed,
         }
     }
+}
+
+/// Cycle and operation accounting of one timestep of a PL conv layer: one
+/// [`ConvPassStats`] pass per kernel group over the same input plane.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LayerPassStats {
+    /// Clock cycles: every pass plus the aggregation pipeline fill after
+    /// it (the aggregation core otherwise overlaps the spiking core).
+    pub cycles: u64,
+    /// Σ over cycles of active PEs.
+    pub active_pe_cycles: u64,
+    /// Arithmetic operations performed, `ops_per_pe_cycle` per active-PE
+    /// cycle.
+    pub ops: u64,
+    /// Operations of a dense schedule: every segment, processed or
+    /// skipped, at the full group width.
+    pub nominal_ops: u64,
+    /// Segments processed, summed over the passes.
+    pub processed_segments: u64,
+    /// Segments skipped, summed over the passes.
+    pub skipped_segments: u64,
+}
+
+/// Prices one timestep of a PL conv layer over `plane`: one pass per
+/// kernel group `(start, size)`, all priced by one segment count.
+///
+/// # Panics
+///
+/// Panics if the plane shape mismatches `geom`'s input or a group exceeds
+/// the PE count.
+#[must_use]
+pub fn layer_passes(
+    geom: &Conv2dGeom,
+    plane: &SpikePlane,
+    groups: &[(usize, usize)],
+    config: &SiaConfig,
+) -> LayerPassStats {
+    let processed = processed_segments(geom, plane, config);
+    let mut total = LayerPassStats::default();
+    for &(_, size) in groups {
+        let pass = ConvPassStats::new(geom, config, processed, size);
+        let segments = pass.processed_segments + pass.skipped_segments;
+        total.cycles += pass.cycles + config.aggregation_pipeline_depth;
+        total.active_pe_cycles += pass.active_pe_cycles;
+        total.ops += pass.active_pe_cycles * config.ops_per_pe_cycle;
+        total.nominal_ops += segments * size as u64 * config.ops_per_pe_cycle;
+        total.processed_segments += pass.processed_segments;
+        total.skipped_segments += pass.skipped_segments;
+    }
+    total
 }
 
 /// S: the kernel-row segments of one conv pass whose spike taps are not

@@ -447,8 +447,8 @@ fn mutant_missing_recheck_after_wait_is_caught() {
 }
 
 /// Mutant 5 — close without notify: the close flag is set but the blocked
-/// consumer is never woken. The untimed wait means no quiescence timer
-/// can rescue it: deadlock.
+/// consumer is never woken. Every wait is untimed, so nothing else can
+/// wake it: deadlock.
 #[test]
 fn mutant_close_without_notify_is_caught() {
     let body = || {
