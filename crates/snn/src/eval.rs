@@ -10,12 +10,13 @@
 //! **item-index order**, so every outcome is bit-for-bit identical for any
 //! worker count.
 //!
-//! [`BatchEvaluator`] is now a thin client of the pool: it clones a
-//! [`LabelledSet`] into one batch, submits it, and reduces the per-image
-//! [`SnnOutput`]s into an [`EvalOutcome`] — the accuracy-vs-timesteps
-//! curve, per-image predictions, and per-stage [`SpikeStats`] merged via
-//! [`SpikeStats::merge`] (the only aggregation path) — exactly as before
-//! the refactor.
+//! [`BatchEvaluator`] is a thin client of the pool: it submits a
+//! [`LabelledSet`]'s images as one batch, keeps of each image's run only
+//! the class after each timestep and the spike counts (shrunk on the
+//! worker as the image completes), and reduces them into an
+//! [`EvalOutcome`] — the accuracy-vs-timesteps curve, per-image
+//! predictions, and per-stage [`SpikeStats`] merged via
+//! [`SpikeStats::merge`] (the only aggregation path).
 //!
 //! Determinism: every engine run is independent (one image, freshly reset
 //! state), the cursor only decides *which worker* runs an item, and the
@@ -211,9 +212,74 @@ impl std::fmt::Display for PoolError {
 
 impl std::error::Error for PoolError {}
 
-/// One item's result inside a job: the run output and its wall-clock µs,
-/// or the panic that killed it.
-type ItemResult = Result<(SnnOutput, u64), String>;
+/// One item's result inside a job: what the job keeps of the run and its
+/// wall-clock µs, or the panic that killed it.
+type ItemResult = Result<(Kept, u64), String>;
+
+/// What a job keeps of one item's run: the whole output
+/// ([`EnginePool::submit`]), or only what an [`EvalOutcome`] reads of it
+/// ([`BatchEvaluator::evaluate`]), so a batch holds no image's logits
+/// past that image's completion.
+enum Kept {
+    Output(SnnOutput),
+    Image(ImageRecord),
+}
+
+/// What an [`EvalOutcome`] reads of one image's run: the class after each
+/// executed timestep and the run's spike counts.
+struct ImageRecord {
+    classes: Box<[usize]>,
+    stats: SpikeStats,
+}
+
+impl From<SnnOutput> for ImageRecord {
+    fn from(out: SnnOutput) -> Self {
+        ImageRecord {
+            classes: (0..out.logits_per_t.len())
+                .map(|t| out.predicted_at(t))
+                .collect(),
+            stats: out.stats,
+        }
+    }
+}
+
+/// One image's run as [`reduce_outcome`] reads it.
+trait ImageRun {
+    /// Timesteps the run executed.
+    fn executed(&self) -> usize;
+    /// Predicted class using only timesteps `0..=t`.
+    fn class_at(&self, t: usize) -> usize;
+    /// The run's spike statistics.
+    fn stats(&self) -> &SpikeStats;
+}
+
+impl ImageRun for SnnOutput {
+    fn executed(&self) -> usize {
+        self.logits_per_t.len()
+    }
+
+    fn class_at(&self, t: usize) -> usize {
+        self.predicted_at(t)
+    }
+
+    fn stats(&self) -> &SpikeStats {
+        &self.stats
+    }
+}
+
+impl ImageRun for ImageRecord {
+    fn executed(&self) -> usize {
+        self.classes.len()
+    }
+
+    fn class_at(&self, t: usize) -> usize {
+        self.classes[t]
+    }
+
+    fn stats(&self) -> &SpikeStats {
+        &self.stats
+    }
+}
 
 /// One submitted batch: owned inputs, shared steal cursor, per-item result
 /// slots (written by whichever worker claimed the index) and a
@@ -225,6 +291,8 @@ type ItemResult = Result<(SnnOutput, u64), String>;
 struct Job<S: SyncOps = StdSync> {
     images: Arc<[Tensor]>,
     params: EvalBatch,
+    /// Keep only each image's [`ImageRecord`], not its whole output.
+    records: bool,
     cursor: S::AtomicUsize,
     slots: Vec<S::Mutex<Option<ItemResult>>>,
     done: S::AtomicUsize,
@@ -233,11 +301,12 @@ struct Job<S: SyncOps = StdSync> {
 }
 
 impl<S: SyncOps> Job<S> {
-    fn new(images: Arc<[Tensor]>, params: EvalBatch) -> Self {
+    fn new(images: Arc<[Tensor]>, params: EvalBatch, records: bool) -> Self {
         let n = images.len();
         Job {
             images,
             params,
+            records,
             cursor: S::atomic_usize(0),
             slots: (0..n).map(|_| S::mutex(None)).collect(),
             done: S::atomic_usize(0),
@@ -256,8 +325,9 @@ impl<S: SyncOps> Job<S> {
     }
 }
 
-/// Runs one claimed item on the worker's engine.
-fn run_item<E: Engine, S: SyncOps>(engine: &mut E, job: &Job<S>, i: usize) -> (SnnOutput, u64) {
+/// Runs one claimed item on the worker's engine, keeping what the job
+/// keeps of it.
+fn run_item<E: Engine, S: SyncOps>(engine: &mut E, job: &Job<S>, i: usize) -> (Kept, u64) {
     let started = std::time::Instant::now();
     let out = match job.params.encoding {
         EvalEncoding::Dense => {
@@ -282,7 +352,13 @@ fn run_item<E: Engine, S: SyncOps>(engine: &mut E, job: &Job<S>, i: usize) -> (S
             .0
         }
     };
-    (out, started.elapsed().as_micros() as u64)
+    let us = started.elapsed().as_micros() as u64;
+    let kept = if job.records {
+        Kept::Image(ImageRecord::from(out))
+    } else {
+        Kept::Output(out)
+    };
+    (kept, us)
 }
 
 /// Drains a job's cursor on one engine, isolating per-item panics so the
@@ -436,12 +512,29 @@ impl<S: SyncOps> EnginePool<S> {
         images: impl Into<Arc<[Tensor]>>,
         params: EvalBatch,
     ) -> Result<Vec<(SnnOutput, u64)>, PoolError> {
-        let images = images.into();
+        let kept = self.run(images.into(), params, false)?;
+        Ok(kept
+            .into_iter()
+            .map(|(kept, us)| match kept {
+                Kept::Output(out) => (out, us),
+                Kept::Image(_) => unreachable!("an output job keeps outputs"),
+            })
+            .collect())
+    }
+
+    /// [`EnginePool::submit`] keeping each item's [`ImageRecord`] or whole
+    /// output (`records`), in item-index order.
+    fn run(
+        &self,
+        images: Arc<[Tensor]>,
+        params: EvalBatch,
+        records: bool,
+    ) -> Result<Vec<(Kept, u64)>, PoolError> {
         let n = images.len();
         if n == 0 {
             return Ok(Vec::new());
         }
-        let job = Arc::new(Job::<S>::new(images, params));
+        let job = Arc::new(Job::<S>::new(images, params, records));
         if let Some(run) = &self.inline {
             run(&job);
         } else {
@@ -601,7 +694,10 @@ impl BatchEvaluator {
     /// Evaluates `set` with engines built by `factory` (one per worker).
     ///
     /// Constructs an [`EnginePool`], submits the whole split as one batch,
-    /// and reduces. Engines never migrate between items of different
+    /// and reduces. Each image's run shrinks to the classes and spike
+    /// counts the outcome reads as soon as it completes, so the batch never
+    /// holds every image's logits at once. Engines never migrate between
+    /// items of different
     /// workers, and each image is a fresh [`crate::drive_policy`] run, so results match
     /// a sequential evaluation exactly — for any thread count.
     ///
@@ -625,10 +721,16 @@ impl BatchEvaluator {
         }
         let _span = sia_telemetry::span!("snn.batch_eval");
         let pool = EnginePool::new(factory, cfg.threads);
-        let results = pool
-            .submit(set.images(), EvalBatch::from(cfg))
-            .unwrap_or_else(|e| panic!("{e}"));
-        let outcome = reduce_outcome(cfg.timesteps, set, &results);
+        let records: Vec<(ImageRecord, u64)> = pool
+            .run(set.images(), EvalBatch::from(cfg), true)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .into_iter()
+            .map(|(kept, us)| match kept {
+                Kept::Image(record) => (record, us),
+                Kept::Output(_) => unreachable!("a record job keeps records"),
+            })
+            .collect();
+        let outcome = reduce_outcome(cfg.timesteps, set, &records);
         if cfg.exit.is_adaptive() {
             sia_telemetry::gauge!("snn.exit.rate", f64::from(outcome.exit_rate()));
         }
@@ -638,10 +740,10 @@ impl BatchEvaluator {
 
 /// Folds per-image pool results (item-index order) into one
 /// [`EvalOutcome`]. [`SpikeStats::merge`] stays the only aggregation path.
-fn reduce_outcome(
+fn reduce_outcome<R: ImageRun>(
     timesteps: usize,
     set: &LabelledSet,
-    results: &[(SnnOutput, u64)],
+    results: &[(R, u64)],
 ) -> EvalOutcome {
     let n = results.len();
     let mut correct_per_t = vec![0u64; timesteps];
@@ -654,17 +756,17 @@ fn reduce_outcome(
         let label = set.get(i).1;
         // an early-exited image freezes at its last readout: its exit-time
         // prediction stands in for every later point on the curve
-        let last = out.logits_per_t.len().saturating_sub(1);
+        let last = out.executed().saturating_sub(1);
         for (t, c) in correct_per_t.iter_mut().enumerate() {
-            if out.predicted_at(t.min(last)) == label {
+            if out.class_at(t.min(last)) == label {
                 *c += 1;
             }
         }
-        predictions.push(out.predicted());
-        executed_t.push(out.logits_per_t.len());
+        predictions.push(out.class_at(last));
+        executed_t.push(out.executed());
         match &mut stats {
-            Some(s) => s.merge(&out.stats),
-            None => stats = Some(out.stats.clone()),
+            Some(s) => s.merge(out.stats()),
+            None => stats = Some(out.stats().clone()),
         }
     }
     EvalOutcome {

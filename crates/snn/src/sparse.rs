@@ -10,16 +10,19 @@
 //! ## Bit-exactness
 //!
 //! Saturating 16-bit accumulation makes the addition order observable, so
-//! the scatter loop must deliver contributions to each output accumulator
-//! in exactly the reference order `(ci asc, ky asc, kx asc)`:
+//! the scatter must deliver contributions to each output accumulator in
+//! exactly the reference order `(ci asc, ky asc, kx asc)`. It visits the
+//! set spikes in ascending flat `(ci, iy, x)` order, and each spike's taps
+//! go to distinct outputs, so each accumulator sees its contributions in
+//! spike order:
 //!
-//! * `ci` is the scatter loop's outermost dimension — same order;
+//! * `ci` is the spike order's outermost dimension — same order;
 //! * for a fixed output row `oy`, the contributing input row is
-//!   `iy = oy·stride + ky − pad`, strictly increasing in `ky`, so visiting
-//!   input rows ascending visits `ky` ascending;
-//! * within one input row, set bits are visited with `x` ascending; for a
-//!   fixed output column `ox` the tap is `kx = x − ox·stride + pad`,
-//!   strictly increasing in `x`, so `kx` is visited ascending.
+//!   `iy = oy·stride + ky − pad`, strictly increasing in `ky`, so spikes
+//!   ascending in `iy` arrive with `ky` ascending;
+//! * within one input row, for a fixed output column `ox` the tap is
+//!   `kx = x − ox·stride + pad`, strictly increasing in `x`, so spikes
+//!   ascending in `x` arrive with `kx` ascending.
 //!
 //! The `co` loop is innermost (contiguous in both the transposed weights
 //! and the channels-last psums) — its position is free because different
@@ -28,20 +31,36 @@
 //! blocks of eight output pixels (then four, then single ones) so that
 //! each channel's run of pixels lands with one contiguous store. The
 //! equivalence is enforced bit-for-bit by proptests
-//! (`crates/snn/tests/sparse_dense.rs`).
+//! (`crates/snn/tests/sparse_dense.rs`) and on shapes the deployed model
+//! lacks (`crates/snn/tests/scatter_shapes.rs`).
 //!
-//! ## Tap tables and fixed-width rows
+//! ## A branch-free walk and fixed-width rows
 //!
-//! Two further identities let the production kernels run `i16` lanes in
-//! parallel without perturbing a single accumulator:
+//! The scatter's cost is its walk, and a walk that branches on the spike
+//! bits pays for every mispredicted branch. The walk here runs no branch
+//! that depends on the bits, per input row or per spike — the software
+//! image of the SIA's fixed work per event (a 3×3 kernel takes 3+1
+//! cycles, paper §III-A). It runs in two steps over a block of
+//! `BLOCK_WORDS` flat 64-neuron words at a time (a bounded,
+//! scratch-tracked spike list; one test skips a block with no spike):
 //!
-//! * **tap tables** — which `(ky, oy)` pairs an input row reaches, and which
-//!   `(kx, ox)` pairs an input column reaches, depend only on the layer's
-//!   geometry. Each layer entry lists them once (a `TapTable`, ascending in
-//!   `k`, for any stride, padding and kernel), so a spike's taps are a walk
-//!   over two short precomputed lists: no division, remainder or range
-//!   test per tap. The walk reads the plane's row words directly and skips
-//!   an all-zero row before touching the table;
+//! * **compact** — the block's words ([`SpikePlane::flat_words`], masked by
+//!   the layer's pixels that reach an output) become a list of flat spike
+//!   indices, ascending: each byte writes all eight entries of its row of a
+//!   byte table of set-bit positions and advances the list by its popcount;
+//! * **add** — each listed spike's flat index splits into channel, row and
+//!   column by two multiplies (a per-layer `Divisor`, no divide
+//!   instruction), and the spike runs the same `r·c` taps as every other:
+//!   its row's `(ky·K, oy·OW)` list times its column's `(kx, ox)` list,
+//!   each padded to the layer's longest list (`r`, `c`; a `TapWalk`,
+//!   built on the layer's first call for any kernel, stride and padding).
+//!   A padded pair is junk: it adds a weight row into a junk psum row past
+//!   the real ones, which nothing reads, so no tap needs a range test or
+//!   a zero weight row. Where `r·c` is 1, 4 or 9 the count is a
+//!   compile-time constant;
+//!
+//! and the rows it adds are fixed-width:
+//!
 //! * **fixed-width rows** — the scatter's innermost `co` sweep runs over
 //!   weight and psum rows viewed as `[i16; S]`/`[i8; S]` arrays whose width
 //!   `S` is a compile-time constant ([`scatter_lane_span`] rounded to
@@ -79,8 +98,7 @@
 //!   of each kernel the layer can run — padded `i8` rows for the scatter,
 //!   widened `i16` rows for the tiled kernel, `f32` rows for the float
 //!   scatter;
-//! * the tap table both scatters walk, built with the first scatter
-//!   layout;
+//! * the tap walk both scatters run, built with the first scatter layout;
 //! * the kernel decision, fixed once from the layer's geometry and the
 //!   engine's [`KernelPolicy`] as one scatter limit
 //!   ([`KernelPolicy::scatter_limit`]): a call scatters iff its plane has
@@ -265,8 +283,8 @@ impl CostModel {
 }
 
 /// One conv layer's entry: its transposed weights in the layouts its
-/// kernels read and its scatter tap table (each built on first need), and
-/// its kernel decision.
+/// kernels read and its scatter walk (each built on first need), and its
+/// kernel decision.
 #[derive(Clone, Debug, Default)]
 struct LayerEntry {
     /// The policy `limit` was fixed under (`None` before the first call).
@@ -283,18 +301,21 @@ struct LayerEntry {
     wt_w: Vec<i16>,
     /// The same transposition in `f32`, unpadded: the float scatter's.
     wt_f: Vec<f32>,
-    /// The valid taps both scatters walk, built with the first scatter
+    /// The tap lists both scatters walk, built with the first scatter
     /// layout.
-    taps: TapTable,
+    walk: Option<TapWalk>,
 }
 
 impl LayerEntry {
-    fn scatter_wt(&mut self, conv: &SnnConv) -> (&[i8], &TapTable) {
+    fn scatter_wt(&mut self, conv: &SnnConv) -> (&[i8], &TapWalk) {
         if self.wt_i.is_empty() {
             let span = scatter_lane_span(conv.geom.out_channels);
             build_wt(conv, span, &mut self.wt_i, |w| w);
         }
-        (&self.wt_i, self.taps.get_or_build(&conv.geom))
+        (
+            &self.wt_i,
+            TapWalk::get_or_build(&mut self.walk, &conv.geom),
+        )
     }
 
     fn tiled_wt(&mut self, conv: &SnnConv) -> &[i16] {
@@ -304,11 +325,14 @@ impl LayerEntry {
         &self.wt_w
     }
 
-    fn f32_wt(&mut self, conv: &SnnConv) -> (&[f32], &TapTable) {
+    fn f32_wt(&mut self, conv: &SnnConv) -> (&[f32], &TapWalk) {
         if self.wt_f.is_empty() {
             build_wt(conv, conv.geom.out_channels, &mut self.wt_f, f32::from);
         }
-        (&self.wt_f, self.taps.get_or_build(&conv.geom))
+        (
+            &self.wt_f,
+            TapWalk::get_or_build(&mut self.walk, &conv.geom),
+        )
     }
 
     /// The layer's scatter limit under `policy`, fixed on the first call
@@ -329,75 +353,148 @@ impl LayerEntry {
     }
 }
 
-/// A layer's valid scatter taps, by input coordinate.
+/// A layer's scatter walk: every spike runs the same `r·c` taps.
 ///
 /// Input row `iy` reaches output row `oy` through kernel row `ky` iff
 /// `oy·stride = iy + pad − ky` has a solution with `0 ≤ oy < OH`, and
-/// likewise for columns. The table lists, for every input row, the
-/// `(ky·K, oy·OW)` pairs that solve it and, for every input column, the
-/// `(kx, ox)` pairs, each ascending in `k` (the reference tap order). A
-/// spike at `(ci, iy, x)` then adds weight row `ci·K² + ky·K + kx` into
-/// psum row `oy·OW + ox` for every pair of pairs.
-#[derive(Clone, Debug, Default)]
-struct TapTable {
+/// likewise for columns. Row `iy`'s list holds its `(ky·K, oy·OW)` pairs
+/// and column `x`'s its `(kx, ox)` pairs, each ascending in `k` (the
+/// reference tap order), then junk pairs `(0, OH·OW)` up to the longest
+/// list's length (`r` for rows, `c` for columns). A spike at `(ci, iy, x)`
+/// adds weight row `ci·K² + ky·K + kx` into psum row
+/// `min(oy·OW + ox, OH·OW)` for each pair of pairs, so a tap with a junk
+/// half adds into the junk row `OH·OW`, past the real ones, which nothing
+/// reads.
+#[derive(Clone, Debug)]
+struct TapWalk {
     rows: Vec<(u32, u32)>,
-    /// `rows[row_start[iy]..row_start[iy + 1]]` are input row `iy`'s pairs.
-    row_start: Vec<u32>,
     cols: Vec<(u32, u32)>,
-    /// `cols[col_start[x]..col_start[x + 1]]` are input column `x`'s pairs.
-    col_start: Vec<u32>,
+    /// Pairs per row list and per column list.
+    r: usize,
+    c: usize,
+    /// The junk psum row, `OH·OW`.
+    junk: u32,
+    /// The pixels that reach an output, as flat `[C_in, H, W]` words
+    /// (the order of [`SpikePlane::flat_words`]); empty when every pixel
+    /// does.
+    reach: Vec<u64>,
+    /// Split a flat spike index into its flat row and column, and a flat
+    /// row into its channel and row.
+    by_w: Divisor,
+    by_h: Divisor,
 }
 
-impl TapTable {
-    /// The table, built on first use (scratch-tracked).
-    fn get_or_build(&mut self, g: &Conv2dGeom) -> &TapTable {
-        if self.row_start.is_empty() {
-            let (oh, ow) = g.out_hw();
-            (self.rows, self.row_start) =
-                axis_taps(g, g.in_h, oh, |ky, oy| (ky * g.kernel, oy * ow));
-            (self.cols, self.col_start) = axis_taps(g, g.in_w, ow, |kx, ox| (kx, ox));
+impl TapWalk {
+    /// The layer's walk, built on first use (scratch-tracked).
+    fn get_or_build<'a>(walk: &'a mut Option<TapWalk>, g: &Conv2dGeom) -> &'a TapWalk {
+        walk.get_or_insert_with(|| {
             note_growth();
+            TapWalk::new(g)
+        })
+    }
+
+    fn new(g: &Conv2dGeom) -> TapWalk {
+        let (oh, ow) = g.out_hw();
+        let junk = narrow(oh * ow);
+        let (rows, r, row_reaches) =
+            padded_taps(g, g.in_h, oh, junk, |ky, oy| (ky * g.kernel, oy * ow));
+        let (cols, c, col_reaches) = padded_taps(g, g.in_w, ow, junk, |kx, ox| (kx, ox));
+        let neurons = g.in_channels * g.in_h * g.in_w;
+        // Flat spike indices up to the end of the plane's last word, weight
+        // rows, and a junk pair's row sum `2·OH·OW` are all `u32`.
+        narrow(neurons.next_multiple_of(64));
+        narrow(g.in_channels * g.kernel * g.kernel);
+        narrow(2 * oh * ow);
+        let mut reach = Vec::new();
+        if !row_reaches.iter().chain(&col_reaches).all(|&b| b) {
+            reach = vec![0u64; neurons.div_ceil(64)];
+            for f in 0..neurons {
+                let (iy, x) = (f / g.in_w % g.in_h, f % g.in_w);
+                reach[f / 64] |= u64::from(row_reaches[iy] && col_reaches[x]) << (f % 64);
+            }
         }
-        self
-    }
-
-    #[inline(always)]
-    fn row(&self, iy: usize) -> &[(u32, u32)] {
-        &self.rows[self.row_start[iy] as usize..self.row_start[iy + 1] as usize]
-    }
-
-    #[inline(always)]
-    fn col(&self, x: usize) -> &[(u32, u32)] {
-        &self.cols[self.col_start[x] as usize..self.col_start[x + 1] as usize]
+        TapWalk {
+            rows,
+            cols,
+            r,
+            c,
+            junk,
+            reach,
+            by_w: Divisor::new(narrow(g.in_w)),
+            by_h: Divisor::new(narrow(g.in_h)),
+        }
     }
 }
 
-/// One axis of a [`TapTable`]: for each input coordinate `i < len`, the
+fn narrow(v: usize) -> u32 {
+    u32::try_from(v).expect("conv layer too large for the scatter walk")
+}
+
+/// One axis of a [`TapWalk`]: for each input coordinate `i < len`, the
 /// kernel offsets `kk` (ascending) whose output coordinate
 /// `o = (i + pad − kk) / stride` is exact and below `o_len`, stored as
-/// `pair(kk, o)`; plus the start offset of each coordinate's run.
-fn axis_taps(
+/// `pair(kk, o)` and padded with `(0, junk)` pairs to the longest list's
+/// length. Returns the lists, that length and whether each coordinate
+/// has a tap.
+fn padded_taps(
     g: &Conv2dGeom,
     len: usize,
     o_len: usize,
+    junk: u32,
     pair: impl Fn(usize, usize) -> (usize, usize),
-) -> (Vec<(u32, u32)>, Vec<u32>) {
-    let narrow = |v: usize| u32::try_from(v).expect("conv layer too large for a tap table");
-    let mut taps = Vec::new();
-    let mut start = vec![0];
-    for i in 0..len {
-        for kk in 0..g.kernel {
-            let Some(num) = (i + g.padding).checked_sub(kk) else {
-                break;
-            };
-            if num % g.stride == 0 && num / g.stride < o_len {
-                let (a, b) = pair(kk, num / g.stride);
-                taps.push((narrow(a), narrow(b)));
-            }
+) -> (Vec<(u32, u32)>, usize, Vec<bool>) {
+    let lists: Vec<Vec<(u32, u32)>> = (0..len)
+        .map(|i| {
+            (0..g.kernel)
+                .filter_map(|kk| {
+                    let num = (i + g.padding).checked_sub(kk)?;
+                    let o = num / g.stride;
+                    (num.is_multiple_of(g.stride) && o < o_len).then(|| {
+                        let (a, b) = pair(kk, o);
+                        (narrow(a), narrow(b))
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let width = lists.iter().map(Vec::len).max().unwrap_or(0);
+    let reaches = lists.iter().map(|l| !l.is_empty()).collect();
+    let padded = lists
+        .into_iter()
+        .flat_map(|l| {
+            let pad = width - l.len();
+            l.into_iter().chain(std::iter::repeat_n((0, junk), pad))
+        })
+        .collect();
+    (padded, width, reaches)
+}
+
+/// Division by a layer constant `d` with one multiply: for `n = q·d + a`,
+/// `(n + 1)·m / 2⁶⁴` with `m = ⌊(2⁶⁴ − 1) / d⌋` equals
+/// `(n + 1)/d − (n + 1)(1 + ρ)/(d·2⁶⁴)`, `ρ = (2⁶⁴ − 1) mod d`. The
+/// subtracted term is positive and, for `n < 2³²` and `d ≤ 2³²`, at most
+/// `1/d`, so the value lies in `[q, q + 1)`: its floor is exactly `q`.
+#[derive(Clone, Copy, Debug)]
+struct Divisor {
+    d: u32,
+    m: u64,
+}
+
+impl Divisor {
+    fn new(d: u32) -> Divisor {
+        assert!(d > 0, "division by zero");
+        Divisor {
+            d,
+            m: u64::MAX / u64::from(d),
         }
-        start.push(narrow(taps.len()));
     }
-    (taps, start)
+
+    /// `(n / d, n % d)`.
+    #[inline(always)]
+    fn split(self, n: u32) -> (u32, u32) {
+        let q = ((u128::from(u64::from(n) + 1) * u128::from(self.m)) >> 64) as u32;
+        (q, n - q * self.d)
+    }
 }
 
 /// Reusable per-engine convolution scratch: psum buffers (canonical and
@@ -415,6 +512,8 @@ pub struct ConvScratch {
     codes_pad: Vec<i32>,
     psum_df: Vec<f32>,
     mask_i: Vec<i16>,
+    /// One block of compacted spikes (flat input indices) for the scatter.
+    spikes: Vec<u32>,
     layers: Vec<LayerEntry>,
     /// Weight taps the active kernel actually accumulated since the last
     /// [`ConvScratch::take_taps`] (input-centric: one spike touches `K²`
@@ -474,42 +573,131 @@ fn build_wt<T: Copy + Default>(conv: &SnnConv, span: usize, wt: &mut Vec<T>, f: 
     }
 }
 
+/// Flat spike-plane words the scatter compacts at a time.
+const BLOCK_WORDS: usize = 16;
+
+/// The spike list's length: one block's worth of spikes.
+const LIST_LEN: usize = 64 * BLOCK_WORDS;
+
+/// The set-bit positions of every byte value, ascending, then zeros.
+static BYTE_BITS: [[u8; 8]; 256] = {
+    let mut table = [[0u8; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut n, mut bit) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][n] = bit as u8;
+                n += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// Lists the set bits of `block` (at most [`BLOCK_WORDS`] words, word `i`
+/// holding flat indices `base + 64·i …`) into `list`, ascending, and
+/// returns how many. Each byte writes all eight entries of its
+/// [`BYTE_BITS`] row and advances by its popcount, so nothing branches on
+/// the bits.
+#[inline(always)]
+fn compact(block: &[u64], base: u32, list: &mut [u32; LIST_LEN]) -> usize {
+    let mut n = 0;
+    let mut at = base;
+    for &word in block.iter().take(BLOCK_WORDS) {
+        for byte in word.to_le_bytes() {
+            // The bytes before this one listed at most eight spikes each,
+            // so `n ≤ LIST_LEN − 8`: the clamp never binds, and it lets the
+            // compiler see the write in bounds.
+            let m = n.min(LIST_LEN - 8);
+            let dst: &mut [u32; 8] = (&mut list[m..m + 8]).try_into().expect("eight entries");
+            for (d, &bit) in dst.iter_mut().zip(&BYTE_BITS[usize::from(byte)]) {
+                *d = at + u32::from(bit);
+            }
+            n += byte.count_ones() as usize;
+            at += 8;
+        }
+    }
+    n
+}
+
 /// One scatter kernel's per-tap work: add transposed weight row `t`
-/// (`(ci, ky, kx)`) into channels-last psum row `p` (`(oy, ox)`). A trait
-/// method, not a closure, so [`for_each_tap`]'s callers can force it inline
-/// into the walk.
+/// (`(ci, ky, kx)`) into channels-last psum row `p` (`(oy, ox)`, or the
+/// junk row). A trait method, not a closure, so [`for_each_tap`]'s callers
+/// can force it inline into the walk.
 trait TapAdd {
     fn add(&mut self, t: usize, p: usize);
 }
 
-/// Calls `sink.add(t, p)` for every valid tap of every set spike of
-/// `plane`. The walk reads each row's words directly, skips an all-zero
-/// row before touching the table, and visits taps in the order the module
-/// docs prove bit-exact.
+/// Calls `sink.add(t, p)` for the `r·c` taps of every set spike of `plane`
+/// whose pixel reaches an output, in the order the module docs prove
+/// bit-exact. The plane's flat words are masked by the walk's `reach` and
+/// compacted [`BLOCK_WORDS`] at a time into `list`; the walk then splits
+/// each spike's flat index by multiplies and runs the layer's fixed tap
+/// count, so no branch depends on the bits.
 #[inline(always)]
-fn for_each_tap(taps: &TapTable, k2: usize, plane: &SpikePlane, sink: &mut impl TapAdd) {
-    let wpr = plane.words_per_row();
-    if plane.is_empty() {
-        return;
+fn for_each_tap(
+    walk: &TapWalk,
+    k2: usize,
+    plane: &SpikePlane,
+    list: &mut Vec<u32>,
+    sink: &mut impl TapAdd,
+) {
+    if list.len() != LIST_LEN {
+        scratch_resize(list, LIST_LEN, 0);
     }
-    for (ci, words) in plane.channel_words().enumerate() {
-        let t0 = ci * k2;
-        for (iy, row) in words.chunks_exact(wpr).enumerate() {
-            if row.iter().all(|&w| w == 0) {
-                continue;
+    let list: &mut [u32; LIST_LEN] = list.as_mut_slice().try_into().expect("one block");
+    let k2 = narrow(k2);
+    let n_words = plane.len().div_ceil(64);
+    let mut words = plane.flat_words();
+    let mut block = [0u64; BLOCK_WORDS];
+    for j in (0..n_words).step_by(BLOCK_WORDS) {
+        let block = &mut block[..(n_words - j).min(BLOCK_WORDS)];
+        for (slot, word) in block.iter_mut().zip(&mut words) {
+            *slot = word;
+        }
+        if let Some(reach) = walk.reach.get(j..j + block.len()) {
+            for (word, &m) in block.iter_mut().zip(reach) {
+                *word &= m;
             }
-            let row_taps = taps.row(iy);
-            for (wi, &word) in row.iter().enumerate() {
-                let mut m = word;
-                while m != 0 {
-                    let col_taps = taps.col(wi * 64 + m.trailing_zeros() as usize);
-                    m &= m - 1;
-                    for &(ky_k, oy_ow) in row_taps {
-                        for &(kx, ox) in col_taps {
-                            sink.add(t0 + (ky_k + kx) as usize, (oy_ow + ox) as usize);
-                        }
-                    }
-                }
+        }
+        // A silent block (a whole silent plane, on most layers) costs one
+        // test.
+        if block.iter().fold(0, |any, &word| any | word) == 0 {
+            continue;
+        }
+        let n = compact(block, narrow(64 * j), list);
+        let spikes = &list[..n];
+        match (walk.r, walk.c) {
+            (1, 1) => spike_taps::<1, 1>(walk, k2, spikes, sink),
+            (2, 2) => spike_taps::<2, 2>(walk, k2, spikes, sink),
+            (3, 3) => spike_taps::<3, 3>(walk, k2, spikes, sink),
+            _ => spike_taps::<0, 0>(walk, k2, spikes, sink),
+        }
+    }
+}
+
+/// The taps of listed spikes: `R·C` per spike, a compile-time count for
+/// the common lists (`R = 0`: the walk's own `r·c`, counted at run time).
+#[inline(always)]
+fn spike_taps<const R: usize, const C: usize>(
+    walk: &TapWalk,
+    k2: u32,
+    spikes: &[u32],
+    sink: &mut impl TapAdd,
+) {
+    let (r, c) = if R == 0 { (walk.r, walk.c) } else { (R, C) };
+    for &f in spikes {
+        let (row, x) = walk.by_w.split(f);
+        let (ci, iy) = walk.by_h.split(row);
+        let t0 = ci * k2;
+        let cols = &walk.cols[x as usize * c..][..c];
+        for &(ky_k, oy_ow) in &walk.rows[iy as usize * r..][..r] {
+            for &(kx, ox) in cols {
+                let p = (oy_ow + ox).min(walk.junk);
+                sink.add((t0 + ky_k + kx) as usize, p as usize);
             }
         }
     }
@@ -542,6 +730,11 @@ struct IntRows<'a, const S: usize> {
 impl<const S: usize> TapAdd for IntRows<'_, S> {
     #[inline(always)]
     fn add(&mut self, t: usize, p: usize) {
+        // `nb` is a literal after inlining: one row needs one index each.
+        if self.nb == 1 {
+            add_lanes(&mut self.psum[p], &self.wt[t]);
+            return;
+        }
         let w = &self.wt[t * self.nb..][..self.nb];
         for (acc, w) in self.psum[p * self.nb..][..self.nb].iter_mut().zip(w) {
             add_lanes(acc, w);
@@ -561,13 +754,15 @@ fn add_lanes<const S: usize>(acc: &mut [i16; S], w: &[i8; S]) {
     }
 }
 
-/// Float scatter: adds each valid tap's transposed weight row into its
-/// channels-last psum row (`C_out` lanes, unpadded).
+/// Float scatter: adds each tap's transposed weight row into its
+/// channels-last psum row (`C_out` lanes, unpadded; `OH·OW + 1` rows, the
+/// last the junk row).
 fn scatter_f32(
     g: &Conv2dGeom,
-    taps: &TapTable,
+    walk: &TapWalk,
     wt: &[f32],
     plane: &SpikePlane,
+    list: &mut Vec<u32>,
     psum_cl: &mut [f32],
 ) {
     let mut rows = F32Rows {
@@ -575,32 +770,35 @@ fn scatter_f32(
         psum: psum_cl,
         cout: g.out_channels,
     };
-    for_each_tap(taps, g.kernel * g.kernel, plane, &mut rows);
+    for_each_tap(walk, g.kernel * g.kernel, plane, list, &mut rows);
 }
 
 /// Integer scatter pipeline at a compile-time lane width `S`: clears the
-/// channels-last psums, adds each valid tap's weight row into its psum row
-/// (`nb` blocks of `S` saturating i16 lanes per row), and transposes the
-/// rows into canonical `[C_out, OH, OW]` `out`. The callers pass `nb` as a
-/// literal, so after inlining the whole row is a fixed-width sweep.
+/// channels-last psums (`OH·OW` rows and the junk row), adds each tap's
+/// weight row into its psum row (`nb` blocks of `S` saturating i16 lanes
+/// per row), and transposes the real rows into canonical `[C_out, OH, OW]`
+/// `out`. The callers pass `nb` as a literal, so after inlining the whole
+/// row is a fixed-width sweep.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn scatter_int<const S: usize>(
     g: &Conv2dGeom,
-    taps: &TapTable,
+    walk: &TapWalk,
     wt: &[i8],
     plane: &SpikePlane,
+    list: &mut Vec<u32>,
     psum_cl: &mut Vec<i16>,
     out: &mut [i16],
     nb: usize,
 ) {
     let (oh, ow) = g.out_hw();
-    scratch_resize(psum_cl, oh * ow * S * nb, 0);
+    scratch_resize(psum_cl, (oh * ow + 1) * S * nb, 0);
     let mut rows = IntRows::<S> {
         wt: wt.as_chunks::<S>().0,
         psum: psum_cl.as_chunks_mut::<S>().0,
         nb,
     };
-    for_each_tap(taps, g.kernel * g.kernel, plane, &mut rows);
+    for_each_tap(walk, g.kernel * g.kernel, plane, list, &mut rows);
     transpose_cl(rows.psum.as_flattened(), out, g.out_channels, S * nb);
 }
 
@@ -811,7 +1009,7 @@ fn check_plane(g: &Conv2dGeom, plane: &SpikePlane) {
 }
 
 /// Word-parallel scatter pipeline: scatter into the padded channels-last
-/// psums with the layer's padded weight rows and tap table, transpose to
+/// psums with the layer's padded weight rows and tap walk, transpose to
 /// canonical layout. The row width picks the lane-width instantiation.
 fn run_scatter_int<'a>(
     conv: &SnnConv,
@@ -823,18 +1021,19 @@ fn run_scatter_int<'a>(
     let ConvScratch {
         psum_i,
         psum_cl_i,
+        spikes,
         layers,
         ..
     } = scr;
-    let (wt, taps) = entry_mut(layers, layer).scatter_wt(conv);
+    let (wt, walk) = entry_mut(layers, layer).scatter_wt(conv);
     scratch_resize(psum_i, g.out_neurons(), 0);
-    let out = psum_i.as_mut_slice();
+    let (cl, out) = (psum_cl_i, psum_i.as_mut_slice());
     match scatter_lane_span(g.out_channels) {
-        16 => scatter_int::<16>(g, taps, wt, plane, psum_cl_i, out, 1),
-        32 => scatter_int::<32>(g, taps, wt, plane, psum_cl_i, out, 1),
-        48 => scatter_int::<48>(g, taps, wt, plane, psum_cl_i, out, 1),
-        64 => scatter_int::<64>(g, taps, wt, plane, psum_cl_i, out, 1),
-        span => scatter_int::<LANES>(g, taps, wt, plane, psum_cl_i, out, span / LANES),
+        16 => scatter_int::<16>(g, walk, wt, plane, spikes, cl, out, 1),
+        32 => scatter_int::<32>(g, walk, wt, plane, spikes, cl, out, 1),
+        48 => scatter_int::<48>(g, walk, wt, plane, spikes, cl, out, 1),
+        64 => scatter_int::<64>(g, walk, wt, plane, spikes, cl, out, 1),
+        span => scatter_int::<LANES>(g, walk, wt, plane, spikes, cl, out, span / LANES),
     }
     &scr.psum_i
 }
@@ -959,14 +1158,15 @@ pub fn conv_psums_f32_plane<'a>(
     let ConvScratch {
         psum_f,
         psum_cl_f,
+        spikes,
         layers,
         ..
     } = scr;
     scratch_resize(psum_f, n_out, 0.0);
     if sparse {
-        let (wt, taps) = entry_mut(layers, layer).f32_wt(conv);
-        scratch_resize(psum_cl_f, n_out, 0.0);
-        scatter_f32(g, taps, wt, plane, psum_cl_f);
+        let (wt, walk) = entry_mut(layers, layer).f32_wt(conv);
+        scratch_resize(psum_cl_f, n_out + g.out_channels, 0.0);
+        scatter_f32(g, walk, wt, plane, spikes, psum_cl_f);
         transpose_cl(psum_cl_f, psum_f, g.out_channels, g.out_channels);
     } else {
         gather_f32(conv, plane, psum_f);
@@ -1371,6 +1571,175 @@ pub(crate) mod tests {
         let got =
             conv_psums_int_plane(&conv, &plane, KernelPolicy::ForceSparse, &mut scr, 0).to_vec();
         assert_eq!(got, reference);
+    }
+
+    #[test]
+    fn divisor_splits_like_the_divide_instruction() {
+        for d in [
+            1u32,
+            2,
+            3,
+            5,
+            7,
+            10,
+            16,
+            60,
+            100,
+            255,
+            1000,
+            65_535,
+            65_536,
+            1 << 20 | 7,
+        ] {
+            let div = Divisor::new(d);
+            let edges = [0u32, 1, d - 1, d, d.wrapping_add(1), u32::MAX - 1, u32::MAX];
+            let near_multiples = (1..200u32).flat_map(|q| {
+                let m = q.wrapping_mul(d);
+                [m.wrapping_sub(1), m, m.wrapping_add(1)]
+            });
+            let mut state = u64::from(d);
+            let random = (0..2000).map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 32) as u32
+            });
+            for n in edges.into_iter().chain(near_multiples).chain(random) {
+                assert_eq!(div.split(n), (n / d, n % d), "{n} / {d}");
+            }
+        }
+        let div = Divisor::new(u32::MAX);
+        for n in [0, 1, u32::MAX - 1, u32::MAX] {
+            assert_eq!(div.split(n), (n / u32::MAX, n % u32::MAX));
+        }
+    }
+
+    /// Records every tap the walk issues.
+    struct Record(Vec<(usize, usize)>);
+
+    impl TapAdd for Record {
+        fn add(&mut self, t: usize, p: usize) {
+            self.0.push((t, p));
+        }
+    }
+
+    #[test]
+    fn walk_visits_the_reaching_spikes_in_flat_order() {
+        // Every tap the walk issues is either a real tap, in the reference
+        // order (spikes ascending in flat `(ci, iy, x)`, then `ky`, then
+        // `kx`), or a junk tap into row `OH·OW`; each spike whose pixel
+        // reaches an output issues exactly `r·c` of them, and no other
+        // spike issues any. Planes span several compaction blocks, with
+        // spikes on both sides of every word boundary, at widths that do
+        // and do not divide 64 and with tapless pixels (stride above the
+        // kernel, and far edges no window reaches).
+        for (i, &(cin, h, w, k, stride, pad)) in [
+            (3usize, 16usize, 16usize, 3usize, 1usize, 1usize),
+            (13, 16, 16, 3, 1, 1),
+            (5, 8, 8, 3, 2, 1),
+            (9, 16, 16, 1, 2, 0),
+            (4, 10, 10, 1, 3, 0),
+            (4, 11, 11, 2, 3, 0),
+            (3, 9, 5, 2, 3, 1),
+            (2, 7, 65, 3, 1, 1),
+            (3, 6, 100, 5, 2, 2),
+            (40, 6, 10, 3, 1, 0),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let g = Conv2dGeom {
+                in_channels: cin,
+                out_channels: 8,
+                in_h: h,
+                in_w: w,
+                kernel: k,
+                stride,
+                padding: pad,
+            };
+            let (oh, ow) = g.out_hw();
+            let walk = TapWalk::new(&g);
+            let n = cin * h * w;
+            let patterns: [Box<dyn Fn(usize) -> bool>; 3] = [
+                Box::new(|f| matches!(f % 64, 0 | 63)),
+                Box::new(|_| true),
+                Box::new(move |f| (f * 7 + i) % 5 == 0),
+            ];
+            for (pi, on) in patterns.iter().enumerate() {
+                let bytes: Vec<u8> = (0..n).map(|f| u8::from(on(f))).collect();
+                let mut plane = SpikePlane::default();
+                plane.pack_from_bytes(cin, h, w, &bytes);
+                let mut rec = Record(Vec::new());
+                let mut list = Vec::new();
+                for_each_tap(&walk, k * k, &plane, &mut list, &mut rec);
+
+                let junk = oh * ow;
+                let mut real = Vec::new();
+                let mut reaching = 0;
+                for f in (0..n).filter(|&f| bytes[f] != 0) {
+                    let (ci, iy, x) = (f / (h * w), f / w % h, f % w);
+                    let axis = |i: usize, o_len: usize| -> Vec<(usize, usize)> {
+                        (0..k)
+                            .filter(|&kk| i + pad >= kk && (i + pad - kk).is_multiple_of(stride))
+                            .map(|kk| (kk, (i + pad - kk) / stride))
+                            .filter(|&(_, o)| o < o_len)
+                            .collect()
+                    };
+                    let (rows, cols) = (axis(iy, oh), axis(x, ow));
+                    if rows.is_empty() || cols.is_empty() {
+                        continue;
+                    }
+                    reaching += 1;
+                    for &(ky, oy) in &rows {
+                        for &(kx, ox) in &cols {
+                            real.push(((ci * k + ky) * k + kx, oy * ow + ox));
+                        }
+                    }
+                }
+                let case = format!("{cin}x{h}x{w} K={k} s={stride} p={pad} pattern {pi}");
+                assert_eq!(rec.0.len(), reaching * walk.r * walk.c, "{case}");
+                let (issued_real, issued_junk): (Vec<_>, Vec<_>) =
+                    rec.0.iter().partition(|&&(_, p)| p < junk);
+                assert_eq!(issued_real, real, "{case}");
+                assert!(
+                    issued_junk
+                        .iter()
+                        .all(|&(t, p)| p == junk && t < cin * k * k),
+                    "{case}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn walk_tables_fit_the_deployed_layers() {
+        // 3×3 stride 1 reaches three rows and columns; 3×3 stride 2 at most
+        // two; 1×1 stride 2 one, and only from even rows and columns, which
+        // the reach mask alone keeps.
+        for (cin, hw, k, stride, pad, rc, masked) in [
+            (
+                8usize,
+                16usize,
+                3usize,
+                1usize,
+                1usize,
+                (3usize, 3usize),
+                false,
+            ),
+            (16, 8, 3, 1, 1, (3, 3), false),
+            (64, 2, 3, 1, 1, (2, 2), false),
+            (8, 16, 3, 2, 1, (2, 2), false),
+            (8, 16, 1, 2, 0, (1, 1), true),
+        ] {
+            let g = test_conv(cin, 16, hw, k, stride, pad, 0).geom;
+            let walk = TapWalk::new(&g);
+            assert_eq!((walk.r, walk.c), rc, "{g}");
+            assert_eq!(!walk.reach.is_empty(), masked, "{g}");
+            if masked {
+                // Rows 0–3 of channel 0: even columns of the even rows.
+                assert_eq!(walk.reach[0], 0x0000_5555_0000_5555);
+            }
+        }
     }
 
     #[test]

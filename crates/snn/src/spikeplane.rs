@@ -7,14 +7,15 @@
 //! and the cycle-level machine:
 //!
 //! * popcount-based spike statistics ([`SpikePlane::count_ones`]),
-//! * per-channel word views for kernels that walk set bits a row word at
-//!   a time ([`SpikePlane::channel_words`]: the scatter's tap-table walk
-//!   and the head's per-channel popcounts),
+//! * per-channel word views for kernels that read a channel's rows a word
+//!   at a time ([`SpikePlane::channel_words`]: the tiled kernel's mask
+//!   expansion and the head's per-channel popcounts),
 //! * word-level segment extraction for the PE pipeline
 //!   ([`SpikePlane::extract_bits`]),
 //! * moving a stage's bits to and from flat 64-neuron words, whatever its
-//!   row width, for epilogues that step neurons a word at a time
-//!   ([`SpikePlane::flat_words`], [`SpikePlane::flat_writer`]). Where the
+//!   row width, for the scatter's spike compaction and for epilogues that
+//!   step neurons a word at a time ([`SpikePlane::flat_words`],
+//!   [`SpikePlane::flat_writer`]). Where the
 //!   row width divides 64 (every deployed stage: 16, 8, 4 or 2 columns), a
 //!   flat word is exactly `64 / W` whole rows, each placed or gathered
 //!   with one shift and mask; other widths stream their bits through a

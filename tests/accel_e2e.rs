@@ -125,7 +125,7 @@ fn equal_mac_layers_have_comparable_compute() {
     // The Table I invariant: conv 64@32², 128@16², 256@8², 512@4² (C_in =
     // C_out) all have 37.7M MACs; at equal spike rates the event-driven
     // compute cycles must agree within a small factor.
-    use sia_accel::spiking_core::{processed_segments, ConvPassStats};
+    use sia_accel::spiking_core::layer_passes;
     use sia_snn::spikeplane::SpikePlane;
     let cfg = SiaConfig::pynq_z2();
     let mut compute = Vec::new();
@@ -143,15 +143,8 @@ fn equal_mac_layers_have_comparable_compute() {
         let spikes: Vec<u8> = (0..ch * hw * hw).map(|i| u8::from(i % 6 == 0)).collect();
         let mut plane = SpikePlane::default();
         plane.pack_from_bytes(ch, hw, hw, &spikes);
-        let processed = processed_segments(&geom, &plane, &cfg);
-        let mut cycles = 0u64;
-        let mut start = 0;
-        while start < ch {
-            let size = (ch - start).min(cfg.pe_count());
-            cycles += ConvPassStats::new(&geom, &cfg, processed, size).cycles;
-            start += size;
-        }
-        compute.push(cycles);
+        let (groups, _, _) = plan_conv(&geom, &cfg, 8, 0);
+        compute.push(layer_passes(&geom, &plane, &groups, &cfg).cycles);
     }
     let min = *compute.iter().min().unwrap() as f64;
     let max = *compute.iter().max().unwrap() as f64;

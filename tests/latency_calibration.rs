@@ -5,7 +5,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sia_accel::spiking_core::{processed_segments, ConvPassStats};
+use sia_accel::spiking_core::{layer_passes, processed_segments, ConvPassStats};
 use sia_accel::{plan_conv, SiaConfig};
 use sia_snn::spikeplane::SpikePlane;
 use sia_tensor::Conv2dGeom;
@@ -22,13 +22,8 @@ fn spikes(c: usize, h: usize, w: usize, rate: f64, seed: u64) -> SpikePlane {
 
 fn per_timestep_ms(geom: &Conv2dGeom, rate: f64, cfg: &SiaConfig, timesteps: usize) -> f64 {
     let s = spikes(geom.in_channels, geom.in_h, geom.in_w, rate, 0xCA1);
-    let processed = processed_segments(geom, &s, cfg);
     let (groups, _fp, traffic) = plan_conv(geom, cfg, timesteps, 0);
-    let mut compute = 0u64;
-    for &(_, size) in &groups {
-        compute +=
-            ConvPassStats::new(geom, cfg, processed, size).cycles + cfg.aggregation_pipeline_depth;
-    }
+    let compute = layer_passes(geom, &s, &groups, cfg).cycles;
     let cycles = compute.max(traffic.cycles(cfg) / timesteps as u64)
         + cfg.layer_overhead_cycles / timesteps as u64;
     cycles as f64 / cfg.clock_hz as f64 * 1e3
