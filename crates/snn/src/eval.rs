@@ -697,9 +697,9 @@ impl BatchEvaluator {
     /// and reduces. Each image's run shrinks to the classes and spike
     /// counts the outcome reads as soon as it completes, so the batch never
     /// holds every image's logits at once. Engines never migrate between
-    /// items of different
-    /// workers, and each image is a fresh [`crate::drive_policy`] run, so results match
-    /// a sequential evaluation exactly — for any thread count.
+    /// items of different workers, and each image is a fresh
+    /// [`crate::drive_policy`] run, so results match a sequential
+    /// evaluation exactly — for any thread count.
     ///
     /// # Panics
     ///

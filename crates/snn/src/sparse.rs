@@ -218,14 +218,19 @@ impl CostModel {
     /// fit to a full `sia bench conv` of the row-by-row scatter on a
     /// 2-vCPU x86-64 virtual machine. They put the crossover of the
     /// 32-channel 16×16 bench layer near 11 % density and of the deployed
-    /// 8-channel 16×16 layers near 2 %. The bench times one spike plane
-    /// repeated, which flatters the scatter: coefficients refitted to a
-    /// run where the tap-table scatter beat the tiled kernel on the
+    /// 8-channel 16×16 layers near 2 %. The bench then timed one spike
+    /// plane repeated, which flatters the scatter: coefficients refitted
+    /// to a run where the tap-table scatter beat the tiled kernel on the
     /// 8-channel layer up to ~8 % (`8to8k3s1_16_dNNN`) made the deployed
-    /// 16×16 stage slower in traced `eval-fixed` runs, so these stay. The
-    /// psum transpose that `scatter_ps_per_out` prices has since moved to
-    /// blocks of output pixels and got cheaper; the coefficients were not
-    /// refitted for it, so every layer keeps the kernel decision it had.
+    /// 16×16 stage slower in traced `eval-fixed` runs, so these stay.
+    /// Both scatter costs have fallen since: the psum transpose that
+    /// `scatter_ps_per_out` prices moved to blocks of output pixels, and
+    /// the branch-free walk made each spike cheaper (in the full run
+    /// recorded in `BENCH_conv.json` the scatter beats the tiled kernel on
+    /// the 8-channel layer at 5 % density, 2.9 µs against 3.8 µs, and
+    /// loses at 10 %, 4.5 µs against 3.8 µs). The coefficients were not
+    /// refitted for either, so every layer keeps the kernel decision it
+    /// had.
     pub const DEFAULT: CostModel = CostModel {
         scatter_ps_per_lane: 250,
         scatter_ps_per_out: 800,
@@ -314,7 +319,7 @@ impl LayerEntry {
         }
         (
             &self.wt_i,
-            TapWalk::get_or_build(&mut self.walk, &conv.geom),
+            self.walk.get_or_insert_with(|| TapWalk::new(&conv.geom)),
         )
     }
 
@@ -331,7 +336,7 @@ impl LayerEntry {
         }
         (
             &self.wt_f,
-            TapWalk::get_or_build(&mut self.walk, &conv.geom),
+            self.walk.get_or_insert_with(|| TapWalk::new(&conv.geom)),
         )
     }
 
@@ -385,15 +390,10 @@ struct TapWalk {
 }
 
 impl TapWalk {
-    /// The layer's walk, built on first use (scratch-tracked).
-    fn get_or_build<'a>(walk: &'a mut Option<TapWalk>, g: &Conv2dGeom) -> &'a TapWalk {
-        walk.get_or_insert_with(|| {
-            note_growth();
-            TapWalk::new(g)
-        })
-    }
-
+    /// The walk of a layer of geometry `g` (scratch-tracked: a layer
+    /// builds it once, on its first scatter).
     fn new(g: &Conv2dGeom) -> TapWalk {
+        note_growth();
         let (oh, ow) = g.out_hw();
         let junk = narrow(oh * ow);
         let (rows, r, row_reaches) =
