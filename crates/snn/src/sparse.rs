@@ -420,8 +420,9 @@ impl TapWalk {
             c,
             junk,
             reach,
-            by_w: Divisor::new(narrow(g.in_w)),
-            by_h: Divisor::new(narrow(g.in_h)),
+            // A plane with no neurons lists no spike to split.
+            by_w: Divisor::new(narrow(g.in_w.max(1))),
+            by_h: Divisor::new(narrow(g.in_h.max(1))),
         }
     }
 }
@@ -1709,6 +1710,19 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn scatters_return_zero_psums_for_a_plane_with_no_neurons() {
+        // A 1×1 kernel with padding 1 reads only padding from a 0×0 input.
+        let conv = test_conv(2, 4, 0, 1, 1, 1, 3);
+        let (oh, ow) = conv.geom.out_hw();
+        let plane = SpikePlane::new(2, 0, 0);
+        let mut scr = ConvScratch::new();
+        let got = conv_psums_int_scatter(&conv, &plane, &mut scr, 0).to_vec();
+        assert_eq!(got, vec![0; 4 * oh * ow]);
+        let got = conv_psums_f32_plane(&conv, &plane, KernelPolicy::ForceSparse, &mut scr, 1);
+        assert_eq!(got, vec![0.0; 4 * oh * ow]);
     }
 
     #[test]
