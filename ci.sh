@@ -159,6 +159,10 @@ cargo run --release -p sia-cli -- check --model vgg11
 
 echo "==> telemetry compiled out still passes"
 cargo test -q --no-default-features
+# The engine crates on their own: the root package's tests above do not
+# run their unit tests, and its lint pass builds them with telemetry on.
+cargo test -q -p sia-snn -p sia-accel --no-default-features
+cargo clippy -p sia-snn -p sia-accel --no-default-features --all-targets -- -D warnings
 
 echo "==> full workspace suite"
 cargo test -q --workspace

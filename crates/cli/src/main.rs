@@ -210,8 +210,9 @@ USAGE:
   register-tiled dense kernel (3x3 stride-1 layers it tiles whole only),
   fixed once per layer from its geometry by a built-in integer cost model
   (--kernel-policy auto, the default); sparse always scatters, dense tiles
-  wherever the tiled kernel applies. Every choice is bit-exact. An unknown
-  flag is a usage error (exit 2).
+  wherever the tiled kernel applies. Every choice is bit-exact. The float
+  backend has one kernel, the scatter. An unknown flag is a usage error
+  (exit 2).
 
   Adaptive early exit: --policy margin|entropy stops integrating timesteps
   once the head's logits clear a confidence threshold (--exit-margin /

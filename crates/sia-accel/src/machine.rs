@@ -39,6 +39,7 @@ use sia_snn::{
 };
 use sia_telemetry::Value;
 use sia_tensor::Tensor;
+use std::sync::Arc;
 
 /// Result of one machine inference.
 #[derive(Clone, Debug)]
@@ -94,7 +95,8 @@ fn spiking_unit(item: &SnnItem) -> Option<(i16, usize)> {
 /// The accelerator executor.
 #[derive(Debug)]
 pub struct SiaMachine {
-    program: Program,
+    /// Shared by every machine one factory builds.
+    program: Arc<Program>,
     config: SiaConfig,
     controller: Controller,
     /// The U1/U2 membrane banks of every spiking item, sized to the layer
@@ -127,9 +129,10 @@ pub struct SiaMachine {
 }
 
 impl SiaMachine {
-    /// Builds a machine for a compiled program.
+    /// Builds a machine for a compiled program, owned or shared.
     #[must_use]
-    pub fn new(program: Program, config: SiaConfig) -> Self {
+    pub fn new(program: impl Into<Arc<Program>>, config: SiaConfig) -> Self {
+        let program = program.into();
         // One self-describing configuration event per machine so a metrics
         // JSONL file carries everything `sia report` needs to derive the
         // roofline (PE-array peak + Fig. 5 memory/AXI budget).
@@ -732,11 +735,12 @@ impl Engine for SiaMachine {
 
 /// [`sia_snn::EngineFactory`] building one [`SiaMachine`] per pool worker
 /// from a compiled program — the accelerator backend of the persistent
-/// engine pool. Each worker's machine keeps its scratch arenas resident
-/// across every batch the pool serves.
+/// engine pool. Every machine shares the factory's one program; each
+/// worker's machine keeps its scratch arenas resident across every batch
+/// the pool serves.
 #[derive(Clone, Debug)]
 pub struct SiaEngineFactory {
-    program: Program,
+    program: Arc<Program>,
     config: SiaConfig,
     policy: KernelPolicy,
 }
@@ -744,9 +748,9 @@ pub struct SiaEngineFactory {
 impl SiaEngineFactory {
     /// Creates a factory over a compiled program and its configuration.
     #[must_use]
-    pub fn new(program: Program, config: SiaConfig) -> Self {
+    pub fn new(program: impl Into<Arc<Program>>, config: SiaConfig) -> Self {
         SiaEngineFactory {
-            program,
+            program: program.into(),
             config,
             policy: KernelPolicy::Auto,
         }
@@ -764,7 +768,7 @@ impl sia_snn::EngineFactory for SiaEngineFactory {
     type Engine<'a> = SiaMachine;
 
     fn build(&self) -> SiaMachine {
-        let mut machine = SiaMachine::new(self.program.clone(), self.config.clone());
+        let mut machine = SiaMachine::new(Arc::clone(&self.program), self.config.clone());
         machine.set_kernel_policy(self.policy);
         machine
     }

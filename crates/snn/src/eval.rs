@@ -25,13 +25,16 @@
 
 use crate::encode::rate_encode;
 use crate::exit::ExitPolicy;
-use crate::runner::{drive_policy, Engine, EngineInput, SnnOutput};
+use crate::runner::{
+    drive_policy, Datapath, Engine, EngineInput, FloatDatapath, IntDatapath, Runner, SnnOutput,
+};
 use crate::stats::SpikeStats;
 use sia_dataset::LabelledSet;
 use sia_sched::{
     AtomicUsizeApi, CondvarApi, JoinHandleApi, MutexApi, ReceiverApi, SenderApi, StdSync, SyncOps,
 };
 use sia_tensor::{pool, Tensor};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -96,55 +99,29 @@ pub trait EngineFactory: Send + Sync + 'static {
     fn build(&self) -> Self::Engine<'_>;
 }
 
-/// [`EngineFactory`] for the float reference dynamics.
+/// [`EngineFactory`] building one functional [`Runner`] per worker, all
+/// sharing one network.
 #[derive(Clone, Debug)]
-pub struct FloatEngineFactory {
+pub struct RunnerFactory<D> {
     net: Arc<crate::SnnNetwork>,
     policy: crate::KernelPolicy,
+    datapath: PhantomData<fn() -> D>,
 }
 
-impl FloatEngineFactory {
-    /// Creates a factory over a shared network.
-    #[must_use]
-    pub fn new(net: Arc<crate::SnnNetwork>) -> Self {
-        FloatEngineFactory {
-            net,
-            policy: crate::KernelPolicy::Auto,
-        }
-    }
-
-    /// Sets the psum kernel policy every built engine starts with.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: crate::KernelPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-}
-
-impl EngineFactory for FloatEngineFactory {
-    type Engine<'a> = crate::FloatRunner<'a>;
-
-    fn build(&self) -> crate::FloatRunner<'_> {
-        let mut runner = crate::FloatRunner::new(&self.net);
-        runner.set_kernel_policy(self.policy);
-        runner
-    }
-}
+/// [`EngineFactory`] for the float reference dynamics.
+pub type FloatEngineFactory = RunnerFactory<FloatDatapath>;
 
 /// [`EngineFactory`] for the integer datapath.
-#[derive(Clone, Debug)]
-pub struct IntEngineFactory {
-    net: Arc<crate::SnnNetwork>,
-    policy: crate::KernelPolicy,
-}
+pub type IntEngineFactory = RunnerFactory<IntDatapath>;
 
-impl IntEngineFactory {
+impl<D: Datapath> RunnerFactory<D> {
     /// Creates a factory over a shared network.
     #[must_use]
     pub fn new(net: Arc<crate::SnnNetwork>) -> Self {
-        IntEngineFactory {
+        RunnerFactory {
             net,
             policy: crate::KernelPolicy::Auto,
+            datapath: PhantomData,
         }
     }
 
@@ -156,11 +133,11 @@ impl IntEngineFactory {
     }
 }
 
-impl EngineFactory for IntEngineFactory {
-    type Engine<'a> = crate::IntRunner<'a>;
+impl<D: Datapath> EngineFactory for RunnerFactory<D> {
+    type Engine<'a> = Runner<'a, D>;
 
-    fn build(&self) -> crate::IntRunner<'_> {
-        let mut runner = crate::IntRunner::new(&self.net);
+    fn build(&self) -> Runner<'_, D> {
+        let mut runner = Runner::new(&self.net);
         runner.set_kernel_policy(self.policy);
         runner
     }

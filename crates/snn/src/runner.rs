@@ -5,13 +5,20 @@
 //! resolution, event-stream validation, precondition checking, the
 //! layer × timestep traversal, [`SpikeStats`] accumulation and the
 //! per-timestep readout — while the backends implement only their
-//! genuinely distinct arithmetic behind the [`Engine`] trait:
+//! genuinely distinct arithmetic behind the [`Engine`] trait. There are
+//! two backends:
 //!
-//! * [`FloatRunner`] — the float reference dynamics (`f32`, no saturation),
-//! * [`IntRunner`] — the integer datapath (saturating 16-bit partial sums
-//!   in a fixed tap order, Q8.8 batch-norm multiply, 16-bit membranes),
-//! * `sia_accel::SiaMachine` — the same integer arithmetic plus
-//!   cycle/memory/AXI accounting on the modelled hardware.
+//! * the functional [`Runner`], one skeleton over two [`Datapath`]s. It
+//!   owns membranes, head evidence, pending residual currents, scratch and
+//!   the whole [`Engine`] frame; the datapath holds only the arithmetic.
+//!   [`IntRunner`] runs the integer datapath ([`IntDatapath`]: saturating
+//!   16-bit partial sums in a fixed tap order, Q8.8 batch-norm, 16-bit
+//!   membranes). [`FloatRunner`] runs the float reference
+//!   ([`FloatDatapath`]: `f32`, no saturation or coefficient rounding);
+//! * `sia_accel::SiaMachine` — the integer arithmetic plus
+//!   cycle/memory/AXI accounting on the modelled hardware, with its own
+//!   neuron-by-neuron epilogue and spike-by-spike head, so it stays an
+//!   independent oracle of the integer runner.
 //!
 //! The driver runs **layer-major** (all timesteps of a stage before the
 //! next stage), the schedule of the hardware's per-layer ping-pong membrane
@@ -33,21 +40,21 @@
 //! per-engine [`DriveScratch`] arenas, so the steady-state timestep loop
 //! performs **zero heap allocations**: psums, membranes, pending residual
 //! currents and the spike planes themselves are all reusable scratch
-//! (tracked by [`crate::scratch::scratch_growth`]). Each conv layer runs the
-//! event-driven scatter or the register-tiled dense kernel of
+//! (tracked by [`crate::scratch::scratch_growth`]). Each integer conv layer
+//! runs the event-driven scatter or the register-tiled dense kernel of
 //! [`crate::sparse`], a choice each engine fixes once per layer from the
 //! layer's geometry (and, where both kernels are candidates, a crossover
-//! spike count); the integer runner's neuron epilogue then steps each
-//! stage in flat 64-neuron words, firing without divisions or
-//! data-dependent branches ([`crate::neuron::fire_int`]), and its head
-//! reads each timestep as per-channel spike counts.
+//! spike count); the float datapath always scatters. The integer neuron
+//! epilogue steps each stage in flat 64-neuron words, firing without
+//! divisions or data-dependent branches ([`crate::neuron::fire_int`]), and
+//! the integer head reads each timestep as per-channel spike counts.
 //!
 //! One run at `T` yields the entire accuracy-vs-timesteps curve up to `T`
 //! (Figs. 7 and 9) and per-stage spike counts (Figs. 6 and 8).
 
 use crate::encode::{encode_image, EventStream};
 use crate::exit::{should_exit, ExitPolicy};
-use crate::network::{ConvInput, SnnConv, SnnItem, SnnLinear, SnnNetwork};
+use crate::network::{ConvInput, NeuronMode, SnnAdd, SnnConv, SnnItem, SnnLinear, SnnNetwork};
 use crate::neuron::{fire_int, step_f32};
 use crate::scratch::{scratch_reserve_default, scratch_resize};
 use crate::sparse::{
@@ -60,6 +67,7 @@ use sia_fixed::sat::{acc_weight, add16};
 use sia_fixed::{QuantScale, Q8_8};
 use sia_telemetry::Value;
 use sia_tensor::Tensor;
+use std::fmt;
 use std::sync::Arc;
 
 /// The result of one inference run.
@@ -112,20 +120,27 @@ fn argmax(v: &[f32]) -> usize {
     best
 }
 
-/// Canonical tap order for partial-sum accumulation: input channels outer,
-/// kernel rows, kernel columns inner — the row-by-row schedule of the PE
-/// array (paper §III-A). Saturating arithmetic makes the order observable,
-/// so the cycle-level machine (`sia-accel`) and the event-driven scatter
-/// path ([`crate::sparse`]) share this exact definition; this byte-wise
-/// loop is the reference they are proven against.
-pub fn conv_psums_int(conv: &SnnConv, spikes: &[u8]) -> Vec<i16> {
+/// The byte-wise walk the reference convs share: each output `(co, oy,
+/// ox)` folds `tap(acc, input, weight)` over its in-bounds taps from
+/// `zero`, `input` being the tap's flat `[C_in, H, W]` index, in the
+/// canonical tap order — input channels outer, kernel rows, kernel
+/// columns inner: the row-by-row schedule of the PE array (paper §III-A).
+/// Saturating and `f32` arithmetic make the order observable, so the
+/// cycle-level machine (`sia-accel`) and the fast kernels of
+/// [`crate::sparse`] share this exact definition; the references built on
+/// it are what those kernels are proven against.
+pub(crate) fn conv_reference<A: Copy>(
+    conv: &SnnConv,
+    zero: A,
+    out: &mut [A],
+    tap: impl Fn(A, usize, i8) -> A,
+) {
     let g = &conv.geom;
     let (oh, ow) = g.out_hw();
-    let mut psums = vec![0i16; g.out_channels * oh * ow];
     for co in 0..g.out_channels {
         for oy in 0..oh {
             for ox in 0..ow {
-                let mut acc = 0i16;
+                let mut acc = zero;
                 for ci in 0..g.in_channels {
                     for ky in 0..g.kernel {
                         let iy = (oy * g.stride + ky) as isize - g.padding as isize;
@@ -137,52 +152,43 @@ pub fn conv_psums_int(conv: &SnnConv, spikes: &[u8]) -> Vec<i16> {
                             if ix < 0 || ix >= g.in_w as isize {
                                 continue;
                             }
-                            let sidx = (ci * g.in_h + iy as usize) * g.in_w + ix as usize;
-                            if spikes[sidx] != 0 {
-                                acc = acc_weight(acc, conv.weight(co, ci, ky, kx));
-                            }
+                            let input = (ci * g.in_h + iy as usize) * g.in_w + ix as usize;
+                            acc = tap(acc, input, conv.weight(co, ci, ky, kx));
                         }
                     }
                 }
-                psums[(co * oh + oy) * ow + ox] = acc;
+                out[(co * oh + oy) * ow + ox] = acc;
             }
         }
     }
+}
+
+/// Integer partial sums of a spike bitmap: saturating 16-bit accumulation
+/// in the canonical tap order. The one integer bit-exactness oracle of the
+/// event-driven scatter and the tiled kernel ([`crate::sparse`]).
+pub fn conv_psums_int(conv: &SnnConv, spikes: &[u8]) -> Vec<i16> {
+    let mut psums = vec![0; conv.out_neurons()];
+    conv_reference(conv, 0, &mut psums, |acc, i, w| {
+        if spikes[i] == 0 {
+            acc
+        } else {
+            acc_weight(acc, w)
+        }
+    });
     psums
 }
 
 /// Float-reference partial sums in weight-code units (no saturation) — the
 /// byte-wise reference for the `f32` scatter path.
 pub fn conv_psums_f32(conv: &SnnConv, spikes: &[u8]) -> Vec<f32> {
-    let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    let mut psums = vec![0.0f32; g.out_channels * oh * ow];
-    for co in 0..g.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ci in 0..g.in_channels {
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let sidx = (ci * g.in_h + iy as usize) * g.in_w + ix as usize;
-                            if spikes[sidx] != 0 {
-                                acc += f32::from(conv.weight(co, ci, ky, kx));
-                            }
-                        }
-                    }
-                }
-                psums[(co * oh + oy) * ow + ox] = acc;
-            }
+    let mut psums = vec![0.0; conv.out_neurons()];
+    conv_reference(conv, 0.0, &mut psums, |acc, i, w| {
+        if spikes[i] == 0 {
+            acc
+        } else {
+            acc + f32::from(w)
         }
-    }
+    });
     psums
 }
 
@@ -190,33 +196,10 @@ pub fn conv_psums_f32(conv: &SnnConv, spikes: &[u8]) -> Vec<f32> {
 /// accumulation (PS-side frame conversion). Shared with the cycle-level
 /// machine, which runs this layer on the PS exactly as the prototype does.
 pub fn conv_psums_dense(conv: &SnnConv, codes: &[i8]) -> Vec<i32> {
-    let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    let mut psums = vec![0i32; g.out_channels * oh * ow];
-    for co in 0..g.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0i32;
-                for ci in 0..g.in_channels {
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let sidx = (ci * g.in_h + iy as usize) * g.in_w + ix as usize;
-                            acc += i32::from(codes[sidx]) * i32::from(conv.weight(co, ci, ky, kx));
-                        }
-                    }
-                }
-                psums[(co * oh + oy) * ow + ox] = acc;
-            }
-        }
-    }
+    let mut psums = vec![0; conv.out_neurons()];
+    conv_reference(conv, 0, &mut psums, |acc, i, w| {
+        acc + i32::from(codes[i]) * i32::from(w)
+    });
     psums
 }
 
@@ -739,7 +722,385 @@ pub fn drive_policy<E: Engine>(
 }
 
 // ---------------------------------------------------------------------------
-// Integer backend
+// The functional runner
+// ---------------------------------------------------------------------------
+
+/// The functional runner: one network's membranes, head evidence and
+/// scratch, stepped in the arithmetic of its [`Datapath`] —
+/// [`IntRunner`] and [`FloatRunner`].
+#[derive(Debug)]
+pub struct Runner<'a, D: Datapath> {
+    net: &'a SnnNetwork,
+    datapath: D,
+    membranes: Vec<Vec<D::Value>>,
+    head_acc: Vec<D::Evidence>,
+    /// Dense first-layer currents, constant across timesteps (cached at
+    /// `t == 0`).
+    input_currents: Vec<D::Value>,
+    /// Flat per-timestep psum currents awaiting the closing `BlockAdd`
+    /// (`run_timesteps` frames of `pending_len` each).
+    pending: Vec<D::Value>,
+    pending_len: usize,
+    run_timesteps: usize,
+    /// One stage's neuron currents, staged between the BN epilogue and
+    /// the neuron step.
+    currents: Vec<D::Value>,
+    /// Per item: membranes at a rail after its latest step (the count
+    /// [`Datapath::fire`] returns).
+    rails: Vec<u64>,
+    conv: ConvScratch,
+    policy: KernelPolicy,
+    arenas: DriveScratch,
+}
+
+/// Integer-datapath runner (the accelerator semantics).
+pub type IntRunner<'a> = Runner<'a, IntDatapath>;
+
+/// Float-reference runner: identical topology and dynamics, `f32`
+/// arithmetic, no saturation or coefficient rounding.
+pub type FloatRunner<'a> = Runner<'a, FloatDatapath>;
+
+impl<'a, D: Datapath> Runner<'a, D> {
+    /// Prepares runner state for `net`.
+    #[must_use]
+    pub fn new(net: &'a SnnNetwork) -> Self {
+        let membranes = net
+            .items
+            .iter()
+            .map(|it| match it {
+                SnnItem::InputConv(c) | SnnItem::Conv(c) => {
+                    vec![D::Value::default(); c.out_neurons()]
+                }
+                SnnItem::BlockAdd(a) => vec![D::Value::default(); a.neurons()],
+                _ => Vec::new(),
+            })
+            .collect();
+        Runner {
+            net,
+            datapath: D::default(),
+            membranes,
+            head_acc: vec![D::Evidence::default(); net.num_classes],
+            input_currents: Vec::new(),
+            pending: Vec::new(),
+            pending_len: 0,
+            run_timesteps: 0,
+            currents: Vec::new(),
+            rails: vec![0; net.items.len()],
+            conv: ConvScratch::new(),
+            policy: KernelPolicy::Auto,
+            arenas: DriveScratch::default(),
+        }
+    }
+
+    /// Overrides the sparse-vs-dense kernel selection (used by equivalence
+    /// tests and benches). The integer datapath is bit-exact under every
+    /// policy; the float datapath has one kernel, the scatter, and runs it
+    /// under every policy.
+    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
+        self.policy = policy;
+    }
+
+    /// Runs `timesteps` of inference on one `C×H×W` image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timesteps == 0`, the image shape mismatches the network,
+    /// or the network does not start with an `InputConv`.
+    #[must_use]
+    pub fn run(&mut self, image: &Tensor, timesteps: usize) -> SnnOutput {
+        self.run_with(image, timesteps, 0)
+    }
+
+    /// Like [`Runner::run`] with readout burn-in (see [`drive`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `timesteps == 0` or `burn_in >= timesteps`.
+    #[must_use]
+    pub fn run_with(&mut self, image: &Tensor, timesteps: usize, burn_in: usize) -> SnnOutput {
+        drive(self, EngineInput::Image(image), timesteps, burn_in).0
+    }
+
+    /// Runs on a DVS-style [`EventStream`] (event-driven first layer; the
+    /// network must have been converted with
+    /// [`crate::InputEncoding::EventDriven`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network starts with a dense `InputConv`, the stream is
+    /// shorter than `timesteps`, or `burn_in >= timesteps`.
+    #[must_use]
+    pub fn run_events(
+        &mut self,
+        events: &EventStream,
+        timesteps: usize,
+        burn_in: usize,
+    ) -> SnnOutput {
+        drive(self, EngineInput::Events(events), timesteps, burn_in).0
+    }
+
+    /// Like [`Runner::run_with`] under a confidence-gated exit policy
+    /// (see [`drive_policy`]).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`Runner::run_with`].
+    #[must_use]
+    pub fn run_policy(
+        &mut self,
+        image: &Tensor,
+        timesteps: usize,
+        burn_in: usize,
+        policy: ExitPolicy,
+    ) -> SnnOutput {
+        drive_policy(self, EngineInput::Image(image), timesteps, burn_in, policy).0
+    }
+}
+
+impl<D: Datapath> Engine for Runner<'_, D> {
+    type Extra = ();
+
+    fn network(&self) -> &SnnNetwork {
+        self.net
+    }
+
+    fn span_name(&self) -> &'static str {
+        D::SPAN
+    }
+
+    fn emits_timestep_events(&self) -> bool {
+        D::TIMESTEP_EVENTS
+    }
+
+    fn take_drive_scratch(&mut self) -> DriveScratch {
+        std::mem::take(&mut self.arenas)
+    }
+
+    fn put_drive_scratch(&mut self, scratch: DriveScratch) {
+        self.arenas = scratch;
+    }
+
+    fn begin_run(&mut self, timesteps: usize) {
+        for (item, mem) in self.net.items.iter().zip(&mut self.membranes) {
+            let threshold = match item {
+                SnnItem::InputConv(c) | SnnItem::Conv(c) => D::threshold(c.theta, c.step),
+                SnnItem::BlockAdd(a) => D::threshold(a.theta, a.step),
+                _ => continue,
+            };
+            mem.fill(D::precharge(threshold));
+        }
+        self.head_acc.fill(D::Evidence::default());
+        self.input_currents.clear();
+        self.pending.clear();
+        self.pending_len = 0;
+        self.run_timesteps = timesteps;
+    }
+
+    fn step_input_conv(&mut self, idx: usize, codes: &[i8], t: usize, out: &mut SpikePlane) {
+        let net = self.net;
+        let SnnItem::InputConv(c) = &net.items[idx] else {
+            unreachable!("step_input_conv on a non-input item")
+        };
+        if t == 0 {
+            scratch_resize(
+                &mut self.input_currents,
+                c.out_neurons(),
+                D::Value::default(),
+            );
+            self.datapath
+                .input_currents(c, idx, codes, &mut self.conv, &mut self.input_currents);
+        }
+        let (oh, ow) = c.geom.out_hw();
+        out.reset(c.geom.out_channels, oh, ow);
+        self.rails[idx] = D::fire(
+            &mut self.membranes[idx],
+            &self.input_currents,
+            D::threshold(c.theta, c.step),
+            c.mode,
+            out,
+        );
+    }
+
+    fn step_conv(&mut self, idx: usize, spikes: &SpikePlane, _t: usize, out: &mut SpikePlane) {
+        let net = self.net;
+        let SnnItem::Conv(c) = &net.items[idx] else {
+            unreachable!("step_conv on a non-conv item")
+        };
+        scratch_resize(&mut self.currents, c.out_neurons(), D::Value::default());
+        self.datapath.conv_currents(
+            c,
+            idx,
+            spikes,
+            self.policy,
+            &mut self.conv,
+            &mut self.currents,
+        );
+        let (oh, ow) = c.geom.out_hw();
+        out.reset(c.geom.out_channels, oh, ow);
+        self.rails[idx] = D::fire(
+            &mut self.membranes[idx],
+            &self.currents,
+            D::threshold(c.theta, c.step),
+            c.mode,
+            out,
+        );
+    }
+
+    fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
+        let net = self.net;
+        let SnnItem::ConvPsum(c) = &net.items[idx] else {
+            unreachable!("step_conv_psum on a non-psum item")
+        };
+        // Differently-sized psum stages share this buffer; under the
+        // chunked driver each stage revisits it every chunk (not only at
+        // t == 0), so re-shape whenever the frame geometry changes. Earlier
+        // frames are dead — the closing BlockAdd consumed them in-chunk.
+        let len = c.out_neurons();
+        let needed = self.run_timesteps * len;
+        if len != self.pending_len || self.pending.len() != needed {
+            self.pending_len = len;
+            scratch_resize(&mut self.pending, needed, D::Value::default());
+        }
+        let dst = &mut self.pending[t * len..(t + 1) * len];
+        self.datapath
+            .conv_currents(c, idx, spikes, self.policy, &mut self.conv, dst);
+    }
+
+    fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
+        let net = self.net;
+        let SnnItem::BlockAdd(a) = &net.items[idx] else {
+            unreachable!("step_block_add on a non-add item")
+        };
+        let skip_len = match &a.down {
+            Some(d) => d.out_neurons(),
+            None => skip.len(),
+        };
+        let len = self.pending_len;
+        assert_eq!(
+            len, skip_len,
+            "residual shape mismatch (pending {len}, skip {skip_len})"
+        );
+        let pending = &self.pending[t * len..(t + 1) * len];
+        scratch_resize(&mut self.currents, len, D::Value::default());
+        match &a.down {
+            Some(d) => {
+                let dst = &mut self.currents;
+                self.datapath
+                    .conv_currents(d, idx, skip, self.policy, &mut self.conv, dst);
+                D::join(pending, dst);
+            }
+            None => D::join_skip(a, pending, skip, &mut self.currents),
+        }
+        out.reset(a.channels, a.h, a.w);
+        self.rails[idx] = D::fire(
+            &mut self.membranes[idx],
+            &self.currents,
+            D::threshold(a.theta, a.step),
+            a.mode,
+            out,
+        );
+    }
+
+    fn head_accumulate(&mut self, idx: usize, spikes: &SpikePlane) {
+        let SnnItem::Head(l) = &self.net.items[idx] else {
+            unreachable!("head_accumulate on a non-head item")
+        };
+        D::head_accumulate(&mut self.head_acc, l, spikes);
+    }
+
+    fn head_readout_into(&self, idx: usize, t_eff: usize, out: &mut [f32]) {
+        let SnnItem::Head(l) = &self.net.items[idx] else {
+            unreachable!("head_readout on a non-head item")
+        };
+        D::head_readout(&self.head_acc, l, t_eff, out);
+    }
+
+    fn saturated_membranes(&self, idx: usize) -> u64 {
+        self.rails[idx]
+    }
+
+    fn stage_taps(&mut self, _idx: usize) -> Option<(u64, u64)> {
+        Some(self.conv.take_taps())
+    }
+
+    fn finish_run(&mut self) -> Self::Extra {}
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::IntDatapath {}
+    impl Sealed for super::FloatDatapath {}
+}
+
+/// The arithmetic a [`Runner`] steps its network in; the runner owns the
+/// rest. Sealed: [`IntDatapath`] and [`FloatDatapath`] are its only
+/// implementations.
+pub trait Datapath: sealed::Sealed + Default + fmt::Debug + 'static {
+    /// Membrane potentials and neuron currents.
+    type Value: Copy + Default + fmt::Debug;
+    /// The head's per-class evidence.
+    type Evidence: Copy + Default + fmt::Debug;
+    /// [`Engine::span_name`].
+    const SPAN: &'static str;
+    /// [`Engine::emits_timestep_events`].
+    const TIMESTEP_EVENTS: bool;
+
+    /// A stage's firing threshold: its integer `theta` or its float `step`.
+    fn threshold(theta: i16, step: f32) -> Self::Value;
+
+    /// The membrane pre-charge: half the threshold, the optimal initial
+    /// potential for QCFS conversion.
+    fn precharge(threshold: Self::Value) -> Self::Value;
+
+    /// The dense input conv's currents: `codes`' psums, then batch-norm.
+    fn input_currents(
+        &mut self,
+        c: &SnnConv,
+        idx: usize,
+        codes: &[i8],
+        scr: &mut ConvScratch,
+        dst: &mut [Self::Value],
+    );
+
+    /// A conv's currents: its psums over `spikes` under `policy`, then
+    /// batch-norm. `idx` is the item that owns the conv.
+    fn conv_currents(
+        &mut self,
+        c: &SnnConv,
+        idx: usize,
+        spikes: &SpikePlane,
+        policy: KernelPolicy,
+        scr: &mut ConvScratch,
+        dst: &mut [Self::Value],
+    );
+
+    /// A downsample branch's residual join: `dst` becomes `pending + dst`.
+    fn join(pending: &[Self::Value], dst: &mut [Self::Value]);
+
+    /// An identity branch's residual join: `dst[i]` is `pending[i]` plus
+    /// one skip spike's value where skip spike `i` is set.
+    fn join_skip(a: &SnnAdd, pending: &[Self::Value], skip: &SpikePlane, dst: &mut [Self::Value]);
+
+    /// One timestep of a stage's neurons: neuron `i` integrates
+    /// `currents[i]`, and its spike lands in `out` (already shaped).
+    /// Returns how many membranes sit at a rail afterwards.
+    fn fire(
+        mem: &mut [Self::Value],
+        currents: &[Self::Value],
+        threshold: Self::Value,
+        mode: NeuronMode,
+        out: &mut SpikePlane,
+    ) -> u64;
+
+    /// Adds one timestep's classification evidence to `acc`.
+    fn head_accumulate(acc: &mut [Self::Evidence], head: &SnnLinear, spikes: &SpikePlane);
+
+    /// Writes the logits from `acc`, time-averaged over `t_eff` timesteps.
+    fn head_readout(acc: &[Self::Evidence], head: &SnnLinear, t_eff: usize, out: &mut [f32]);
+}
+
+// ---------------------------------------------------------------------------
+// Integer datapath
 // ---------------------------------------------------------------------------
 
 /// The aggregation core's batch-norm epilogue (paper Eq. 2) over one
@@ -762,7 +1123,7 @@ fn bn_currents<P: Copy>(
 
 /// One layer's per-output batch-norm coefficients: `G` and `H` repeated
 /// across each channel's plane.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct BnRows {
     g: Vec<Q8_8>,
     h: Vec<i16>,
@@ -825,576 +1186,193 @@ fn head_accumulate_int(acc: &mut [i64], head: &SnnLinear, spikes: &SpikePlane) {
     }
 }
 
-/// Integer-datapath runner (the accelerator semantics).
-#[derive(Debug)]
-pub struct IntRunner<'a> {
-    net: &'a SnnNetwork,
-    membranes: Vec<Vec<i16>>,
-    head_acc: Vec<i64>,
-    /// Dense first-layer currents, constant across timesteps (cached at
-    /// `t == 0`).
-    input_currents: Vec<i16>,
-    /// Flat per-timestep psum currents awaiting the closing `BlockAdd`
-    /// (`run_timesteps` frames of `pending_len` each).
-    pending: Vec<i16>,
-    pending_len: usize,
-    run_timesteps: usize,
-    /// One stage's neuron currents, staged between the BN epilogue and
-    /// the neuron step.
-    currents: Vec<i16>,
-    /// Per item: membranes at an `i16` rail after its latest step (the
-    /// count [`fire_int`] returns).
-    rails: Vec<u64>,
+/// The integer datapath of the accelerator: saturating 16-bit partial
+/// sums in a fixed tap order, Q8.8 batch-norm, 16-bit membranes that fire
+/// in flat 64-neuron words ([`fire_int`]), and a head that reads each
+/// timestep as per-channel spike counts.
+#[derive(Clone, Debug, Default)]
+pub struct IntDatapath {
     /// Per item: its conv's per-output batch-norm rows ([`bn_coefs`]).
     bn_rows: Vec<BnRows>,
-    conv: ConvScratch,
-    policy: KernelPolicy,
-    arenas: DriveScratch,
 }
 
-impl<'a> IntRunner<'a> {
-    /// Prepares runner state for `net`.
-    #[must_use]
-    pub fn new(net: &'a SnnNetwork) -> Self {
-        let membranes = net
-            .items
-            .iter()
-            .map(|it| match it {
-                SnnItem::InputConv(c) | SnnItem::Conv(c) => vec![0i16; c.out_neurons()],
-                SnnItem::BlockAdd(a) => vec![0i16; a.neurons()],
-                _ => Vec::new(),
-            })
-            .collect();
-        IntRunner {
-            net,
-            membranes,
-            head_acc: vec![0; net.num_classes],
-            input_currents: Vec::new(),
-            pending: Vec::new(),
-            pending_len: 0,
-            run_timesteps: 0,
-            currents: Vec::new(),
-            rails: vec![0; net.items.len()],
-            bn_rows: Vec::new(),
-            conv: ConvScratch::new(),
-            policy: KernelPolicy::Auto,
-            arenas: DriveScratch::default(),
-        }
+impl Datapath for IntDatapath {
+    type Value = i16;
+    type Evidence = i64;
+    const SPAN: &'static str = "snn.int_run";
+    const TIMESTEP_EVENTS: bool = true;
+
+    fn threshold(theta: i16, _step: f32) -> i16 {
+        theta
     }
 
-    /// Overrides the sparse-vs-dense kernel selection (bit-exact either
-    /// way; used by equivalence tests and benches).
-    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        self.policy = policy;
+    fn precharge(theta: i16) -> i16 {
+        theta / 2
     }
 
-    /// Runs `timesteps` of inference on one `C×H×W` image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timesteps == 0`, the image shape mismatches the network,
-    /// or the network does not start with an `InputConv`.
-    #[must_use]
-    pub fn run(&mut self, image: &Tensor, timesteps: usize) -> SnnOutput {
-        self.run_with(image, timesteps, 0)
-    }
-
-    /// Like [`IntRunner::run`] with readout burn-in (see [`drive`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timesteps == 0` or `burn_in >= timesteps`.
-    #[must_use]
-    pub fn run_with(&mut self, image: &Tensor, timesteps: usize, burn_in: usize) -> SnnOutput {
-        drive(self, EngineInput::Image(image), timesteps, burn_in).0
-    }
-
-    /// Runs on a DVS-style [`EventStream`] (event-driven first layer; the
-    /// network must have been converted with
-    /// [`crate::InputEncoding::EventDriven`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network starts with a dense `InputConv`, the stream is
-    /// shorter than `timesteps`, or `burn_in >= timesteps`.
-    #[must_use]
-    pub fn run_events(
+    fn input_currents(
         &mut self,
-        events: &EventStream,
-        timesteps: usize,
-        burn_in: usize,
-    ) -> SnnOutput {
-        drive(self, EngineInput::Events(events), timesteps, burn_in).0
-    }
-
-    /// Like [`IntRunner::run_with`] under a confidence-gated exit policy
-    /// (see [`drive_policy`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`IntRunner::run_with`].
-    #[must_use]
-    pub fn run_policy(
-        &mut self,
-        image: &Tensor,
-        timesteps: usize,
-        burn_in: usize,
-        policy: ExitPolicy,
-    ) -> SnnOutput {
-        drive_policy(self, EngineInput::Image(image), timesteps, burn_in, policy).0
-    }
-}
-
-impl Engine for IntRunner<'_> {
-    type Extra = ();
-
-    fn network(&self) -> &SnnNetwork {
-        self.net
-    }
-
-    fn span_name(&self) -> &'static str {
-        "snn.int_run"
-    }
-
-    fn emits_timestep_events(&self) -> bool {
-        true
-    }
-
-    fn take_drive_scratch(&mut self) -> DriveScratch {
-        std::mem::take(&mut self.arenas)
-    }
-
-    fn put_drive_scratch(&mut self, scratch: DriveScratch) {
-        self.arenas = scratch;
-    }
-
-    fn begin_run(&mut self, timesteps: usize) {
-        for (item, mem) in self.net.items.iter().zip(&mut self.membranes) {
-            let theta = match item {
-                SnnItem::InputConv(c) | SnnItem::Conv(c) => c.theta,
-                SnnItem::BlockAdd(a) => a.theta,
-                _ => continue,
-            };
-            // θ/2 pre-charge (optimal initial potential for QCFS conversion)
-            mem.fill(theta / 2);
-        }
-        self.head_acc.fill(0);
-        self.input_currents.clear();
-        self.pending.clear();
-        self.pending_len = 0;
-        self.run_timesteps = timesteps;
-    }
-
-    fn step_input_conv(&mut self, idx: usize, codes: &[i8], t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::InputConv(c) = &net.items[idx] else {
-            unreachable!("step_input_conv on a non-input item")
-        };
-        if t == 0 {
-            let psums = conv_psums_dense_into(c, codes, &mut self.conv);
-            let (g, h) = bn_coefs(&mut self.bn_rows, idx, c);
-            scratch_resize(&mut self.input_currents, psums.len(), 0);
-            bn_currents(&mut self.input_currents, psums, g, h, Q8_8::mul_int_wide);
-        }
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        self.rails[idx] = fire_int(
-            &mut self.membranes[idx],
-            &self.input_currents,
-            c.theta,
-            c.mode,
-            out,
-        );
-    }
-
-    fn step_conv(&mut self, idx: usize, spikes: &SpikePlane, _t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::Conv(c) = &net.items[idx] else {
-            unreachable!("step_conv on a non-conv item")
-        };
-        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx);
+        c: &SnnConv,
+        idx: usize,
+        codes: &[i8],
+        scr: &mut ConvScratch,
+        dst: &mut [i16],
+    ) {
+        let psums = conv_psums_dense_into(c, codes, scr);
         let (g, h) = bn_coefs(&mut self.bn_rows, idx, c);
-        scratch_resize(&mut self.currents, psums.len(), 0);
-        bn_currents(&mut self.currents, psums, g, h, Q8_8::mul_int);
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        self.rails[idx] = fire_int(
-            &mut self.membranes[idx],
-            &self.currents,
-            c.theta,
-            c.mode,
-            out,
-        );
+        bn_currents(dst, psums, g, h, Q8_8::mul_int_wide);
     }
 
-    fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
-        let net = self.net;
-        let SnnItem::ConvPsum(c) = &net.items[idx] else {
-            unreachable!("step_conv_psum on a non-psum item")
-        };
-        let psums = conv_psums_int_plane(c, spikes, self.policy, &mut self.conv, idx);
-        // Differently-sized psum stages share this buffer; under the
-        // chunked driver each stage revisits it every chunk (not only at
-        // t == 0), so re-shape whenever the frame geometry changes. Earlier
-        // frames are dead — the closing BlockAdd consumed them in-chunk.
-        let needed = self.run_timesteps * psums.len();
-        if psums.len() != self.pending_len || self.pending.len() != needed {
-            self.pending_len = psums.len();
-            scratch_resize(&mut self.pending, needed, 0);
-        }
-        let dst = &mut self.pending[t * self.pending_len..(t + 1) * self.pending_len];
+    fn conv_currents(
+        &mut self,
+        c: &SnnConv,
+        idx: usize,
+        spikes: &SpikePlane,
+        policy: KernelPolicy,
+        scr: &mut ConvScratch,
+        dst: &mut [i16],
+    ) {
+        let psums = conv_psums_int_plane(c, spikes, policy, scr, idx);
         let (g, h) = bn_coefs(&mut self.bn_rows, idx, c);
         bn_currents(dst, psums, g, h, Q8_8::mul_int);
     }
 
-    fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::BlockAdd(a) = &net.items[idx] else {
-            unreachable!("step_block_add on a non-add item")
-        };
-        let skip_len = match &a.down {
-            Some(d) => d.out_neurons(),
-            None => skip.len(),
-        };
-        assert_eq!(
-            self.pending_len, skip_len,
-            "residual shape mismatch (pending {}, skip {})",
-            self.pending_len, skip_len
-        );
-        let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-        scratch_resize(&mut self.currents, self.pending_len, 0);
-        match &a.down {
-            Some(d) => {
-                let psums = conv_psums_int_plane(d, skip, self.policy, &mut self.conv, idx);
-                let (g, h) = bn_coefs(&mut self.bn_rows, idx, d);
-                bn_currents(&mut self.currents, psums, g, h, Q8_8::mul_int);
-                for (cur, &p) in self.currents.iter_mut().zip(pending) {
-                    *cur = add16(p, *cur);
-                }
-            }
-            None => skip_currents(&mut self.currents, pending, skip, a.skip_add),
-        }
-        out.reset(a.channels, a.h, a.w);
-        self.rails[idx] = fire_int(
-            &mut self.membranes[idx],
-            &self.currents,
-            a.theta,
-            a.mode,
-            out,
-        );
-    }
-
-    fn head_accumulate(&mut self, idx: usize, spikes: &SpikePlane) {
-        let net = self.net;
-        let SnnItem::Head(l) = &net.items[idx] else {
-            unreachable!("head_accumulate on a non-head item")
-        };
-        head_accumulate_int(&mut self.head_acc, l, spikes);
-    }
-
-    fn head_readout_into(&self, idx: usize, t_eff: usize, out: &mut [f32]) {
-        let SnnItem::Head(l) = &self.net.items[idx] else {
-            unreachable!("head_readout on a non-head item")
-        };
-        for ((o, &a), &b) in out.iter_mut().zip(&self.head_acc).zip(&l.bias) {
-            *o = a as f32 * l.q.scale() / t_eff as f32 + b;
+    fn join(pending: &[i16], dst: &mut [i16]) {
+        for (d, &p) in dst.iter_mut().zip(pending) {
+            *d = add16(p, *d);
         }
     }
 
-    fn saturated_membranes(&self, idx: usize) -> u64 {
-        self.rails[idx]
+    fn join_skip(a: &SnnAdd, pending: &[i16], skip: &SpikePlane, dst: &mut [i16]) {
+        skip_currents(dst, pending, skip, a.skip_add);
     }
 
-    fn stage_taps(&mut self, _idx: usize) -> Option<(u64, u64)> {
-        Some(self.conv.take_taps())
+    fn fire(
+        mem: &mut [i16],
+        currents: &[i16],
+        theta: i16,
+        mode: NeuronMode,
+        out: &mut SpikePlane,
+    ) -> u64 {
+        fire_int(mem, currents, theta, mode, out)
     }
 
-    fn finish_run(&mut self) -> Self::Extra {}
+    fn head_accumulate(acc: &mut [i64], head: &SnnLinear, spikes: &SpikePlane) {
+        head_accumulate_int(acc, head, spikes);
+    }
+
+    fn head_readout(acc: &[i64], head: &SnnLinear, t_eff: usize, out: &mut [f32]) {
+        for ((o, &a), &b) in out.iter_mut().zip(acc).zip(&head.bias) {
+            *o = a as f32 * head.q.scale() / t_eff as f32 + b;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Float-reference backend
+// Float-reference datapath
 // ---------------------------------------------------------------------------
 
-/// Float-reference runner: identical topology and dynamics, `f32`
-/// arithmetic, no saturation or coefficient rounding.
-#[derive(Debug)]
-pub struct FloatRunner<'a> {
-    net: &'a SnnNetwork,
-    membranes: Vec<Vec<f32>>,
-    head_acc: Vec<f32>,
-    input_currents: Vec<f32>,
-    pending: Vec<f32>,
-    pending_len: usize,
-    run_timesteps: usize,
-    conv: ConvScratch,
-    policy: KernelPolicy,
-    arenas: DriveScratch,
+/// The float reference dynamics: `f32` partial sums (the scatter, under
+/// every kernel policy), per-channel `gf`/`hf` batch-norm, `f32` membranes
+/// ([`step_f32`]), no saturation or coefficient rounding.
+#[derive(Clone, Debug, Default)]
+pub struct FloatDatapath;
+
+/// The float batch-norm: `dst[i] = gf[c]·psums[i] + hf[c]`, `c` being
+/// output `i`'s channel.
+fn bn_f32(c: &SnnConv, psums: &[f32], dst: &mut [f32]) {
+    let per_ch = psums.len() / c.geom.out_channels;
+    for (i, (d, &p)) in dst.iter_mut().zip(psums).enumerate() {
+        *d = c.gf[i / per_ch] * p + c.hf[i / per_ch];
+    }
 }
 
-impl<'a> FloatRunner<'a> {
-    /// Prepares runner state for `net`.
-    #[must_use]
-    pub fn new(net: &'a SnnNetwork) -> Self {
-        let membranes = net
-            .items
-            .iter()
-            .map(|it| match it {
-                SnnItem::InputConv(c) | SnnItem::Conv(c) => vec![0.0f32; c.out_neurons()],
-                SnnItem::BlockAdd(a) => vec![0.0f32; a.neurons()],
-                _ => Vec::new(),
-            })
-            .collect();
-        FloatRunner {
-            net,
-            membranes,
-            head_acc: vec![0.0; net.num_classes],
-            input_currents: Vec::new(),
-            pending: Vec::new(),
-            pending_len: 0,
-            run_timesteps: 0,
-            conv: ConvScratch::new(),
-            policy: KernelPolicy::Auto,
-            arenas: DriveScratch::default(),
+impl Datapath for FloatDatapath {
+    type Value = f32;
+    type Evidence = f32;
+    const SPAN: &'static str = "snn.float_run";
+    const TIMESTEP_EVENTS: bool = false;
+
+    fn threshold(_theta: i16, step: f32) -> f32 {
+        step
+    }
+
+    fn precharge(step: f32) -> f32 {
+        step / 2.0
+    }
+
+    fn input_currents(
+        &mut self,
+        c: &SnnConv,
+        _idx: usize,
+        codes: &[i8],
+        scr: &mut ConvScratch,
+        dst: &mut [f32],
+    ) {
+        bn_f32(c, conv_psums_dense_f32_into(c, codes, scr), dst);
+    }
+
+    fn conv_currents(
+        &mut self,
+        c: &SnnConv,
+        idx: usize,
+        spikes: &SpikePlane,
+        policy: KernelPolicy,
+        scr: &mut ConvScratch,
+        dst: &mut [f32],
+    ) {
+        bn_f32(c, conv_psums_f32_plane(c, spikes, policy, scr, idx), dst);
+    }
+
+    fn join(pending: &[f32], dst: &mut [f32]) {
+        for (d, &p) in dst.iter_mut().zip(pending) {
+            *d += p;
         }
     }
 
-    /// Overrides the sparse-vs-dense kernel selection (exact either way —
-    /// the scatter path preserves `f32` addition order).
-    pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
-        self.policy = policy;
-    }
-
-    /// Runs `timesteps` of reference inference on one image.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`IntRunner::run`].
-    #[must_use]
-    pub fn run(&mut self, image: &Tensor, timesteps: usize) -> SnnOutput {
-        self.run_with(image, timesteps, 0)
-    }
-
-    /// Float-reference twin of [`IntRunner::run_with`] (readout burn-in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `timesteps == 0` or `burn_in >= timesteps`.
-    #[must_use]
-    pub fn run_with(&mut self, image: &Tensor, timesteps: usize, burn_in: usize) -> SnnOutput {
-        drive(self, EngineInput::Image(image), timesteps, burn_in).0
-    }
-
-    /// Float-reference twin of [`IntRunner::run_events`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`IntRunner::run_events`].
-    #[must_use]
-    pub fn run_events(
-        &mut self,
-        events: &EventStream,
-        timesteps: usize,
-        burn_in: usize,
-    ) -> SnnOutput {
-        drive(self, EngineInput::Events(events), timesteps, burn_in).0
-    }
-
-    /// Float-reference twin of [`IntRunner::run_policy`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FloatRunner::run_with`].
-    #[must_use]
-    pub fn run_policy(
-        &mut self,
-        image: &Tensor,
-        timesteps: usize,
-        burn_in: usize,
-        policy: ExitPolicy,
-    ) -> SnnOutput {
-        drive_policy(self, EngineInput::Image(image), timesteps, burn_in, policy).0
-    }
-}
-
-impl Engine for FloatRunner<'_> {
-    type Extra = ();
-
-    fn network(&self) -> &SnnNetwork {
-        self.net
-    }
-
-    fn span_name(&self) -> &'static str {
-        "snn.float_run"
-    }
-
-    fn take_drive_scratch(&mut self) -> DriveScratch {
-        std::mem::take(&mut self.arenas)
-    }
-
-    fn put_drive_scratch(&mut self, scratch: DriveScratch) {
-        self.arenas = scratch;
-    }
-
-    fn begin_run(&mut self, timesteps: usize) {
-        for (item, mem) in self.net.items.iter().zip(&mut self.membranes) {
-            let step = match item {
-                SnnItem::InputConv(c) | SnnItem::Conv(c) => c.step,
-                SnnItem::BlockAdd(a) => a.step,
-                _ => continue,
+    fn join_skip(a: &SnnAdd, pending: &[f32], skip: &SpikePlane, dst: &mut [f32]) {
+        for (i, (d, &p)) in dst.iter_mut().zip(pending).enumerate() {
+            *d = p + if skip.bit_linear(i) {
+                a.skip_value
+            } else {
+                0.0
             };
-            mem.fill(step / 2.0);
         }
-        self.head_acc.fill(0.0);
-        self.input_currents.clear();
-        self.pending.clear();
-        self.pending_len = 0;
-        self.run_timesteps = timesteps;
     }
 
-    fn step_input_conv(&mut self, idx: usize, codes: &[i8], t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::InputConv(c) = &net.items[idx] else {
-            unreachable!("step_input_conv on a non-input item")
-        };
-        if t == 0 {
-            let psums = conv_psums_dense_f32_into(c, codes, &mut self.conv);
-            let per_ch = psums.len() / c.geom.out_channels;
-            scratch_resize(&mut self.input_currents, psums.len(), 0.0);
-            for (i, &p) in psums.iter().enumerate() {
-                self.input_currents[i] = c.gf[i / per_ch] * p + c.hf[i / per_ch];
-            }
-        }
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        let mem = &mut self.membranes[idx];
-        for (i, &cur) in self.input_currents.iter().enumerate() {
-            if step_f32(&mut mem[i], cur, c.step, c.mode) {
+    fn fire(
+        mem: &mut [f32],
+        currents: &[f32],
+        step: f32,
+        mode: NeuronMode,
+        out: &mut SpikePlane,
+    ) -> u64 {
+        for (i, (u, &cur)) in mem.iter_mut().zip(currents).enumerate() {
+            if step_f32(u, cur, step, mode) {
                 out.set_linear(i);
             }
         }
+        0
     }
 
-    fn step_conv(&mut self, idx: usize, spikes: &SpikePlane, _t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::Conv(c) = &net.items[idx] else {
-            unreachable!("step_conv on a non-conv item")
-        };
-        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx);
-        let per_ch = psums.len() / c.geom.out_channels;
-        let (oh, ow) = c.geom.out_hw();
-        out.reset(c.geom.out_channels, oh, ow);
-        let mem = &mut self.membranes[idx];
-        for (i, &p) in psums.iter().enumerate() {
-            let cur = c.gf[i / per_ch] * p + c.hf[i / per_ch];
-            if step_f32(&mut mem[i], cur, c.step, c.mode) {
-                out.set_linear(i);
-            }
-        }
-    }
-
-    fn step_conv_psum(&mut self, idx: usize, spikes: &SpikePlane, t: usize) {
-        let net = self.net;
-        let SnnItem::ConvPsum(c) = &net.items[idx] else {
-            unreachable!("step_conv_psum on a non-psum item")
-        };
-        let psums = conv_psums_f32_plane(c, spikes, self.policy, &mut self.conv, idx);
-        let per_ch = psums.len() / c.geom.out_channels;
-        // Same chunk-revisit re-shape as the integer runner (see there).
-        let needed = self.run_timesteps * psums.len();
-        if psums.len() != self.pending_len || self.pending.len() != needed {
-            self.pending_len = psums.len();
-            scratch_resize(&mut self.pending, needed, 0.0);
-        }
-        let dst = &mut self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-        for (i, &p) in psums.iter().enumerate() {
-            dst[i] = c.gf[i / per_ch] * p + c.hf[i / per_ch];
-        }
-    }
-
-    fn step_block_add(&mut self, idx: usize, skip: &SpikePlane, t: usize, out: &mut SpikePlane) {
-        let net = self.net;
-        let SnnItem::BlockAdd(a) = &net.items[idx] else {
-            unreachable!("step_block_add on a non-add item")
-        };
-        out.reset(a.channels, a.h, a.w);
-        match &a.down {
-            Some(d) => {
-                let psums = conv_psums_f32_plane(d, skip, self.policy, &mut self.conv, idx);
-                assert_eq!(
-                    self.pending_len,
-                    psums.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    self.pending_len,
-                    psums.len()
-                );
-                let per_ch = psums.len() / d.geom.out_channels;
-                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-                let mem = &mut self.membranes[idx];
-                for (i, &p) in psums.iter().enumerate() {
-                    let skip_cur = d.gf[i / per_ch] * p + d.hf[i / per_ch];
-                    let cur = pending[i] + skip_cur;
-                    if step_f32(&mut mem[i], cur, a.step, a.mode) {
-                        out.set_linear(i);
-                    }
-                }
-            }
-            None => {
-                assert_eq!(
-                    self.pending_len,
-                    skip.len(),
-                    "residual shape mismatch (pending {}, skip {})",
-                    self.pending_len,
-                    skip.len()
-                );
-                let pending = &self.pending[t * self.pending_len..(t + 1) * self.pending_len];
-                let mem = &mut self.membranes[idx];
-                for (i, &pend) in pending.iter().enumerate() {
-                    let skip_cur = if skip.bit_linear(i) {
-                        a.skip_value
-                    } else {
-                        0.0
-                    };
-                    let cur = pend + skip_cur;
-                    if step_f32(&mut mem[i], cur, a.step, a.mode) {
-                        out.set_linear(i);
-                    }
-                }
-            }
-        }
-    }
-
-    fn head_accumulate(&mut self, idx: usize, spikes: &SpikePlane) {
-        let net = self.net;
-        let SnnItem::Head(l) = &net.items[idx] else {
-            unreachable!("head_accumulate on a non-head item")
-        };
-        let per_ch = l.in_h * l.in_w;
-        for (o, acc) in self.head_acc.iter_mut().enumerate() {
+    fn head_accumulate(acc: &mut [f32], head: &SnnLinear, spikes: &SpikePlane) {
+        let per_ch = head.in_h * head.in_w;
+        for (o, acc) in acc.iter_mut().enumerate() {
             // bit iteration visits linear indices ascending — the exact f32
             // addition order of the byte-wise loop this replaced
             let mut a = 0.0f32;
             spikes.for_each_set_linear(|i| {
-                a += l.weights_f[o * l.channels + i / per_ch];
+                a += head.weights_f[o * head.channels + i / per_ch];
             });
             *acc += a;
         }
     }
 
-    fn head_readout_into(&self, idx: usize, t_eff: usize, out: &mut [f32]) {
-        let SnnItem::Head(l) = &self.net.items[idx] else {
-            unreachable!("head_readout on a non-head item")
-        };
-        for ((o, &a), &b) in out.iter_mut().zip(&self.head_acc).zip(&l.bias) {
+    fn head_readout(acc: &[f32], head: &SnnLinear, t_eff: usize, out: &mut [f32]) {
+        for ((o, &a), &b) in out.iter_mut().zip(acc).zip(&head.bias) {
             *o = a / t_eff as f32 + b;
         }
     }
-
-    fn stage_taps(&mut self, _idx: usize) -> Option<(u64, u64)> {
-        Some(self.conv.take_taps())
-    }
-
-    fn finish_run(&mut self) -> Self::Extra {}
 }
 
 #[cfg(test)]

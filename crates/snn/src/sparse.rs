@@ -111,6 +111,7 @@
 //! candidates holds two.
 
 use crate::network::SnnConv;
+use crate::runner::conv_reference;
 use crate::scratch::{note_growth, scratch_reserve_default, scratch_resize};
 use crate::spikeplane::SpikePlane;
 use sia_tensor::tile::block;
@@ -128,7 +129,8 @@ const TILE_CO: usize = 4;
 /// vector per accumulator row).
 const TILE_OX: usize = 16;
 
-/// Which psum kernel the engines use for spiking convolutions.
+/// Which psum kernel the integer engines use for spiking convolutions
+/// (the float datapath has one, the scatter).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelPolicy {
     /// Decide per layer from the layer's geometry with
@@ -971,36 +973,6 @@ fn transpose_blocks<A: Copy, const B: usize>(
     end
 }
 
-fn gather_f32(conv: &SnnConv, plane: &SpikePlane, out: &mut [f32]) {
-    let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    for co in 0..g.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ci in 0..g.in_channels {
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            if plane.bit(ci, iy as usize, ix as usize) {
-                                acc += f32::from(conv.weight(co, ci, ky, kx));
-                            }
-                        }
-                    }
-                }
-                out[(co * oh + oy) * ow + ox] = acc;
-            }
-        }
-    }
-}
-
 fn check_plane(g: &Conv2dGeom, plane: &SpikePlane) {
     assert_eq!(
         (plane.channels(), plane.height(), plane.width()),
@@ -1134,11 +1106,10 @@ pub fn conv_psums_int_plane<'a>(
     }
 }
 
-/// Float twin of [`conv_psums_int_plane`]: the scatter under every policy
-/// but [`KernelPolicy::ForceDense`], which runs the dense gather (`f32`
-/// accumulation in the same tap order either way, so results match the
-/// dense float reference exactly). The gather has no fast path to win
-/// with, so no density makes it worth picking.
+/// Float twin of [`conv_psums_int_plane`]. The float datapath has one
+/// kernel, the event-driven scatter, and runs it under every `policy`
+/// (`f32` accumulation in the reference tap order, so results equal
+/// [`crate::runner::conv_psums_f32`] exactly).
 ///
 /// # Panics
 ///
@@ -1146,16 +1117,14 @@ pub fn conv_psums_int_plane<'a>(
 pub fn conv_psums_f32_plane<'a>(
     conv: &SnnConv,
     plane: &SpikePlane,
-    policy: KernelPolicy,
+    _policy: KernelPolicy,
     scr: &'a mut ConvScratch,
     layer: usize,
 ) -> &'a [f32] {
     let g = &conv.geom;
     check_plane(g, plane);
-    let (oh, ow) = g.out_hw();
-    let n_out = g.out_channels * oh * ow;
-    let sparse = policy != KernelPolicy::ForceDense;
-    account_taps(scr, g, plane.count_ones(), sparse);
+    let n_out = g.out_neurons();
+    account_taps(scr, g, plane.count_ones(), true);
     let ConvScratch {
         psum_f,
         psum_cl_f,
@@ -1164,14 +1133,10 @@ pub fn conv_psums_f32_plane<'a>(
         ..
     } = scr;
     scratch_resize(psum_f, n_out, 0.0);
-    if sparse {
-        let (wt, walk) = entry_mut(layers, layer).f32_wt(conv);
-        scratch_resize(psum_cl_f, n_out + g.out_channels, 0.0);
-        scatter_f32(g, walk, wt, plane, spikes, psum_cl_f);
-        transpose_cl(psum_cl_f, psum_f, g.out_channels, g.out_channels);
-    } else {
-        gather_f32(conv, plane, psum_f);
-    }
+    let (wt, walk) = entry_mut(layers, layer).f32_wt(conv);
+    scratch_resize(psum_cl_f, n_out + g.out_channels, 0.0);
+    scatter_f32(g, walk, wt, plane, spikes, psum_cl_f);
+    transpose_cl(psum_cl_f, psum_f, g.out_channels, g.out_channels);
     psum_f
 }
 
@@ -1266,33 +1231,10 @@ pub fn conv_psums_dense_f32_into<'a>(
     codes: &[i8],
     scr: &'a mut ConvScratch,
 ) -> &'a [f32] {
-    let g = &conv.geom;
-    let (oh, ow) = g.out_hw();
-    scratch_resize(&mut scr.psum_df, g.out_channels * oh * ow, 0.0);
-    for co in 0..g.out_channels {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut acc = 0.0f32;
-                for ci in 0..g.in_channels {
-                    for ky in 0..g.kernel {
-                        let iy = (oy * g.stride + ky) as isize - g.padding as isize;
-                        if iy < 0 || iy >= g.in_h as isize {
-                            continue;
-                        }
-                        for kx in 0..g.kernel {
-                            let ix = (ox * g.stride + kx) as isize - g.padding as isize;
-                            if ix < 0 || ix >= g.in_w as isize {
-                                continue;
-                            }
-                            let sidx = (ci * g.in_h + iy as usize) * g.in_w + ix as usize;
-                            acc += f32::from(codes[sidx]) * f32::from(conv.weight(co, ci, ky, kx));
-                        }
-                    }
-                }
-                scr.psum_df[(co * oh + oy) * ow + ox] = acc;
-            }
-        }
-    }
+    scratch_resize(&mut scr.psum_df, conv.out_neurons(), 0.0);
+    conv_reference(conv, 0.0, &mut scr.psum_df, |acc, i, w| {
+        acc + f32::from(codes[i]) * f32::from(w)
+    });
     &scr.psum_df
 }
 
